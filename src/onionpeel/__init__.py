@@ -83,4 +83,35 @@ from .triangulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules
+    "branchdecomp", "embedding", "epg", "errors", "generators", "oracles",
+    "peeling", "triangulate",
+    # branchdecomp
+    "ArcCut", "BDNode", "BranchDecomposition", "DualTree", "WidthCertificate",
+    "build_branch_tree", "build_dual_tree", "certify_width_bound",
+    "compute_width", "decompose_pipeline", "treewidth_bound",
+    "verify_tree_cotree",
+    # embedding
+    "Dart", "DualGraph", "Edge", "Embedding", "FaceWalk", "add_edge_in_face",
+    "build_embedding", "dual_graph", "edge_of", "is_triangulated_disk",
+    "is_triangulation", "remove_vertices", "trace_faces", "twin",
+    # epg
+    "format_epg", "parse_epg", "to_dot",
+    # generators
+    "GadgetSpec", "build_gadget", "gen_counterexample", "gen_cycle",
+    "gen_k4_minus_edge", "gen_nested_triangles", "gen_path",
+    "gen_random_kouter", "gen_wheel",
+    # oracles
+    "OracleBudget", "Theorem1Report", "brute_branchwidth",
+    "brute_outerplanarity", "catalan", "certify_theorem1",
+    "enumerate_face_triangulations", "is_three_connected",
+    # peeling
+    "ForestCertificate", "PeelDecomposition", "RootedForest",
+    "build_rooted_forest", "check_inward_face", "onion_peels",
+    "saturate_inward_neighbors", "validate_forest", "verify_forest_bound",
+    # triangulate
+    "DiskConversionTrace", "connect_components", "repair_inner_cut_vertices",
+    "repair_outer_cut_vertices", "to_full_triangulation",
+    "to_triangulated_disk", "triangulate_inner_faces", "verify_trace",
+]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -226,11 +226,7 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.k >= 3 and not args.slow:
         raise BadParameter("theorem1 with k >= 3 requires --slow")
-    try:
-        threads = max(1, int(os.environ.get("ONIONPEEL_THREADS", "1")))
-    except ValueError:
-        raise BadParameter("ONIONPEEL_THREADS must be an integer") from None
-    report = certify_theorem1(args.k, budget, threads=threads)
+    report = certify_theorem1(args.k, budget)
     _emit_json(
         {
             "oracle": "theorem1",
@@ -256,6 +252,7 @@ def _cmd_verify(args) -> int:
             raise FormatError(f"artifact is not JSON: {exc}") from None
     emb = _read_embedding(args)
     kind = _artifact_kind(artifact)
+    _check_shape(kind, artifact)
     checker = {
         "peel": _verify_peel,
         "forest": _verify_forest,
@@ -269,7 +266,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _artifact_kind(artifact: dict) -> str:
+def _artifact_kind(artifact) -> str:
+    if not isinstance(artifact, dict):
+        raise FormatError("artifact must be a JSON object")
     if "oracle" in artifact:
         return "oracle"
     if "layers" in artifact:
@@ -283,6 +282,98 @@ def _artifact_kind(artifact: dict) -> str:
     if "bd_width" in artifact:
         return "pipeline"
     raise FormatError("unrecognized artifact type")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x, length: int | None = None) -> bool:
+    return (
+        isinstance(x, list)
+        and all(_is_int(t) for t in x)
+        and (length is None or len(x) == length)
+    )
+
+
+def _is_pair(x) -> bool:
+    return _is_ints(x, 2)
+
+
+def _list_of(pred):
+    return lambda x: isinstance(x, list) and all(pred(t) for t in x)
+
+
+def _is_stage(x) -> bool:
+    return (
+        isinstance(x, list) and len(x) == 3
+        and _is_int(x[0]) and _is_int(x[1]) and isinstance(x[2], str)
+    )
+
+
+def _is_bd_node(x) -> bool:
+    return (
+        isinstance(x, dict) and _is_int(x.get("id")) and isinstance(x.get("kind"), str)
+    )
+
+
+def _is_assignment(x) -> bool:
+    return isinstance(x, dict) and all(
+        re.fullmatch(r"[0-9]+-[0-9]+", key) and _is_int(leaf)
+        for key, leaf in x.items()
+    )
+
+
+# per artifact kind (and per oracle), the keys its checker reads and their shapes
+_SHAPES = {
+    "peel": {"k": _is_int, "layers": _list_of(_is_ints)},
+    "forest": {
+        "height": _is_int,
+        "roots": _is_ints,
+        "parents": _list_of(_is_pair),
+        "depth": _list_of(_is_pair),
+    },
+    "trace": {"added": _list_of(_is_stage), "k_in": _is_int, "k_out": _is_int},
+    "bd": {
+        "nodes": lambda x: _list_of(_is_bd_node)(x) and len(x) > 0,
+        "arcs": _list_of(_is_pair),
+        "assignment": _is_assignment,
+        "width": _is_int,
+        "bounds": lambda x: isinstance(x, dict) and _is_int(x.get("tw")),
+    },
+    "pipeline": {
+        "command": lambda x: isinstance(x, str),
+        "input_digest": lambda x: isinstance(x, str),
+        **{key: _is_int for key in
+           ("k_in", "k_out", "forest_height", "bd_width", "tw_bound")},
+    },
+    "bw": {"branchwidth": _is_int},
+    "outerplanarity": {"k": _is_int},
+    "theorem1": {
+        "k": _is_int,
+        "min_outerplanarity": _is_int,
+        "passed": lambda x: isinstance(x, bool),
+    },
+}
+
+
+def _check_shape(kind: str, artifact: dict) -> None:
+    """Reject an artifact its checker cannot read, before any check runs."""
+    if kind == "oracle":
+        kind = artifact["oracle"]
+        if kind not in ("bw", "outerplanarity", "theorem1"):
+            raise FormatError(f"oracle artifact: unknown oracle {kind!r}")
+    for key, ok in _SHAPES[kind].items():
+        if key not in artifact:
+            raise FormatError(f"{kind} artifact: missing key {key!r}")
+        if not ok(artifact[key]):
+            raise FormatError(f"{kind} artifact: malformed {key!r}")
+    if kind == "bd":
+        ids = {n["id"] for n in artifact["nodes"]}
+        ends = {x for arc in artifact["arcs"] for x in arc}
+        ends.update(artifact["assignment"].values())
+        if not ends <= ids:
+            raise FormatError("bd artifact: arc or leaf names an unknown node")
 
 
 def _require(cond: bool, message: str) -> None:

@@ -15,7 +15,6 @@ Budgets are hard caps with explicit errors, never silent truncation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator
@@ -27,9 +26,10 @@ from .errors import (
     FaceNotSimple,
     InvariantViolation,
     NotPlanar,
+    SelfLoop,
 )
 from .generators import gen_counterexample, gen_k4_minus_edge
-from .peeling import onion_peels
+from .peeling import _radial_layers
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,9 @@ def brute_outerplanarity(graph, budget: OracleBudget | None = None) -> int:
         for u, v in _edge_list(graph):
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
+    loops = sorted(v for v, ns in adj.items() if v in ns)
+    if loops:
+        raise SelfLoop(f"vertex {loops[0]} lists itself as a neighbor")
     if len(adj) > budget.max_vertices:
         raise BudgetExceeded(
             f"{len(adj)} vertices exceeds budget {budget.max_vertices}"
@@ -198,9 +201,9 @@ def _component_outerplanarity(comp: list[int], adj: dict[int, set[int]]) -> int:
         walks, _ = _trace(rot)
         if len(comp) - n_edges + len(walks) != 2:
             continue
-        for walk in walks:
-            emb = Embedding(rot, [walk[0]])
-            k = onion_peels(emb).k
+        face_sets = [{d[0] for d in walk} for walk in walks]
+        for i in range(len(walks)):
+            k = len(_radial_layers(face_sets, [i], comp))
             if best is None or k < best:
                 best = k
     if best is None:
@@ -322,19 +325,15 @@ class Theorem1Report:
 
 
 def _min_peels_over_faces(tri: Embedding) -> int:
-    rot = {v: tri.rotation(v) for v in tri.vertices}
-    best = None
-    for f in tri.faces:
-        emb = Embedding(rot, [f.darts[0]])
-        k = onion_peels(emb).k
-        if best is None or k < best:
-            best = k
-    return best
+    """Fewest peels of ``tri`` over every choice of outer face."""
+    face_sets = [f.vertex_set for f in tri.faces]
+    verts = tri.vertices
+    return min(
+        len(_radial_layers(face_sets, [i], verts)) for i in range(len(face_sets))
+    )
 
 
-def certify_theorem1(
-    k: int, budget: OracleBudget | None = None, threads: int = 1
-) -> Theorem1Report:
+def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Report:
     """Certify the lower bound: every triangulation of G_k has >= k+1 peels.
 
     k = 1 uses K4-minus-an-edge: a triangulation of 4 vertices has 6
@@ -375,13 +374,7 @@ def certify_theorem1(
             "counterexample gadget must have exactly one non-triangle face"
         )
     tris = list(enumerate_face_triangulations(gadget, long_faces[0], budget))
-    workers = max(1, threads)
-    if workers == 1:
-        peel_minima = [_min_peels_over_faces(t) for t in tris]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            peel_minima = list(pool.map(_min_peels_over_faces, tris))
-    min_k = min(peel_minima)
+    min_k = min(_min_peels_over_faces(t) for t in tris)
     return Theorem1Report(
         k=k,
         triangulation_count=len(tris),

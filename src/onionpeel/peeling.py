@@ -2,20 +2,28 @@
 
 The i-th peel of an embedding is the set of outer-region vertices after
 i-1 rounds of deleting all outer-region vertices; the number of nonempty
-peels is the outerplanarity of this particular embedding.  Saturation adds
-edges inside each inner face so that every vertex one peel deep gains a
-neighbor one peel up, after which a multi-source BFS from the outer
-vertices yields a spanning forest whose height is at most (peel count - 1).
-Peels are cached on the embedding value; surgery produces new values, so
-caches never go stale.
+peels is the outerplanarity of this particular embedding.  Peels are
+computed without deleting anything, by one breadth-first search over the
+radial graph, whose nodes are the vertices and the face walks, with an
+edge wherever a vertex lies on a face.  Started from the outer walks, the
+search reaches a vertex of peel i at radial distance 2i-1: deleting peel
+i-1 merges exactly the faces at distance 2i-2 into the outer region, and
+every face it does not touch survives as the same walk.  This is the
+layering of Baker's technique (also Bienstock & Monma, 1990).
+
+Saturation adds edges inside each inner face so that every vertex one peel
+deep gains a neighbor one peel up, after which a multi-source BFS from the
+outer vertices yields a spanning forest whose height is at most (peel
+count - 1).  Peels are cached on the embedding value; surgery produces new
+values, so caches never go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .embedding import Embedding, fan_targets, remove_vertices, splice_fan
+from .embedding import Embedding, fan_targets, splice_fan
 from .errors import BoundViolated, InvariantViolation, UnreachableVertex
 
 
@@ -60,18 +68,65 @@ class RootedForest:
         )
 
 
+def _radial_layers(
+    face_sets: Sequence[Collection[int]],
+    start: Iterable[int],
+    vertices: Collection[int],
+) -> tuple[frozenset[int], ...]:
+    """Peel layers by one BFS over the vertex-face incidence graph.
+
+    ``face_sets[i]`` is the vertex set of face walk i and ``start`` holds
+    the indices of the walks forming the outer region.  Vertices on no
+    walk are isolated and count as outer.  Layer i holds the vertices at
+    radial distance 2i-1 from the start walks.  Runs in O(V + total face
+    length); a vertex left unreached raises a bug certificate.
+    """
+    incident: dict[int, list[int]] = {}
+    for fi, fs in enumerate(face_sets):
+        for v in fs:
+            incident.setdefault(v, []).append(fi)
+    reached = set(start)
+    layer = {v for v in vertices if v not in incident}
+    for fi in reached:
+        layer.update(face_sets[fi])
+    placed: set[int] = set()
+    layers = []
+    while layer:
+        layers.append(frozenset(layer))
+        placed |= layer
+        nxt: set[int] = set()
+        for v in layer:
+            for fi in incident.get(v, ()):
+                if fi not in reached:
+                    reached.add(fi)
+                    nxt.update(face_sets[fi])
+        layer = nxt - placed
+    if len(placed) != len(vertices):
+        missing = sorted(set(vertices) - placed)
+        raise InvariantViolation(
+            f"radial search never reached vertices {missing[:5]}"
+        )
+    return tuple(layers)
+
+
 def onion_peels(emb: Embedding) -> PeelDecomposition:
-    """Peel layers of a fixed embedding, by iterated outer-vertex removal."""
+    """Peel layers of a fixed embedding, by one radial BFS.
+
+    The search starts from every outer walk at once, so each component of
+    a disconnected embedding peels from its own outer walk, exactly as
+    iterated removal of the outer-region vertices would.  Cost is
+    O(V + total face length), independent of the peel count.
+    """
     memo = emb._memo.get("peels")
     if memo is not None:
         return memo
-    layers = []
-    current = emb
-    while current.vertex_count:
-        layer = current.outer_vertices
-        layers.append(layer)
-        current = remove_vertices(current, layer)
-    result = PeelDecomposition(layers=tuple(layers))
+    faces = emb.faces
+    layers = _radial_layers(
+        [f.vertex_set for f in faces],
+        [i for i, f in enumerate(faces) if f.is_outer],
+        emb.vertices,
+    )
+    result = PeelDecomposition(layers=layers)
     emb._memo["peels"] = result
     return result
 

@@ -1,13 +1,11 @@
 """Acceptance suite: one test per criterion, printed pass/fail lines.
 
 Run `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
-Criterion 2's exhaustive k=3 variant is marked slow (`pytest -m slow`).
+Criterion 2 certifies the lower bound exhaustively for k=1, 2 and 3.
 """
 
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from conftest import corpus_specs
 from onionpeel import (
@@ -72,9 +70,8 @@ def test_criterion_2_theorem1_desk_scale():
             assert onion_peels(tri).k == k + 1, k
 
 
-@pytest.mark.slow
 def test_criterion_2_theorem1_k3_slow():
-    with criterion(2, "lower bound certified exhaustively for k=3 (slow)"):
+    with criterion(2, "lower bound certified exhaustively for k=3"):
         r3 = certify_theorem1(3)
         assert r3.passed and r3.min_outerplanarity == 4
 

@@ -181,6 +181,31 @@ def test_verify_rejects_tampered_artifact(tmp_path):
     assert code == 1 and "InvariantViolation" in err
 
 
+def test_verify_rejects_malformed_artifacts(tmp_path):
+    epg_path = tmp_path / "g.epg"
+    code, epg, _ = run_cli(["gen", "cycle", "4"])
+    epg_path.write_text(epg)
+    artifact = tmp_path / "bad.json"
+    for bad in [
+        {"layers": 5},
+        {"added": [[0]], "k_in": 1, "k_out": 1},
+        {"layers": [[0, 1, 2, 3]], "k": True},
+        {"parents": [[1, 0]], "height": 1, "roots": [0], "depth": [[0]]},
+        {"nodes": [{"id": 0, "kind": "edge"}], "arcs": [[0, 7]],
+         "assignment": {}, "width": 0, "bounds": {"tw": 0}},
+        {"nodes": [{"id": 0, "kind": "edge"}], "arcs": [],
+         "assignment": {"0+1": 0}, "width": 0, "bounds": {"tw": 0}},
+        {"bd_width": "2"},
+        {"oracle": "nosuch"},
+        {"oracle": "bw"},
+        "layers",
+        [1, 2],
+    ]:
+        artifact.write_text(json.dumps(bad))
+        code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+        assert code == 1 and "FormatError" in err, (bad, err)
+
+
 def test_verify_oracle_artifact(tmp_path):
     epg_path = tmp_path / "g.epg"
     code, epg, _ = run_cli(["gen", "wheel", "3"])

@@ -264,3 +264,18 @@ def test_random_embeddings_valid_and_bounded(k, w, seed):
     assert sum(len(f) for f in emb.faces) == 2 * emb.edge_count
     c4 = gen_cycle(4)
     assert trace_faces(c4) == c4.faces
+
+
+def test_package_all_names_every_public_attribute():
+    import types
+
+    import onionpeel
+
+    # submodules such as onionpeel.cli appear once some caller imports them
+    public = {
+        name for name in dir(onionpeel)
+        if not name.startswith("_")
+        and not isinstance(getattr(onionpeel, name), types.ModuleType)
+    }
+    assert public <= set(onionpeel.__all__)
+    assert all(hasattr(onionpeel, name) for name in onionpeel.__all__)

@@ -51,6 +51,12 @@ def test_outerplanarity_k5_not_planar():
         brute_outerplanarity(k5)
 
 
+def test_outerplanarity_rejects_self_loops():
+    for graph in ([(0, 0), (0, 1)], [(0, 1), (1, 2), (2, 0), (1, 1)], [(3, 3)]):
+        with pytest.raises(errors.SelfLoop):
+            brute_outerplanarity(graph)
+
+
 def test_outerplanarity_budget():
     with pytest.raises(errors.BudgetExceeded):
         brute_outerplanarity(gen_cycle(8))
@@ -146,13 +152,6 @@ def test_theorem1_k2():
     assert "3-connected" in report.assumption
 
 
-def test_theorem1_threads_agree():
-    a = certify_theorem1(2, threads=1)
-    b = certify_theorem1(2, threads=4)
-    assert a == b
-
-
-@pytest.mark.slow
 def test_theorem1_k3():
     report = certify_theorem1(3)
     assert report.passed and report.three_connected

@@ -1,19 +1,85 @@
+import random
+
 import pytest
 
 from onionpeel import (
+    Embedding,
     RootedForest,
+    build_embedding,
     build_rooted_forest,
     check_inward_face,
+    enumerate_face_triangulations,
     errors,
     gen_counterexample,
     gen_cycle,
     gen_nested_triangles,
+    gen_path,
+    gen_random_kouter,
     gen_wheel,
     onion_peels,
     remove_vertices,
     saturate_inward_neighbors,
     verify_forest_bound,
 )
+from onionpeel.oracles import _min_peels_over_faces
+
+
+def removal_peels(emb):
+    """Reference peel: delete the outer-region vertices until none remain."""
+    layers = []
+    current = emb
+    while current.vertex_count:
+        layers.append(current.outer_vertices)
+        current = remove_vertices(current, current.outer_vertices)
+    return tuple(layers)
+
+
+def delete_nonbridge_edges(emb, count, rng):
+    """Delete up to ``count`` random edges, never disconnecting the graph.
+
+    An edge is a bridge iff both its darts bound the same face walk.  The
+    outer region stays the walk holding a surviving dart of the old one.
+    """
+    for _ in range(count):
+        candidates = [
+            (u, v) for u, v in emb.edges
+            if emb.face_index_of_dart((u, v)) != emb.face_index_of_dart((v, u))
+        ]
+        if not candidates:
+            break
+        u, v = rng.choice(candidates)
+        rot = emb.rotations_dict()
+        rot[u].remove(v)
+        rot[v].remove(u)
+        outer = next(
+            d for f in emb.outer_faces for d in f.darts if d not in ((u, v), (v, u))
+        )
+        emb = Embedding(rot, [outer])
+    return emb
+
+
+def side_by_side(*embs):
+    """Disjoint union, each component drawn in the shared outer region."""
+    rot, outer, verts, offset = {}, [], [], 0
+    for emb in embs:
+        verts += [v + offset for v in emb.vertices]
+        for v in emb.vertices:
+            rot[v + offset] = [w + offset for w in emb.rotation(v)]
+        outer += [(a + offset, b + offset) for a, b in emb.outer_darts]
+        offset += max(emb.vertices) + 1
+    return build_embedding(verts, rot, outer)
+
+
+def with_pendant(emb, face, v):
+    """Attach a new degree-1 vertex to ``v`` inside ``face``."""
+    p = max(emb.vertices) + 1
+    darts = face.darts
+    j = face.occurrences(v)[0]
+    before = darts[j - 1][0]
+    rot = emb.rotations_dict()
+    rot[v].insert(rot[v].index(before) + 1, p)
+    rot[p] = [v]
+    return Embedding(rot, emb.outer_darts), p
 
 
 def test_peels_triangle():
@@ -33,14 +99,73 @@ def test_peels_nested_triangles(i):
     assert all(len(layer) == 3 for layer in peels.layers)
 
 
-def test_peels_match_iterated_removal(small_corpus):
-    for label, emb in small_corpus:
-        layers = []
-        current = emb
-        while current.vertex_count:
-            layers.append(current.outer_vertices)
-            current = remove_vertices(current, current.outer_vertices)
-        assert tuple(layers) == onion_peels(emb).layers, label
+def test_peels_match_iterated_removal(corpus):
+    for label, emb in corpus:
+        assert removal_peels(emb) == onion_peels(emb).layers, label
+
+
+def test_peels_match_removal_on_edge_deleted_embeddings():
+    rng = random.Random(20131845)
+    for trial in range(200):
+        k, w = rng.randint(1, 4), rng.randint(3, 8)
+        base = gen_random_kouter(k, w, rng.randint(1, 10**6))
+        emb = delete_nonbridge_edges(base, rng.randint(1, base.edge_count // 2), rng)
+        assert removal_peels(emb) == onion_peels(emb).layers, (trial, k, w)
+
+
+def test_peels_match_removal_on_side_by_side_components():
+    parts = [gen_nested_triangles(3), gen_wheel(5), gen_path(4),
+             gen_random_kouter(2, 4, 7), gen_cycle(3)]
+    for i in range(len(parts)):
+        for j in range(len(parts)):
+            emb = side_by_side(parts[i], parts[j])
+            assert not emb.is_connected
+            assert removal_peels(emb) == onion_peels(emb).layers, (i, j)
+    emb = side_by_side(*parts)
+    assert onion_peels(emb).k == 3
+    assert removal_peels(emb) == onion_peels(emb).layers
+
+
+def test_peels_match_removal_with_isolated_vertices():
+    lone = build_embedding([4, 9], {}, [])
+    assert onion_peels(lone).layers == removal_peels(lone) == (frozenset({4, 9}),)
+    assert onion_peels(build_embedding([], {}, [])).layers == ()
+    k4 = gen_wheel(3)
+    rot = {v: k4.rotation(v) for v in k4.vertices}
+    emb = build_embedding(list(k4.vertices) + [10, 11], rot, k4.outer_darts)
+    assert onion_peels(emb).layers == removal_peels(emb)
+    assert onion_peels(emb).layers == (frozenset({0, 1, 2, 10, 11}), frozenset({3}))
+
+
+def test_peels_match_removal_when_a_vertex_isolates_mid_peel():
+    nested = gen_nested_triangles(3)
+    inner = next(f for f in nested.inner_faces if not f.vertex_set & onion_peels(nested).layers[1])
+    emb, p = with_pendant(nested, inner, inner.vertices[0])
+    layers = onion_peels(emb).layers
+    assert layers == removal_peels(emb)
+    assert layers[3] == frozenset({p})
+    after = remove_vertices(remove_vertices(remove_vertices(emb, layers[0]), layers[1]), layers[2])
+    assert after.vertex_count == 1 and after.degree(p) == 0
+
+
+def test_min_peels_over_faces_matches_rebuilt_embeddings():
+    gadget = gen_counterexample(2)
+    long_face = next(f for f in gadget.faces if len(f) != 3)
+    tris = list(enumerate_face_triangulations(gadget, long_face))
+    assert len(tris) == 132
+    for tri in tris[::11]:
+        rot = {v: tri.rotation(v) for v in tri.vertices}
+        by_removal = min(
+            len(removal_peels(Embedding(rot, [f.darts[0]]))) for f in tri.faces
+        )
+        assert _min_peels_over_faces(tri) == by_removal
+
+
+def test_radial_peel_reports_unreachable_vertices():
+    from onionpeel.peeling import _radial_layers
+
+    with pytest.raises(errors.InvariantViolation):
+        _radial_layers([{0, 1, 2}, {3, 4, 5}], [0], [0, 1, 2, 3, 4, 5])
 
 
 def test_peels_partition_vertices(corpus):
