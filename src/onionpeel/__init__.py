@@ -34,7 +34,6 @@ from .embedding import (
     is_triangulated_disk,
     is_triangulation,
     remove_vertices,
-    trace_faces,
     twin,
 )
 from .epg import format_epg, parse_epg, to_dot
@@ -72,12 +71,8 @@ from .peeling import (
 )
 from .triangulate import (
     DiskConversionTrace,
-    connect_components,
-    repair_inner_cut_vertices,
-    repair_outer_cut_vertices,
     to_full_triangulation,
     to_triangulated_disk,
-    triangulate_inner_faces,
     verify_trace,
 )
 
@@ -95,7 +90,7 @@ __all__ = [
     # embedding
     "Dart", "DualGraph", "Edge", "Embedding", "FaceWalk", "add_edge_in_face",
     "build_embedding", "dual_graph", "edge_of", "is_triangulated_disk",
-    "is_triangulation", "remove_vertices", "trace_faces", "twin",
+    "is_triangulation", "remove_vertices", "twin",
     # epg
     "format_epg", "parse_epg", "to_dot",
     # generators
@@ -111,7 +106,6 @@ __all__ = [
     "build_rooted_forest", "check_inward_face", "onion_peels",
     "saturate_inward_neighbors", "validate_forest", "verify_forest_bound",
     # triangulate
-    "DiskConversionTrace", "connect_components", "repair_inner_cut_vertices",
-    "repair_outer_cut_vertices", "to_full_triangulation",
-    "to_triangulated_disk", "triangulate_inner_faces", "verify_trace",
+    "DiskConversionTrace", "to_full_triangulation", "to_triangulated_disk",
+    "verify_trace",
 ]

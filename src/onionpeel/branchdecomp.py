@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .embedding import Edge, Embedding, is_triangulated_disk
+from .embedding import Edge, Embedding, _components, is_triangulated_disk
 from .errors import (
     BoundViolated,
     DegreeOverflow,
@@ -117,17 +117,7 @@ def _check_tree(nodes, arcs) -> None:
     for a, b in arcs:
         adj[a].append(b)
         adj[b].append(a)
-    if not nodes:
-        return
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(nodes):
+    if len(set(_components(adj).values())) > 1:
         raise NotATree("arc set leaves the node set disconnected")
 
 
@@ -344,6 +334,11 @@ def decompose_pipeline(emb: Embedding) -> WidthCertificate:
     The returned certificate reports the input's peel count k and
     guarantees width <= 2k and treewidth bound <= 3k - 1.
     """
+    return _decompose(emb)[0]
+
+
+def _decompose(emb: Embedding) -> tuple[WidthCertificate, int]:
+    """:func:`decompose_pipeline`'s certificate and its disk's peel count."""
     if emb.vertex_count < 3:
         raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k = onion_peels(emb).k
@@ -364,4 +359,4 @@ def decompose_pipeline(emb: Embedding) -> WidthCertificate:
         width=cert.width,
         width_bound=cert.width_bound,
         tw_bound=cert.tw_bound,
-    )
+    ), cert.peel_count

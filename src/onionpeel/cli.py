@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .branchdecomp import (
+    _decompose,
     build_branch_tree,
     build_dual_tree,
-    decompose_pipeline,
     treewidth_bound,
 )
 from .embedding import Embedding
@@ -176,17 +176,9 @@ def _cmd_bd(args) -> int:
     return 0
 
 
-def _cmd_pipeline(args) -> int:
-    emb = _read_embedding(args)
-    stages: list[tuple[str, float]] = []
-    t0 = time.monotonic()
-    cert = decompose_pipeline(emb)
-    stages.append(("decompose", time.monotonic() - t0))
-    t0 = time.monotonic()
-    disk, _ = to_triangulated_disk(emb)
-    k_out = onion_peels(disk).k
-    stages.append(("recheck", time.monotonic() - t0))
-    report = RunReport(
+def _pipeline_report(emb: Embedding) -> RunReport:
+    cert, k_out = _decompose(emb)
+    return RunReport(
         command="pipeline",
         input_digest=_digest(emb),
         k_in=cert.peel_count,
@@ -195,9 +187,15 @@ def _cmd_pipeline(args) -> int:
         bd_width=cert.width,
         tw_bound=cert.tw_bound,
     )
+
+
+def _cmd_pipeline(args) -> int:
+    emb = _read_embedding(args)
+    t0 = time.monotonic()
+    report = _pipeline_report(emb)
+    dt = time.monotonic() - t0
     report.check()
-    for name, dt in stages:
-        print(f"pipeline.{name}: {1000 * dt:.1f} ms", file=sys.stderr)
+    print(f"pipeline.decompose: {1000 * dt:.1f} ms", file=sys.stderr)
     _emit_json(report.__dict__, args.json)
     return 0
 
@@ -224,9 +222,7 @@ def _cmd_oracle(args) -> int:
             args.json,
         )
         return 0
-    if args.k >= 3 and not args.slow:
-        raise BadParameter("theorem1 with k >= 3 requires --slow")
-    report = certify_theorem1(args.k, budget)
+    report = _theorem1(args.k, budget, args.slow)
     _emit_json(
         {
             "oracle": "theorem1",
@@ -240,6 +236,15 @@ def _cmd_oracle(args) -> int:
         args.json,
     )
     return 0 if report.passed else 1
+
+
+def _theorem1(k: int, budget: OracleBudget, slow: bool):
+    """certify_theorem1, gated: its cost grows with k, so k >= 3 needs --slow."""
+    if k >= 3 and not slow:
+        raise BadParameter(
+            f"theorem1 with k >= 3 requires `onionpeel oracle theorem1 {k} --slow`"
+        )
+    return certify_theorem1(k, budget)
 
 
 def _cmd_verify(args) -> int:
@@ -489,18 +494,9 @@ def _verify_bd(emb, artifact, args) -> None:
 
 
 def _verify_pipeline(emb, artifact, args) -> None:
-    cert = decompose_pipeline(emb)
-    disk, _ = to_triangulated_disk(emb)
-    expect = RunReport(
-        command="pipeline",
-        input_digest=_digest(emb),
-        k_in=cert.peel_count,
-        k_out=onion_peels(disk).k,
-        forest_height=cert.forest_height,
-        bd_width=cert.width,
-        tw_bound=cert.tw_bound,
+    _require(
+        artifact == _pipeline_report(emb).__dict__, "pipeline artifact: rerun differs"
     )
-    _require(artifact == expect.__dict__, "pipeline artifact: rerun differs")
 
 
 def _verify_oracle(emb, artifact, args) -> None:
@@ -520,7 +516,7 @@ def _verify_oracle(emb, artifact, args) -> None:
             "oracle artifact: outerplanarity mismatch",
         )
     else:
-        report = certify_theorem1(artifact["k"], budget)
+        report = _theorem1(artifact["k"], budget, slow=False)
         _require(
             artifact["min_outerplanarity"] == report.min_outerplanarity
             and artifact["passed"] == report.passed,

@@ -17,7 +17,9 @@ consistency.
 
 Embeddings are immutable values.  Surgery (adding an edge inside a face,
 removing outer vertices) returns a new embedding; derived data (face
-walks, components) is computed once and cached on the instance.
+walks, components) is computed once and cached on the instance.  Every
+added edge goes through one internal primitive, the corner link of a
+mutable face builder, so a run of insertions validates only once.
 Disconnected inputs are accepted only when every component lies in the
 outer region: one outer dart per edged component, all merged into a single
 outer region.  Isolated vertices carry an empty rotation and count as
@@ -27,6 +29,7 @@ outer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -119,8 +122,9 @@ class Embedding:
         rot = {int(v): tuple(int(n) for n in ns) for v, ns in rotations.items()}
         self._validate_structure(rot)
         walks, walk_of = _trace(rot)
-        self._check_euler(rot, walks)
-        outer = self._resolve_outer(rot, walks, walk_of, outer_darts)
+        comp_of = _components(rot)
+        self._check_euler(rot, walks, comp_of)
+        outer = self._resolve_outer(rot, walks, walk_of, comp_of, outer_darts)
 
         self._rot = {v: _canonical_rotation(ns) for v, ns in rot.items()}
         self._outer_darts = outer
@@ -134,6 +138,7 @@ class Embedding:
             tuple(sorted(self._rot.items())),
             self._outer_darts,
         )
+        self._comp_of = comp_of
         self._memo: dict = {}
 
     # -- construction-time checks -------------------------------------
@@ -157,9 +162,10 @@ class Embedding:
 
     @staticmethod
     def _check_euler(
-        rot: dict[int, tuple[int, ...]], walks: list[tuple[Dart, ...]]
+        rot: dict[int, tuple[int, ...]],
+        walks: list[tuple[Dart, ...]],
+        comp_of: dict[int, int],
     ) -> None:
-        comp_of = _components(rot)
         n_verts: dict[int, int] = {}
         n_darts: dict[int, int] = {}
         n_walks: dict[int, int] = {}
@@ -185,9 +191,9 @@ class Embedding:
         rot: dict[int, tuple[int, ...]],
         walks: list[tuple[Dart, ...]],
         walk_of: dict[Dart, int],
+        comp_of: dict[int, int],
         outer_darts: Iterable[Dart],
     ) -> tuple[Dart, ...]:
-        comp_of = _components(rot)
         chosen: dict[int, int] = {}  # component -> walk index
         for d in outer_darts:
             d = (int(d[0]), int(d[1]))
@@ -314,9 +320,8 @@ class Embedding:
     def components(self) -> tuple[frozenset[int], ...]:
         memo = self._memo.get("components")
         if memo is None:
-            comp_of = _components(self._rot)
             groups: dict[int, set[int]] = {}
-            for v, c in comp_of.items():
+            for v, c in self._comp_of.items():
                 groups.setdefault(c, set()).add(v)
             memo = tuple(frozenset(groups[c]) for c in sorted(groups))
             self._memo["components"] = memo
@@ -364,7 +369,7 @@ def _trace(
     return walks, walk_of
 
 
-def _components(rot: Mapping[int, Sequence[int]]) -> dict[int, int]:
+def _components(rot: Mapping[int, Iterable[int]]) -> dict[int, int]:
     """Map each vertex to the smallest vertex of its component."""
     comp: dict[int, int] = {}
     for v in sorted(rot):
@@ -406,11 +411,6 @@ def build_embedding(
     return Embedding(full, outer_darts)
 
 
-def trace_faces(emb: Embedding) -> tuple[FaceWalk, ...]:
-    """All face walks of the embedding (cached on the instance)."""
-    return emb.faces
-
-
 def is_triangulated_disk(emb: Embedding) -> bool:
     """Outer face a simple cycle of length >= 3, all inner faces triangles."""
     if not emb.is_connected:
@@ -442,29 +442,6 @@ def _resolve_face(emb: Embedding, face: FaceWalk | int) -> FaceWalk:
     raise NotOnFace("given walk is not a face of this embedding")
 
 
-def _insert_after(rot: list[int], anchor: int, value: int) -> None:
-    rot.insert(rot.index(anchor) + 1, value)
-
-
-def _chord_corners(
-    rotations: dict[int, list[int]], walk: FaceWalk, pos_u: int, pos_v: int
-) -> Edge:
-    """Add an edge between the corners at two positions of one face walk.
-
-    The corner at position ``j`` is (t -> x -> head) where ``t`` is the
-    origin of the preceding walk dart; the new neighbor is inserted right
-    after ``t`` in the rotation at ``x``.  Returns the added edge.
-    """
-    m = len(walk.darts)
-    u = walk.darts[pos_u][0]
-    v = walk.darts[pos_v][0]
-    t_u = walk.darts[(pos_u - 1) % m][0]
-    t_v = walk.darts[(pos_v - 1) % m][0]
-    _insert_after(rotations[u], t_u, v)
-    _insert_after(rotations[v], t_v, u)
-    return (u, v)
-
-
 def add_edge_in_face(
     emb: Embedding,
     u: int,
@@ -491,9 +468,9 @@ def add_edge_in_face(
         raise NotOnFace(f"vertex {u} occurrence {u_occurrence} not on face")
     if v_occurrence >= len(occ_v):
         raise NotOnFace(f"vertex {v} occurrence {v_occurrence} not on face")
-    rotations = emb.rotations_dict()
-    _chord_corners(rotations, walk, occ_u[u_occurrence], occ_v[v_occurrence])
-    return Embedding(rotations, emb.outer_darts)
+    b = _FaceBuilder(emb)
+    b.link(walk.darts[occ_u[u_occurrence] - 1], walk.darts[occ_v[v_occurrence] - 1])
+    return Embedding(b.rot, emb.outer_darts)
 
 
 def remove_vertices(emb: Embedding, remove: Iterable[int]) -> Embedding:
@@ -578,8 +555,93 @@ def dual_graph(emb: Embedding) -> DualGraph:
 
 
 # ---------------------------------------------------------------------------
-# Shared surgery helpers (used by peeling and triangulation)
+# Shared surgery helpers (used by peeling, triangulation and the oracles)
 # ---------------------------------------------------------------------------
+
+
+class _FaceBuilder:
+    """Mutable copy of an embedding that grows by one edge at a time.
+
+    Internal to the surgery code: callers copy an embedding in, link
+    corners, and validate once at the end with :meth:`embedding`.  It
+    holds the rotations, adjacency sets, and every face walk as a dart
+    tuple starting at its minimal dart, keyed by an id that the walk
+    keeps until a link replaces it; ``outer`` holds the ids of the outer
+    walks.  This is the face split of a half-edge structure (the DCEL of
+    de Berg et al., *Computational Geometry*, ch. 2).
+
+    A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
+    the walk leaves x on ``(x, s)`` with s the successor of t in the
+    rotation at x.  An isolated vertex x has the one corner ``(None, x)``.
+    """
+
+    def __init__(self, emb: Embedding):
+        self.rot = emb.rotations_dict()
+        self.adj = {v: set(ns) for v, ns in self.rot.items()}
+        self.walks = {i: f.darts for i, f in enumerate(emb.faces)}
+        self.outer = {i for i, f in enumerate(emb.faces) if f.is_outer}
+        self.walk_of = dict(emb._walk_of_dart)
+        self._fresh = count(len(self.walks))
+
+    def link(self, corner_u: Dart, corner_v: Dart) -> tuple[int, ...]:
+        """Add the edge (u, v) between two corners; return the new walk ids.
+
+        Each endpoint gets the other right after t in its rotation, which
+        is where its corner sits.  Two corners of one walk split it into
+        (u, v) followed by the darts after v's corner through u's, and
+        (v, u) followed by the rest; the first part keeps the walk's outer
+        mark.  Corners of two walks, or of an isolated vertex, merge into
+        one walk, outer if either was (an isolated vertex lies in the outer
+        region).  Costs O(length of the walks involved).
+        """
+        (t_u, u), (t_v, v) = corner_u, corner_v
+        for t, x, y in ((t_u, u, v), (t_v, v, u)):
+            rot = self.rot[x]
+            rot.insert(0 if t is None else rot.index(t) + 1, y)
+            self.adj[x].add(y)
+        w_u, w_v = self.walk_of.get(corner_u), self.walk_of.get(corner_v)
+        if w_u is not None and w_u == w_v:
+            walk = self.walks.pop(w_u)
+            i_u, i_v = walk.index(corner_u), walk.index(corner_v)
+            parts = [
+                (((u, v),) + _cyclic(walk, i_v, i_u), w_u in self.outer),
+                (((v, u),) + _cyclic(walk, i_u, i_v), False),
+            ]
+            self.outer.discard(w_u)
+        else:
+            outer = False
+            rest = []
+            for w, corner in ((w_v, corner_v), (w_u, corner_u)):
+                if w is None:
+                    outer = True
+                    rest.append(())
+                    continue
+                walk = self.walks.pop(w)
+                outer = outer or w in self.outer
+                self.outer.discard(w)
+                i = walk.index(corner)
+                rest.append(_cyclic(walk, i, i))
+            parts = [(((u, v),) + rest[0] + ((v, u),) + rest[1], outer)]
+        ids = []
+        for darts, outer in parts:
+            i = next(self._fresh)
+            self.walks[i] = _canonical_walk(darts)
+            self.walk_of.update(dict.fromkeys(darts, i))
+            if outer:
+                self.outer.add(i)
+            ids.append(i)
+        return tuple(ids)
+
+    def embedding(self) -> Embedding:
+        """Validate the current state as an embedding."""
+        return Embedding(self.rot, [self.walks[i][0] for i in self.outer])
+
+
+def _cyclic(walk: tuple[Dart, ...], after: int, upto: int) -> tuple[Dart, ...]:
+    """The darts after position ``after`` through ``upto``, cyclically."""
+    start = after + 1
+    rotated = walk[start:] + walk[:start]
+    return rotated[: (upto - after - 1) % len(walk) + 1]
 
 
 def fan_targets(walk: FaceWalk, anchor_pos: int, adjacency_ok) -> list[int]:
@@ -601,29 +663,3 @@ def fan_targets(walk: FaceWalk, anchor_pos: int, adjacency_ok) -> list[int]:
     out.sort(key=lambda pos: (pos - anchor_pos) % m)
     return out
 
-
-def splice_fan(
-    rotations: dict[int, list[int]],
-    walk: FaceWalk,
-    anchor_pos: int,
-    target_positions: Sequence[int],
-) -> list[Edge]:
-    """Fan edges from the anchor corner to targets inside one face.
-
-    Targets must be in walk order from the anchor (as from
-    :func:`fan_targets`); each insertion anchors at the same corner of the
-    anchor vertex, so all new edges are drawn inside the face.  Returns the
-    added edges in insertion order.
-    """
-    m = len(walk.darts)
-    w = walk.darts[anchor_pos][0]
-    t_w = walk.darts[(anchor_pos - 1) % m][0]
-    added = []
-    for pos in target_positions:
-        v = walk.darts[pos][0]
-        t_v = walk.darts[(pos - 1) % m][0]
-        # between t_w and the previously inserted spoke, farthest target last
-        _insert_after(rotations[w], t_w, v)
-        _insert_after(rotations[v], t_v, w)
-        added.append((w, v))
-    return added

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .embedding import Edge, Embedding, FaceWalk, is_triangulation, _trace
+from .embedding import (
+    Edge,
+    Embedding,
+    FaceWalk,
+    _components,
+    _FaceBuilder,
+    _trace,
+    is_triangulation,
+)
 from .errors import (
     BadParameter,
     BudgetExceeded,
@@ -165,23 +173,10 @@ def brute_outerplanarity(graph, budget: OracleBudget | None = None) -> int:
 
 
 def _abstract_components(adj: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps = []
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+    groups: dict[int, list[int]] = {}
+    for v, c in sorted(_components(adj).items()):
+        groups.setdefault(c, []).append(v)
+    return [groups[c] for c in sorted(groups)]
 
 
 def _component_outerplanarity(comp: list[int], adj: dict[int, set[int]]) -> int:
@@ -267,19 +262,17 @@ def _apply_chords(
     disk: Embedding, face: FaceWalk, chords: tuple[tuple[int, int], ...]
 ) -> Embedding:
     c = face.vertices
-    m = len(c)
-    at: dict[int, list[int]] = {}
-    for a, b in chords:
-        at.setdefault(a, []).append(b)
-        at.setdefault(b, []).append(a)
-    rotations = disk.rotations_dict()
-    for pos, others in at.items():
-        others.sort(key=lambda o: (o - pos) % m)
-        rot = rotations[c[pos]]
-        i = rot.index(c[(pos - 1) % m]) + 1
-        for o in others:  # nearest first ends up adjacent to the walk successor
-            rot.insert(i, c[o])
-    emb = Embedding(rotations, disk.outer_darts)
+    b = _FaceBuilder(disk)
+    for i, j in chords:
+        x, y = c[i], c[j]
+        # the one walk through both ends; its corners there take the chord
+        walk = next(
+            w for w in (b.walks[b.walk_of[(x, n)]] for n in b.rot[x])
+            if any(d[0] == y for d in w)
+        )
+        corners = [walk[p - 1] for p, d in enumerate(walk) if d[0] in (x, y)]
+        b.link(*corners)
+    emb = Embedding(b.rot, disk.outer_darts)
     if not is_triangulation(emb):
         raise InvariantViolation("face triangulation left a non-triangle")
     return emb
@@ -298,18 +291,12 @@ def is_three_connected(emb: Embedding) -> bool:
 
 
 def _connected_without(emb: Embedding, removed: set[int]) -> bool:
-    remaining = [v for v in emb.vertices if v not in removed]
-    if len(remaining) <= 1:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        x = stack.pop()
-        for y in emb.rotation(x):
-            if y not in removed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(remaining)
+    rest = {
+        v: [w for w in emb.rotation(v) if w not in removed]
+        for v in emb.vertices
+        if v not in removed
+    }
+    return len(set(_components(rest).values())) <= 1
 
 
 @dataclass(frozen=True)

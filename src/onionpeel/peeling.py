@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .embedding import Embedding, fan_targets, splice_fan
+from .embedding import Edge, Embedding, _FaceBuilder, fan_targets
 from .errors import BoundViolated, InvariantViolation, UnreachableVertex
 
 
@@ -172,20 +172,30 @@ def saturate_inward_neighbors(emb: Embedding) -> Embedding:
     already adjacent to it.  Peels are taken from the input embedding; the
     outer face is untouched and the peel count never increases.
     """
+    b = _FaceBuilder(emb)
+    _saturate(b, emb)
+    return b.embedding()
+
+
+def _saturate(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
+    """Fan the inner faces of ``emb`` inside its builder ``b``.
+
+    Returns the added edges in insertion order.  Each fan links the same
+    anchor corner to targets in walk order, so every spoke stays inside
+    the part of the face that still holds the remaining targets.
+    """
     index = onion_peels(emb).index_of()
-    rotations = emb.rotations_dict()
-    adjacency = {v: set(ns) for v, ns in rotations.items()}
+    added = []
     for f in emb.faces:
         if f.is_outer:
             continue
         verts = f.vertices
         anchor_pos = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
         w = verts[anchor_pos]
-        targets = fan_targets(f, anchor_pos, lambda v: v in adjacency[w])
-        for _, v in splice_fan(rotations, f, anchor_pos, targets):
-            adjacency[w].add(v)
-            adjacency[v].add(w)
-    return Embedding(rotations, emb.outer_darts)
+        for pos in fan_targets(f, anchor_pos, lambda v: v in b.adj[w]):
+            b.link(f.darts[anchor_pos - 1], f.darts[pos - 1])
+            added.append((w, verts[pos]))
+    return added
 
 
 def build_rooted_forest(emb: Embedding) -> RootedForest:

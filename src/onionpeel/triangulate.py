@@ -4,7 +4,9 @@ The disk pipeline only ever adds edges, in five stages: saturate inner
 faces (so the spanning forest exists before any outer-face edits), bridge
 components across the outer region, split repeated outer-walk vertices,
 split repeated inner-walk vertices, then ear-cut inner faces down to
-triangles.  No stage removes a vertex from the outer face, so the outer
+triangles.  Every stage links corners of one mutable face builder, and
+the three corner-cutting stages share one loop; the result is validated
+once.  No stage removes a vertex from the outer face, so the outer
 vertex set is preserved and the peel count cannot grow.  The apex step
 then fans one outer vertex with exactly two outer neighbors across the
 outer region, closing the disk into a triangulation at the cost of at most
@@ -13,21 +15,22 @@ one extra peel.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
 from .embedding import (
+    Dart,
     Edge,
     Embedding,
-    FaceWalk,
+    _components,
+    _FaceBuilder,
     fan_targets,
     is_triangulated_disk,
     is_triangulation,
-    splice_fan,
-    _chord_corners,
 )
 from .errors import InvariantViolation, RepairStuck, TooSmall
-from .peeling import onion_peels, saturate_inward_neighbors
+from .peeling import _saturate, onion_peels
 
 STAGES = ("saturate", "connect", "outer-cut", "inner-cut", "ear", "apex")
 
@@ -41,173 +44,116 @@ class DiskConversionTrace:
     output: Embedding
 
 
-def connect_components(emb: Embedding) -> Embedding:
-    return _connect(emb)[0]
+def _connect(b: _FaceBuilder, outer_vertices: frozenset[int]) -> list[Edge]:
+    """Bridge components across the outer region, smallest outer ids first.
 
-
-def _connect(emb: Embedding) -> tuple[Embedding, list[Edge]]:
-    """Bridge components across the outer region, smallest outer ids first."""
-    added: list[Edge] = []
-    while len(emb.components) > 1:
-        outer = emb.outer_vertices
-        mins = sorted(min(c & outer) for c in emb.components)
-        u, v = mins[0], mins[1]
-        emb = _join(emb, u, v)
-        added.append((u, v))
-    return emb, added
-
-
-def _outer_walk_of(emb: Embedding, v: int) -> FaceWalk | None:
-    for f in emb.outer_faces:
-        if v in f.vertex_set:
-            return f
-    return None
-
-
-def _join(emb: Embedding, u: int, v: int) -> Embedding:
-    rotations = emb.rotations_dict()
-    drop: set = set()
-    for x, y in ((u, v), (v, u)):
-        walk = _outer_walk_of(emb, x)
-        if walk is None:  # isolated vertex
-            rotations[x] = [y]
-        else:
-            pos = walk.occurrences(x)[0]
-            t = walk.darts[pos - 1][0]
-            rotations[x].insert(rotations[x].index(t) + 1, y)
-            drop.add(walk.darts[0])
-    outer = [d for d in emb.outer_darts if d not in drop] + [(u, v)]
-    return Embedding(rotations, outer)
-
-
-def _scan_cut_repair(emb: Embedding, walk: FaceWalk) -> int | None:
-    """First walk position whose repeated origin has addable flankers."""
-    counts = Counter(walk.vertices)
-    m = len(walk)
-    for j in range(m):
-        v = walk.darts[j][0]
-        if counts[v] < 2:
-            continue
-        a = walk.darts[(j - 1) % m][0]
-        b = walk.darts[j][1]
-        if a != b and not emb.has_edge(a, b):
-            return j
-    return None
-
-
-def repair_outer_cut_vertices(emb: Embedding) -> Embedding:
-    return _repair_outer(emb)[0]
-
-
-def _repair_outer(emb: Embedding) -> tuple[Embedding, list[Edge]]:
-    """Enclose repeated outer-walk occurrences until the walk is simple."""
-    added: list[Edge] = []
-    while True:
-        outer = emb.outer_faces
-        if not outer or outer[0].is_simple:
-            return emb, added
-        walk = outer[0]
-        j = _scan_cut_repair(emb, walk)
-        if j is None:
-            raise RepairStuck(
-                "every occurrence of every repeated outer vertex has "
-                "adjacent flankers"
-            )
-        m = len(walk)
-        rotations = emb.rotations_dict()
-        a, b = _chord_corners(rotations, walk, (j - 1) % m, (j + 1) % m)
-        # the pocket around position j turns inner; the rest stays outer
-        new_outer = [d for d in emb.outer_darts if d != walk.darts[0]]
-        new_outer.append((a, b))
-        emb = Embedding(rotations, new_outer)
-        added.append((min(a, b), max(a, b)))
-
-
-def repair_inner_cut_vertices(emb: Embedding) -> Embedding:
-    return _repair_inner(emb)[0]
-
-
-def _repair_inner(emb: Embedding) -> tuple[Embedding, list[Edge]]:
-    """Same flanking-edge technique applied inside non-simple inner faces."""
-    added: list[Edge] = []
-    while True:
-        walk = next(
-            (f for f in emb.faces if not f.is_outer and not f.is_simple), None
-        )
-        if walk is None:
-            return emb, added
-        j = _scan_cut_repair(emb, walk)
-        if j is None:
-            raise RepairStuck(
-                "every occurrence of every repeated inner-face vertex has "
-                "adjacent flankers"
-            )
-        m = len(walk)
-        rotations = emb.rotations_dict()
-        a, b = _chord_corners(rotations, walk, (j - 1) % m, (j + 1) % m)
-        emb = Embedding(rotations, emb.outer_darts)
-        added.append((min(a, b), max(a, b)))
-
-
-def triangulate_inner_faces(emb: Embedding) -> Embedding:
-    return _triangulate_inner(emb)[0]
-
-
-def _triangulate_inner(emb: Embedding) -> tuple[Embedding, list[Edge]]:
-    """Ear-cut every inner face of length >= 4 down to triangles.
-
-    An ear at position j adds the chord between its flanking vertices;
-    eligibility means the chord is not yet an edge.  A planar embedding
-    cannot carry two crossing exterior chords, so an eligible position
-    always exists while any face is long.
+    The component holding the smallest outer vertex absorbs the others in
+    the order of their smallest outer vertices; each edge joins those two
+    vertices at their first corners on their outer walks.
     """
+    comp = _components(b.rot)
+    first: dict[int, int] = {}
+    for v in sorted(outer_vertices):
+        first.setdefault(comp[v], v)
+    hub, *rest = first.values()
+    for v in rest:
+        b.link(_outer_corner(b, hub), _outer_corner(b, v))
+    return [(hub, v) for v in rest]
+
+
+def _outer_corner(b: _FaceBuilder, x: int) -> Dart:
+    """The corner of x's first occurrence on its component's outer walk."""
+    if not b.rot[x]:
+        return (None, x)
+    walk = next(
+        b.walks[i] for i in (b.walk_of[(x, y)] for y in b.rot[x]) if i in b.outer
+    )
+    pos = next(p for p, d in enumerate(walk) if d[0] == x)
+    return walk[pos - 1]
+
+
+def _is_simple(walk: tuple[Dart, ...]) -> bool:
+    return len({d[0] for d in walk}) == len(walk)
+
+
+def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Edge]:
+    """Cut corners off wanted faces until no face is wanted.
+
+    Takes the wanted walk with the smallest minimal dart (``wanted(walk,
+    is_outer)``) and the first position j from that dart whose flankers,
+    a at j-1 and c at j+1, are distinct and not adjacent, and whose vertex
+    repeats on the walk if ``repeated_only``.  The chord (a, c) cuts the
+    corner at j off into a triangle; the rest keeps the walk's outer mark.
+    A wanted walk without such a position raises ``stuck(walk)``.
+    """
+    heap = [(w[0], i) for i, w in b.walks.items() if wanted(w, i in b.outer)]
+    heapq.heapify(heap)
     added: list[Edge] = []
-    while True:
-        walk = next(
-            (f for f in emb.faces if not f.is_outer and len(f) >= 4), None
-        )
-        if walk is None:
-            return emb, added
-        m = len(walk)
-        j = next(
-            (
-                j
-                for j in range(m)
-                if not emb.has_edge(walk.darts[(j - 1) % m][0], walk.darts[j][1])
-            ),
-            None,
-        )
-        if j is None:
-            raise InvariantViolation(
-                f"no ear available on inner face {walk.vertices}"
-            )
-        rotations = emb.rotations_dict()
-        a, b = _chord_corners(rotations, walk, (j - 1) % m, (j + 1) % m)
-        emb = Embedding(rotations, emb.outer_darts)
-        added.append((min(a, b), max(a, b)))
+    while heap:
+        walk = b.walks[heapq.heappop(heap)[1]]
+        counts = Counter(d[0] for d in walk)
+        for j, (v, c) in enumerate(walk):
+            a = walk[j - 1][0]
+            if a != c and c not in b.adj[a] and (counts[v] > 1 or not repeated_only):
+                break
+        else:
+            raise stuck(walk)
+        for i in b.link(walk[j - 2], walk[j]):
+            if wanted(b.walks[i], i in b.outer):
+                heapq.heappush(heap, (b.walks[i][0], i))
+        added.append((min(a, c), max(a, c)))
+    return added
+
+
+# (stage, wanted face, repeated_only, error) of the corner-cutting stages
+_CUTS = (
+    (
+        "outer-cut",
+        lambda walk, outer: outer and not _is_simple(walk),
+        True,
+        lambda walk: RepairStuck(
+            "every occurrence of every repeated outer vertex has adjacent flankers"
+        ),
+    ),
+    (
+        "inner-cut",
+        lambda walk, outer: not outer and not _is_simple(walk),
+        True,
+        lambda walk: RepairStuck(
+            "every occurrence of every repeated inner-face vertex has "
+            "adjacent flankers"
+        ),
+    ),
+    (
+        "ear",
+        lambda walk, outer: not outer and len(walk) >= 4,
+        False,
+        lambda walk: InvariantViolation(
+            f"no ear available on inner face {tuple(d[0] for d in walk)}"
+        ),
+    ),
+)
 
 
 def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace]:
     """Add edges until the embedding is a triangulated disk.
 
-    The outer vertex set of the output equals the input's and the peel
-    count never increases; both are enforced here as bug certificates.
+    All stages link corners of one builder, and the result is validated
+    once.  The outer vertex set of the output equals the input's and the
+    peel count never increases; both are enforced here as bug certificates.
+    A planar embedding cannot carry two crossing exterior chords, so an
+    ear always exists while an inner face is long.
     """
     if emb.vertex_count < 3:
         raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k_in = onion_peels(emb).k
-    added: list[tuple[int, int, str]] = []
-
-    sat = saturate_inward_neighbors(emb)
-    added += [(u, v, "saturate") for u, v in sorted(set(sat.edges) - set(emb.edges))]
-    current, step = _connect(sat)
-    added += [(u, v, "connect") for u, v in step]
-    current, step = _repair_outer(current)
-    added += [(u, v, "outer-cut") for u, v in step]
-    current, step = _repair_inner(current)
-    added += [(u, v, "inner-cut") for u, v in step]
-    current, step = _triangulate_inner(current)
-    added += [(u, v, "ear") for u, v in step]
+    b = _FaceBuilder(emb)
+    sat = _saturate(b, emb)
+    added = [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
+    added += [(u, v, "connect") for u, v in _connect(b, emb.outer_vertices)]
+    for stage, *cut in _CUTS:
+        added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
+    current = b.embedding()
 
     if not is_triangulated_disk(current):
         raise InvariantViolation("disk pipeline did not produce a disk")
@@ -253,12 +199,11 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
         result = disk
     else:
         pos_r = cycle.index(r)
-        targets = fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v))
-        rotations = disk.rotations_dict()
-        fan = splice_fan(rotations, walk, pos_r, targets)
-        added += [(min(u, v), max(u, v), "apex") for u, v in fan]
-        outer_dart = walk.darts[(pos_r + 1) % len(cycle)]
-        result = Embedding(rotations, [outer_dart])
+        b = _FaceBuilder(disk)
+        for pos in fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v)):
+            b.link(walk.darts[pos_r - 1], walk.darts[pos - 1])
+            added.append((min(r, cycle[pos]), max(r, cycle[pos]), "apex"))
+        result = Embedding(b.rot, [walk.darts[(pos_r + 1) % len(cycle)]])
 
     if not is_triangulation(result):
         raise InvariantViolation("apex step did not produce a triangulation")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 from onionpeel import format_epg, gen_counterexample, gen_cycle, gen_wheel
 from onionpeel.cli import cli_main
@@ -215,6 +216,24 @@ def test_verify_oracle_artifact(tmp_path):
     artifact.write_text(out)
     code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
     assert code == 0, err
+
+
+def test_verify_gates_theorem1_artifacts_like_oracle(tmp_path):
+    epg_path = tmp_path / "g.epg"
+    epg_path.write_text(format_epg(gen_cycle(4)))
+    artifact = tmp_path / "t1.json"
+    code, out, _ = run_cli(["oracle", "theorem1", "2"])
+    artifact.write_text(out)
+    code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+    assert code == 0, err
+    artifact.write_text(json.dumps(
+        {"oracle": "theorem1", "k": 12, "min_outerplanarity": 13, "passed": True}
+    ))
+    t0 = time.monotonic()
+    code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+    assert time.monotonic() - t0 < 0.5
+    assert code == 1 and "BadParameter" in err
+    assert "oracle theorem1 12 --slow" in err
 
 
 def test_gen_pipe_disk_pipe_verify(tmp_path):

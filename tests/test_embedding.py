@@ -17,7 +17,6 @@ from onionpeel import (
     is_triangulated_disk,
     is_triangulation,
     remove_vertices,
-    trace_faces,
     twin,
 )
 
@@ -262,8 +261,6 @@ def test_random_embeddings_valid_and_bounded(k, w, seed):
     emb = gen_random_kouter(k, w, seed)
     assert emb.vertex_count == k * w
     assert sum(len(f) for f in emb.faces) == 2 * emb.edge_count
-    c4 = gen_cycle(4)
-    assert trace_faces(c4) == c4.faces
 
 
 def test_package_all_names_every_public_attribute():

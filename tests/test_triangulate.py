@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from onionpeel import (
@@ -5,26 +7,26 @@ from onionpeel import (
     add_edge_in_face,
     build_embedding,
     build_rooted_forest,
-    connect_components,
     errors,
     gen_counterexample,
     gen_cycle,
     gen_k4_minus_edge,
     gen_nested_triangles,
     gen_path,
+    gen_random_kouter,
     gen_wheel,
     is_triangulated_disk,
     is_triangulation,
     onion_peels,
-    repair_inner_cut_vertices,
-    repair_outer_cut_vertices,
     saturate_inward_neighbors,
     to_full_triangulation,
     to_triangulated_disk,
-    triangulate_inner_faces,
     validate_forest,
     verify_trace,
 )
+from onionpeel.embedding import _FaceBuilder, fan_targets
+from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from test_peeling import delete_nonbridge_edges, side_by_side
 
 
 def two_triangles():
@@ -40,44 +42,67 @@ def bowtie():
     )
 
 
+def stage_alone(emb, stage):
+    """Run one conversion stage by itself; return its result and edges."""
+    b = _FaceBuilder(emb)
+    if stage == "connect":
+        edges = _connect(b, emb.outer_vertices)
+    else:
+        edges = _cut_corners(b, *next(cut for name, *cut in _CUTS if name == stage))
+    return b.embedding(), edges
+
+
+def traced(emb, stage):
+    """The edges one stage adds inside the whole disk conversion."""
+    _, trace = to_triangulated_disk(emb)
+    return [(u, v) for u, v, s in trace.added_edges if s == stage]
+
+
 def test_connect_two_triangles():
-    joined = connect_components(two_triangles())
-    assert joined.is_connected
+    joined, edges = stage_alone(two_triangles(), "connect")
+    assert joined.is_connected and edges == [(0, 3)]
     assert set(joined.edges) - set(two_triangles().edges) == {(0, 3)}
     assert joined.outer_vertices == two_triangles().outer_vertices
+    assert traced(two_triangles(), "connect") == [(0, 3)]
 
 
 def test_connect_connected_noop():
     k4 = gen_wheel(3)
-    assert connect_components(k4) == k4
+    assert stage_alone(k4, "connect") == (k4, [])
+    assert traced(k4, "connect") == []
 
 
 def test_connect_absorbs_isolated_vertex():
     emb = build_embedding(
         [0, 1, 2, 7], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)]
     )
-    joined = connect_components(emb)
-    assert joined.is_connected and joined.has_edge(0, 7)
+    joined, edges = stage_alone(emb, "connect")
+    assert joined.is_connected and joined.has_edge(0, 7) and edges == [(0, 7)]
     assert 7 in joined.outer_vertices
+    assert traced(emb, "connect") == [(0, 7)]
 
 
 def test_outer_repair_bowtie():
-    fixed = repair_outer_cut_vertices(bowtie())
+    fixed, edges = stage_alone(bowtie(), "outer-cut")
     walk = fixed.outer_faces[0]
     assert walk.is_simple
+    assert edges == [(1, 3)]
     assert set(fixed.edges) - set(bowtie().edges) == {(1, 3)}
     assert fixed.outer_vertices == bowtie().outer_vertices
+    assert traced(bowtie(), "outer-cut") == [(1, 3)]
 
 
 def test_outer_repair_path_becomes_triangle():
-    fixed = repair_outer_cut_vertices(gen_path(3))
+    fixed, edges = stage_alone(gen_path(3), "outer-cut")
     assert fixed.edges == ((0, 1), (0, 2), (1, 2))
     assert fixed.outer_faces[0].is_simple
+    assert traced(gen_path(3), "outer-cut") == [(0, 2)]
 
 
 def test_outer_repair_simple_noop():
     c5 = gen_cycle(5)
-    assert repair_outer_cut_vertices(c5) == c5
+    assert stage_alone(c5, "outer-cut") == (c5, [])
+    assert traced(c5, "outer-cut") == []
 
 
 def test_inner_repair_pendant_inside_square():
@@ -85,35 +110,49 @@ def test_inner_repair_pendant_inside_square():
         {0: [1, 4, 3], 1: [2, 0], 2: [3, 1], 3: [0, 2], 4: [0]}, [(0, 1)]
     )
     assert any(not f.is_simple for f in sq.inner_faces)
-    fixed = repair_inner_cut_vertices(sq)
+    fixed, edges = stage_alone(sq, "inner-cut")
     assert all(f.is_simple for f in fixed.inner_faces)
+    assert edges == [(3, 4)]
     assert set(fixed.edges) - set(sq.edges) == {(3, 4)}
+    # in the conversion, saturation splits the face first at (0, 2)
+    _, trace = to_triangulated_disk(sq)
+    assert trace.added_edges == (
+        (0, 2, "saturate"), (2, 4, "inner-cut"), (1, 4, "ear"),
+    )
 
 
 def test_inner_repair_disk_noop():
     disk = gen_k4_minus_edge()
-    assert repair_inner_cut_vertices(disk) == disk
+    assert stage_alone(disk, "inner-cut") == (disk, [])
+    assert traced(disk, "inner-cut") == []
 
 
 def test_ears_square():
     c4 = gen_cycle(4)
-    done = triangulate_inner_faces(c4)
+    done, edges = stage_alone(c4, "ear")
     assert all(len(f) == 3 for f in done.inner_faces)
-    assert done.edge_count == 5
+    assert done.edge_count == 5 and len(edges) == 1
+    # in the conversion, saturation fans the square first
+    assert traced(c4, "saturate") == [(0, 2)] and traced(c4, "ear") == []
 
 
 def test_ears_avoid_existing_chord():
     c5 = gen_cycle(5)
     withchord = add_edge_in_face(c5, 0, 2, c5.outer_faces[0])
-    done = triangulate_inner_faces(withchord)
+    done, edges = stage_alone(withchord, "ear")
     assert all(len(f) == 3 for f in done.inner_faces)
+    assert set(edges) == {(1, 3), (1, 4), (2, 4)}
     assert set(done.edges) - set(withchord.edges) == {(1, 3), (1, 4), (2, 4)}
     assert is_triangulated_disk(done)
+    # saturation fans only (0, 3): the chord (0, 2) already joins 0 and 2
+    _, trace = to_triangulated_disk(withchord)
+    assert trace.added_edges == ((0, 3, "saturate"), (1, 4, "ear"), (2, 4, "ear"))
 
 
 def test_ears_triangulated_noop():
     disk = gen_k4_minus_edge()
-    assert triangulate_inner_faces(disk) == disk
+    assert stage_alone(disk, "ear") == (disk, [])
+    assert traced(disk, "ear") == []
 
 
 def test_disk_four_cycle_is_k4_minus_edge():
@@ -209,3 +248,180 @@ def test_stages_only_add_edges(corpus):
         assert set(emb.edges) <= set(disk.edges), label
         stage_names = {s for _, _, s in trace.added_edges}
         assert stage_names <= {"saturate", "connect", "outer-cut", "inner-cut", "ear"}, label
+
+
+def test_full_triangulation_validates_once_per_public_call(monkeypatch):
+    builds = []
+    init = Embedding.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    paths = {n: gen_path(n) for n in (60, 240)}
+    monkeypatch.setattr(Embedding, "__init__", counting)
+    counts = {}
+    for n, path in paths.items():
+        builds.clear()
+        _, trace = to_full_triangulation(path)
+        assert len(trace.added_edges) >= n - 2
+        counts[n] = len(builds)
+    assert counts[60] == counts[240] <= 3
+
+
+# -- reference: the conversion with one validated rebuild per added edge ------
+
+
+def ref_chord(rotations, walk, pos_u, pos_v):
+    """Add an edge between the corners at two positions of one face walk.
+
+    The corner at position j is entered from the origin t of the walk dart
+    before it; the new neighbor goes right after t in the rotation.
+    """
+    m = len(walk.darts)
+    u, v = walk.darts[pos_u][0], walk.darts[pos_v][0]
+    t_u, t_v = walk.darts[(pos_u - 1) % m][0], walk.darts[(pos_v - 1) % m][0]
+    rotations[u].insert(rotations[u].index(t_u) + 1, v)
+    rotations[v].insert(rotations[v].index(t_v) + 1, u)
+    return (u, v)
+
+
+def ref_saturate(emb):
+    index = onion_peels(emb).index_of()
+    rotations = emb.rotations_dict()
+    adjacency = {v: set(ns) for v, ns in rotations.items()}
+    for f in emb.faces:
+        if f.is_outer:
+            continue
+        verts = f.vertices
+        anchor = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
+        w = verts[anchor]
+        for pos in fan_targets(f, anchor, lambda v: v in adjacency[w]):
+            _, v = ref_chord(rotations, f, anchor, pos)
+            adjacency[w].add(v)
+            adjacency[v].add(w)
+    return Embedding(rotations, emb.outer_darts)
+
+
+def ref_connect(emb):
+    added = []
+    while len(emb.components) > 1:
+        outer = emb.outer_vertices
+        u, v = sorted(min(c & outer) for c in emb.components)[:2]
+        rotations = emb.rotations_dict()
+        drop = set()
+        for x, y in ((u, v), (v, u)):
+            walk = next((f for f in emb.outer_faces if x in f.vertex_set), None)
+            if walk is None:  # isolated vertex
+                rotations[x] = [y]
+            else:
+                t = walk.darts[walk.occurrences(x)[0] - 1][0]
+                rotations[x].insert(rotations[x].index(t) + 1, y)
+                drop.add(walk.darts[0])
+        outer_darts = [d for d in emb.outer_darts if d not in drop] + [(u, v)]
+        emb = Embedding(rotations, outer_darts)
+        added.append((u, v))
+    return emb, added
+
+
+def ref_cut_position(emb, walk):
+    counts = {}
+    for v in walk.vertices:
+        counts[v] = counts.get(v, 0) + 1
+    m = len(walk)
+    for j in range(m):
+        a, v, b = walk.darts[(j - 1) % m][0], walk.darts[j][0], walk.darts[j][1]
+        if counts[v] >= 2 and a != b and not emb.has_edge(a, b):
+            return j
+    raise errors.RepairStuck("no cut position")
+
+
+def ref_cut(emb, pick, position):
+    """Cut corners off the first picked face until none is picked."""
+    added = []
+    while True:
+        walk = next((f for f in emb.faces if pick(f)), None)
+        if walk is None:
+            return emb, added
+        j = position(emb, walk)
+        m = len(walk)
+        rotations = emb.rotations_dict()
+        a, b = ref_chord(rotations, walk, (j - 1) % m, (j + 1) % m)
+        outer = emb.outer_darts
+        if walk.is_outer:  # the pocket around j turns inner
+            outer = [d for d in outer if d != walk.darts[0]] + [(a, b)]
+        emb = Embedding(rotations, outer)
+        added.append((min(a, b), max(a, b)))
+
+
+def ref_ear_position(emb, walk):
+    m = len(walk)
+    return next(
+        j for j in range(m)
+        if not emb.has_edge(walk.darts[(j - 1) % m][0], walk.darts[j][1])
+    )
+
+
+def ref_disk(emb):
+    sat = ref_saturate(emb)
+    added = [(u, v, "saturate") for u, v in sorted(set(sat.edges) - set(emb.edges))]
+    current, step = ref_connect(sat)
+    added += [(u, v, "connect") for u, v in step]
+    for stage, pick, position in (
+        ("outer-cut", lambda f: f.is_outer and not f.is_simple, ref_cut_position),
+        ("inner-cut", lambda f: not f.is_outer and not f.is_simple, ref_cut_position),
+        ("ear", lambda f: not f.is_outer and len(f) >= 4, ref_ear_position),
+    ):
+        current, step = ref_cut(current, pick, position)
+        added += [(u, v, stage) for u, v in step]
+    return current, tuple(added)
+
+
+def ref_full(emb):
+    disk, added = ref_disk(emb)
+    walk = disk.outer_faces[0]
+    cycle = walk.vertices
+    if len(cycle) == 3:
+        return disk, added
+    r = min(v for v in cycle if len(set(disk.rotation(v)) & set(cycle)) == 2)
+    pos_r = cycle.index(r)
+    rotations = disk.rotations_dict()
+    fan = [
+        ref_chord(rotations, walk, pos_r, pos)
+        for pos in fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v))
+    ]
+    added += tuple((min(u, v), max(u, v), "apex") for u, v in fan)
+    return Embedding(rotations, [walk.darts[(pos_r + 1) % len(cycle)]]), added
+
+
+def differential_inputs(corpus):
+    yield from corpus
+    rng = random.Random(20131846)
+    for trial in range(200):
+        k, w = rng.randint(1, 4), rng.randint(3, 8)
+        base = gen_random_kouter(k, w, rng.randint(1, 10**6))
+        count = rng.randint(1, base.edge_count // 2)
+        yield f"deleted{trial}", delete_nonbridge_edges(base, count, rng)
+    parts = [gen_nested_triangles(3), gen_wheel(5), gen_path(4),
+             gen_random_kouter(2, 4, 7), gen_cycle(3)]
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            yield f"side{i}_{j}", side_by_side(a, b)
+    yield "side_all", side_by_side(*parts)
+    tri = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    yield "isolated", build_embedding([0, 1, 2, 7], tri, [(0, 1)])
+    yield "isolated_first", build_embedding([0, 4, 5, 6], {
+        v + 4: [w + 4 for w in ns] for v, ns in tri.items()}, [(4, 5)])
+    yield "three_isolated", build_embedding([0, 1, 2], {}, [])
+
+
+def test_conversion_matches_per_edge_rebuild(corpus):
+    stages = set()
+    for label, emb in differential_inputs(corpus):
+        assert saturate_inward_neighbors(emb) == ref_saturate(emb), label
+        disk, trace = to_triangulated_disk(emb)
+        assert (disk, trace.added_edges) == ref_disk(emb), label
+        tri, trace = to_full_triangulation(emb)
+        assert (tri, trace.added_edges) == ref_full(emb), label
+        stages.update(s for _, _, s in trace.added_edges)
+    assert stages == {"saturate", "connect", "outer-cut", "inner-cut", "ear", "apex"}
