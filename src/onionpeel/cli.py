@@ -15,6 +15,8 @@ import json
 import re
 import sys
 import time
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .branchdecomp import (
@@ -45,10 +47,8 @@ class RunReport:
     tw_bound: int
 
     def check(self) -> None:
-        if self.command in ("disk", "pipeline") and self.k_out > self.k_in:
-            raise InvariantViolation(f"{self.command} report: k_out > k_in")
-        if self.command == "triangulate" and self.k_out > self.k_in + 1:
-            raise InvariantViolation("triangulate report: k_out > k_in + 1")
+        if self.k_out > self.k_in:
+            raise InvariantViolation("report: k_out > k_in")
         if self.bd_width > 2 * self.k_in:
             raise InvariantViolation("report: bd_width > 2k")
         if self.tw_bound > 3 * self.k_in - 1:
@@ -105,31 +105,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_peel(args) -> int:
-    emb = _read_embedding(args)
-    peels = onion_peels(emb)
-    _emit_json(
-        {"k": peels.k, "layers": [sorted(layer) for layer in peels.layers]},
-        args.json,
-    )
-    return 0
-
-
-def _cmd_forest(args) -> int:
-    emb = _read_embedding(args)
-    forest = build_rooted_forest(saturate_inward_neighbors(emb))
-    _emit_json(
-        {
-            "height": forest.height,
-            "roots": sorted(forest.roots),
-            "parents": [[v, p] for v, p in sorted(forest.parent.items())],
-            "depth": [[v, d] for v, d in sorted(forest.depth.items())],
-        },
-        args.json,
-    )
-    return 0
-
-
 def _cmd_convert(args, full: bool) -> int:
     emb = _read_embedding(args)
     t0 = time.monotonic()
@@ -146,8 +121,35 @@ def _cmd_convert(args, full: bool) -> int:
     return 0
 
 
-def _cmd_bd(args) -> int:
-    emb = _read_embedding(args)
+def _cmd_report(args) -> int:
+    """Emit ``args.report``'s JSON; ``verify`` re-derives every report but bd's."""
+    emb = None if getattr(args, "which", None) == "theorem1" else _read_embedding(args)
+    t0 = time.monotonic()
+    report = args.report(emb, args)
+    print(f"{args.command}: {1000 * (time.monotonic() - t0):.1f} ms", file=sys.stderr)
+    _emit_json(report, args.json)
+    return 0 if report.get("passed", True) else 1
+
+
+# -- reports: one function (emb, args) -> dict per artifact kind ------------
+
+
+def _peel_report(emb: Embedding, args) -> dict:
+    peels = onion_peels(emb)
+    return {"k": peels.k, "layers": [sorted(layer) for layer in peels.layers]}
+
+
+def _forest_report(emb: Embedding, args) -> dict:
+    forest = build_rooted_forest(saturate_inward_neighbors(emb))
+    return {
+        "height": forest.height,
+        "roots": sorted(forest.roots),
+        "parents": [[v, p] for v, p in sorted(forest.parent.items())],
+        "depth": [[v, d] for v, d in sorted(forest.depth.items())],
+    }
+
+
+def _bd_report(emb: Embedding, args) -> dict:
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
     dual = build_dual_tree(disk, forest)
@@ -160,25 +162,21 @@ def _cmd_bd(args) -> int:
         if n.edge is not None:
             rec["edge"] = list(n.edge)
         nodes.append(rec)
-    _emit_json(
-        {
-            "nodes": nodes,
-            "arcs": [list(a) for a in bd.arcs],
-            "assignment": {f"{u}-{v}": leaf for (u, v), leaf in sorted(bd.assignment.items())},
-            "width": bd.width,
-            "bounds": {
-                "2h": 2 * (forest.height + 1),
-                "tw": treewidth_bound(bd.width),
-            },
+    return {
+        "nodes": nodes,
+        "arcs": [list(a) for a in bd.arcs],
+        "assignment": {f"{u}-{v}": leaf for (u, v), leaf in sorted(bd.assignment.items())},
+        "width": bd.width,
+        "bounds": {
+            "2h": 2 * (forest.height + 1),
+            "tw": treewidth_bound(bd.width),
         },
-        args.json,
-    )
-    return 0
+    }
 
 
-def _pipeline_report(emb: Embedding) -> RunReport:
+def _pipeline_report(emb: Embedding, args) -> dict:
     cert, k_out = _decompose(emb)
-    return RunReport(
+    report = RunReport(
         command="pipeline",
         input_digest=_digest(emb),
         k_in=cert.peel_count,
@@ -187,64 +185,48 @@ def _pipeline_report(emb: Embedding) -> RunReport:
         bd_width=cert.width,
         tw_bound=cert.tw_bound,
     )
-
-
-def _cmd_pipeline(args) -> int:
-    emb = _read_embedding(args)
-    t0 = time.monotonic()
-    report = _pipeline_report(emb)
-    dt = time.monotonic() - t0
     report.check()
-    print(f"pipeline.decompose: {1000 * dt:.1f} ms", file=sys.stderr)
-    _emit_json(report.__dict__, args.json)
-    return 0
+    return report.__dict__
 
 
-def _cmd_oracle(args) -> int:
+def _oracle_report(emb: Embedding | None, args) -> dict:
     budget = OracleBudget(
         max_edges=args.budget_edges,
         max_vertices=args.budget_vertices,
         max_chord_sets=args.budget_chords,
     )
     if args.which == "bw":
-        emb = _read_embedding(args)
-        width = brute_branchwidth(emb, budget)
-        _emit_json(
-            {"oracle": "bw", "edges": emb.edge_count, "branchwidth": width},
-            args.json,
-        )
-        return 0
+        return {"oracle": "bw", "edges": emb.edge_count,
+                "branchwidth": brute_branchwidth(emb, budget)}
     if args.which == "outerplanarity":
-        emb = _read_embedding(args)
-        k = brute_outerplanarity(emb, budget)
-        _emit_json(
-            {"oracle": "outerplanarity", "vertices": emb.vertex_count, "k": k},
-            args.json,
-        )
-        return 0
-    report = _theorem1(args.k, budget, args.slow)
-    _emit_json(
-        {
-            "oracle": "theorem1",
-            "k": report.k,
-            "triangulations": report.triangulation_count,
-            "min_outerplanarity": report.min_outerplanarity,
-            "three_connected": report.three_connected,
-            "passed": report.passed,
-            "assumption": report.assumption,
-        },
-        args.json,
-    )
-    return 0 if report.passed else 1
-
-
-def _theorem1(k: int, budget: OracleBudget, slow: bool):
-    """certify_theorem1, gated: its cost grows with k, so k >= 3 needs --slow."""
-    if k >= 3 and not slow:
+        return {"oracle": "outerplanarity", "vertices": emb.vertex_count,
+                "k": brute_outerplanarity(emb, budget)}
+    # certify_theorem1's cost grows with k, so k >= 3 needs --slow
+    if args.k >= 3 and not args.slow:
         raise BadParameter(
-            f"theorem1 with k >= 3 requires `onionpeel oracle theorem1 {k} --slow`"
+            f"theorem1 with k >= 3 requires `onionpeel oracle theorem1 {args.k} --slow`"
         )
-    return certify_theorem1(k, budget)
+    report = certify_theorem1(args.k, budget)
+    return {
+        "oracle": "theorem1",
+        "k": report.k,
+        "triangulations": report.triangulation_count,
+        "min_outerplanarity": report.min_outerplanarity,
+        "three_connected": report.three_connected,
+        "passed": report.passed,
+        "assumption": report.assumption,
+    }
+
+
+# -- verify -------------------------------------------------------------------
+
+
+_REPORTS = {
+    "peel": _peel_report,
+    "forest": _forest_report,
+    "pipeline": _pipeline_report,
+    "oracle": _oracle_report,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -258,15 +240,15 @@ def _cmd_verify(args) -> int:
     emb = _read_embedding(args)
     kind = _artifact_kind(artifact)
     _check_shape(kind, artifact)
-    checker = {
-        "peel": _verify_peel,
-        "forest": _verify_forest,
-        "trace": _verify_conversion,
-        "bd": _verify_bd,
-        "pipeline": _verify_pipeline,
-        "oracle": _verify_oracle,
-    }[kind]
-    checker(emb, artifact, args)
+    if kind in _REPORTS:
+        if kind == "oracle":
+            # the oracle and its theorem-1 k come from the artifact; no --slow
+            args = argparse.Namespace(
+                **vars(args), which=artifact["oracle"], k=artifact.get("k"), slow=False
+            )
+        _require(artifact == _REPORTS[kind](emb, args), f"{kind} artifact: rerun differs")
+    else:
+        {"trace": _verify_conversion, "bd": _verify_bd}[kind](emb, artifact, args)
     print(f"verified: {kind} artifact is consistent", file=sys.stderr)
     return 0
 
@@ -386,29 +368,6 @@ def _require(cond: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-def _verify_peel(emb, artifact, args) -> None:
-    peels = onion_peels(emb)
-    _require(artifact["k"] == peels.k, "peel artifact: k mismatch")
-    _require(
-        artifact["layers"] == [sorted(layer) for layer in peels.layers],
-        "peel artifact: layers mismatch",
-    )
-
-
-def _verify_forest(emb, artifact, args) -> None:
-    forest = build_rooted_forest(saturate_inward_neighbors(emb))
-    _require(artifact["height"] == forest.height, "forest artifact: height mismatch")
-    _require(artifact["roots"] == sorted(forest.roots), "forest artifact: roots mismatch")
-    _require(
-        artifact["parents"] == [[v, p] for v, p in sorted(forest.parent.items())],
-        "forest artifact: parents mismatch",
-    )
-    _require(
-        artifact["depth"] == [[v, d] for v, d in sorted(forest.depth.items())],
-        "forest artifact: depth mismatch",
-    )
-
-
 def _verify_conversion(emb, artifact, args) -> None:
     # k_out == k_in + 1 can only come from the apex step
     full = artifact["k_out"] > artifact["k_in"] or any(
@@ -432,7 +391,8 @@ def _verify_bd(emb, artifact, args) -> None:
 
     Validates the tree shape and assignment directly and recomputes every
     cut from the leaf-bipartition definition, without using the library's
-    construction or its bottom-up width aggregation.
+    construction or its bottom-up width aggregation.  One DFS checks
+    connectivity and gives the preorder the cuts are read from.
     """
     disk, _ = to_triangulated_disk(emb)
     nodes = {n["id"]: n for n in artifact["nodes"]}
@@ -442,15 +402,8 @@ def _verify_bd(emb, artifact, args) -> None:
         adj[a].append(b)
         adj[b].append(a)
     _require(len(arcs) == len(nodes) - 1, "bd artifact: arc count")
-    seen = {min(nodes)}
-    stack = [min(nodes)]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    _require(len(seen) == len(nodes), "bd artifact: tree disconnected")
+    order, parent = _preorder(adj, min(nodes))
+    _require(len(order) == len(nodes), "bd artifact: tree disconnected")
     _require(all(len(adj[i]) <= 3 for i in nodes), "bd artifact: degree > 3")
     assignment = {}
     for key, leaf in artifact["assignment"].items():
@@ -466,26 +419,7 @@ def _verify_bd(emb, artifact, args) -> None:
     for leaf in assignment.values():
         _require(len(adj[leaf]) == 1, "bd artifact: assigned node not a leaf")
         _require(nodes[leaf]["kind"] == "edge", "bd artifact: leaf kind")
-    width = 0
-    for a, b in arcs:
-        side = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if {x, y} == {a, b} or y in side:
-                    continue
-                side.add(y)
-                stack.append(y)
-        side_edges = {e for e, leaf in assignment.items() if leaf in side}
-        other_edges = set(assignment) - side_edges
-        crossing = {
-            w
-            for u, v in side_edges
-            for w in (u, v)
-            if any(w in e for e in other_edges)
-        }
-        width = max(width, len(crossing))
+    width = max(_arc_cuts(order, parent, arcs, assignment), default=0)
     _require(width == artifact["width"], "bd artifact: width mismatch")
     _require(
         artifact["bounds"]["tw"] == treewidth_bound(width),
@@ -493,35 +427,43 @@ def _verify_bd(emb, artifact, args) -> None:
     )
 
 
-def _verify_pipeline(emb, artifact, args) -> None:
-    _require(
-        artifact == _pipeline_report(emb).__dict__, "pipeline artifact: rerun differs"
-    )
+def _preorder(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict]:
+    """The nodes reachable from ``root`` in DFS preorder, and their parents."""
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    return order, parent
 
 
-def _verify_oracle(emb, artifact, args) -> None:
-    budget = OracleBudget(
-        max_edges=args.budget_edges,
-        max_vertices=args.budget_vertices,
-        max_chord_sets=args.budget_chords,
-    )
-    if artifact["oracle"] == "bw":
-        _require(
-            artifact["branchwidth"] == brute_branchwidth(emb, budget),
-            "oracle artifact: branchwidth mismatch",
-        )
-    elif artifact["oracle"] == "outerplanarity":
-        _require(
-            artifact["k"] == brute_outerplanarity(emb, budget),
-            "oracle artifact: outerplanarity mismatch",
-        )
-    else:
-        report = _theorem1(artifact["k"], budget, slow=False)
-        _require(
-            artifact["min_outerplanarity"] == report.min_outerplanarity
-            and artifact["passed"] == report.passed,
-            "oracle artifact: theorem1 mismatch",
-        )
+def _arc_cuts(order, parent, arcs, assignment) -> list[int]:
+    """Per arc of a tree, how many vertices have an edge on each side.
+
+    The side below an arc is a subtree, one contiguous run of the preorder,
+    so its leaves are one run of the leaves sorted by preorder position; a
+    vertex crosses the arc iff that run holds some but not all of its edges.
+    """
+    pre = {x: i for i, x in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    slots = sorted((pre[leaf], e) for e, leaf in assignment.items())
+    starts = [p for p, _ in slots]
+    degree = Counter(w for e in assignment for w in e)
+    cuts = []
+    for a, b in arcs:
+        below = a if parent[a] == b else b
+        lo = bisect_left(starts, pre[below])
+        hi = bisect_left(starts, pre[below] + size[below])
+        side = Counter(w for _, e in slots[lo:hi] for w in e)
+        cuts.append(sum(1 for w, n in side.items() if n < degree[w]))
+    return cuts
 
 
 # -- argument parsing --------------------------------------------------------
@@ -541,6 +483,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", metavar="PATH", help="EPG output (default stdout)")
             p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering")
 
+    def budget_flags(p):
+        p.add_argument("--budget-edges", type=int, default=9)
+        p.add_argument("--budget-vertices", type=int, default=7)
+        p.add_argument("--budget-chords", type=int, default=10**6)
+
     p = sub.add_parser("gen", help="emit a corpus family instance as EPG")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("parameter", nargs="?", type=int, default=None)
@@ -552,11 +499,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peel", help="onion-peel layers as JSON")
     io_flags(p)
-    p.set_defaults(func=_cmd_peel)
+    p.set_defaults(func=_cmd_report, report=_peel_report)
 
     p = sub.add_parser("forest", help="saturate, then BFS spanning forest as JSON")
     io_flags(p)
-    p.set_defaults(func=_cmd_forest)
+    p.set_defaults(func=_cmd_report, report=_forest_report)
 
     p = sub.add_parser("disk", help="convert to a triangulated disk")
     io_flags(p, graph_out=True)
@@ -568,28 +515,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bd", help="branch decomposition as JSON")
     io_flags(p)
-    p.set_defaults(func=_cmd_bd)
+    p.set_defaults(func=_cmd_report, report=_bd_report)
 
     p = sub.add_parser("pipeline", help="disk + forest + branch decomposition report")
     io_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
+    p.set_defaults(func=_cmd_report, report=_pipeline_report)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("which", choices=["bw", "outerplanarity", "theorem1"])
     p.add_argument("k", nargs="?", type=int, default=1, help="theorem1 parameter")
     p.add_argument("--slow", action="store_true", help="allow theorem1 k >= 3")
     io_flags(p)
-    p.set_defaults(func=_cmd_oracle)
+    budget_flags(p)
+    p.set_defaults(func=_cmd_report, report=_oracle_report)
 
     p = sub.add_parser("verify", help="independently re-check an emitted artifact")
     io_flags(p)
     p.add_argument("--out", metavar="PATH", help="claimed EPG output of a conversion")
+    budget_flags(p)
     p.set_defaults(func=_cmd_verify)
-
-    for p in sub.choices.values():
-        p.add_argument("--budget-edges", type=int, default=9)
-        p.add_argument("--budget-vertices", type=int, default=7)
-        p.add_argument("--budget-chords", type=int, default=10**6)
     return parser
 
 

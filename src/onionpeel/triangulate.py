@@ -139,8 +139,9 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
     """Add edges until the embedding is a triangulated disk.
 
     All stages link corners of one builder, and the result is validated
-    once.  The outer vertex set of the output equals the input's and the
-    peel count never increases; both are enforced here as bug certificates.
+    once; an input that needs no edge is returned as it is.  The outer
+    vertex set of the output equals the input's and the peel count never
+    increases; both are enforced here as bug certificates.
     A planar embedding cannot carry two crossing exterior chords, so an
     ear always exists while an inner face is long.
     """
@@ -153,7 +154,7 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
     added += [(u, v, "connect") for u, v in _connect(b, emb.outer_vertices)]
     for stage, *cut in _CUTS:
         added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
-    current = b.embedding()
+    current = b.embedding() if added else emb
 
     if not is_triangulated_disk(current):
         raise InvariantViolation("disk pipeline did not produce a disk")

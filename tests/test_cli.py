@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 
-from onionpeel import format_epg, gen_counterexample, gen_cycle, gen_wheel
-from onionpeel.cli import cli_main
+from onionpeel import format_epg, gen_counterexample, gen_cycle, gen_wheel, treewidth_bound
+from onionpeel.cli import _arc_cuts, _preorder, cli_main
 
 
 def run_cli(argv, stdin_text=""):
@@ -135,6 +136,9 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, _ = run_cli(["gen", "nosuchfamily", "3"])
     assert code == 2
+    # the oracle budgets belong to `oracle` and `verify` only
+    code, _, _ = run_cli(["peel", "--budget-edges", "3"], stdin_text=format_epg(gen_cycle(4)))
+    assert code == 2
 
 
 def test_verify_accepts_own_artifacts(tmp_path):
@@ -169,17 +173,41 @@ def test_verify_accepts_own_artifacts(tmp_path):
     assert code == 0, err
 
 
-def test_verify_rejects_tampered_artifact(tmp_path):
+def assert_verify_rejects(tmp_path, epg, argv, tamper):
+    """Emit ``argv``'s artifact for ``epg``, tamper with it, expect exit 1."""
     epg_path = tmp_path / "g.epg"
-    code, epg, _ = run_cli(["gen", "cycle", "4"])
     epg_path.write_text(epg)
-    code, out, _ = run_cli(["peel"], stdin_text=epg)
+    code, out, _ = run_cli(argv, stdin_text=epg)
+    assert code == 0
     data = json.loads(out)
-    data["k"] = 5
-    artifact = tmp_path / "peel.json"
+    tamper(data)
+    artifact = tmp_path / "tampered.json"
     artifact.write_text(json.dumps(data))
     code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
-    assert code == 1 and "InvariantViolation" in err
+    assert code == 1 and "InvariantViolation" in err, (argv, data, err)
+
+
+def test_verify_rejects_tampered_artifact(tmp_path):
+    epg = format_epg(gen_cycle(4))
+    for argv, tamper in [
+        (["peel"], lambda d: d.update(k=5)),
+        (["forest"], lambda d: d["depth"].append([9, 1])),
+        (["pipeline"], lambda d: d.update(forest_height=d["forest_height"] + 1)),
+    ]:
+        assert_verify_rejects(tmp_path, epg, argv, tamper)
+
+
+def test_verify_compares_whole_report(tmp_path):
+    wheel = format_epg(gen_wheel(3))
+    for argv, tamper in [
+        (["oracle", "bw"], lambda d: d.update(edges=999)),
+        (["oracle", "outerplanarity"], lambda d: d.update(vertices=d["vertices"] + 1)),
+        (["oracle", "theorem1", "2"], lambda d: d.update(triangulations=1)),
+        (["oracle", "theorem1", "2"], lambda d: d.update(three_connected=False)),
+        (["oracle", "theorem1", "2"], lambda d: d.update(assumption="none")),
+        (["peel"], lambda d: d.update(extra=1)),
+    ]:
+        assert_verify_rejects(tmp_path, wheel, argv, tamper)
 
 
 def test_verify_rejects_malformed_artifacts(tmp_path):
@@ -268,3 +296,83 @@ def test_rerun_determinism_sample():
         a = run_cli(argv, stdin_text=epg)
         b = run_cli(argv, stdin_text=epg)
         assert a[0] == b[0] == 0 and a[1] == b[1], argv
+
+
+def ref_arc_cuts(artifact):
+    """Per arc, by the leaf-bipartition definition: one DFS per arc for its
+    side, and a vertex crosses the arc iff it has an edge on each side."""
+    adj = {n["id"]: [] for n in artifact["nodes"]}
+    for a, b in artifact["arcs"]:
+        adj[a].append(b)
+        adj[b].append(a)
+    assignment = {
+        tuple(int(t) for t in key.split("-")): leaf
+        for key, leaf in artifact["assignment"].items()
+    }
+    cuts = []
+    for a, b in artifact["arcs"]:
+        side = {a}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if {x, y} == {a, b} or y in side:
+                    continue
+                side.add(y)
+                stack.append(y)
+        side_edges = {e for e, leaf in assignment.items() if leaf in side}
+        other_edges = set(assignment) - side_edges
+        crossing = {
+            w
+            for u, v in side_edges
+            for w in (u, v)
+            if any(w in e for e in other_edges)
+        }
+        cuts.append(len(crossing))
+    return cuts
+
+
+def arc_cuts(artifact):
+    """The cuts ``verify`` computes for a bd artifact, per arc."""
+    adj = {n["id"]: [] for n in artifact["nodes"]}
+    for a, b in artifact["arcs"]:
+        adj[a].append(b)
+        adj[b].append(a)
+    order, parent = _preorder(adj, min(adj))
+    assignment = {
+        tuple(int(t) for t in key.split("-")): leaf
+        for key, leaf in artifact["assignment"].items()
+    }
+    return _arc_cuts(order, parent, [tuple(a) for a in artifact["arcs"]], assignment)
+
+
+def test_verify_bd_cuts_match_per_arc_definition(tmp_path, small_corpus):
+    epg_path = tmp_path / "g.epg"
+    artifact = tmp_path / "bd.json"
+
+    def verify(data):
+        artifact.write_text(json.dumps(data))
+        return run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+
+    rng = random.Random(7)
+    for label, emb in small_corpus:
+        epg = format_epg(emb)
+        epg_path.write_text(epg)
+        code, out, _ = run_cli(["bd"], stdin_text=epg)
+        assert code == 0, label
+        bd = json.loads(out)
+        variants = [bd]
+        for _ in range(3):
+            edges, leaves = list(bd["assignment"]), list(bd["assignment"].values())
+            rng.shuffle(leaves)
+            variants.append({**bd, "assignment": dict(zip(edges, leaves))})
+        for data in variants:
+            cuts = ref_arc_cuts(data)
+            assert arc_cuts(data) == cuts, label
+            width = max(cuts, default=0)
+            bounds = {**data["bounds"], "tw": treewidth_bound(width)}
+            data = {**data, "width": width, "bounds": bounds}
+            code, _, err = verify(data)
+            assert code == 0, (label, err)
+            code, _, err = verify({**data, "width": width + 1})
+            assert code == 1 and "width mismatch" in err, (label, err)

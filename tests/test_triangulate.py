@@ -269,6 +269,22 @@ def test_full_triangulation_validates_once_per_public_call(monkeypatch):
     assert counts[60] == counts[240] <= 3
 
 
+def test_disk_conversion_returns_a_disk_input_unbuilt(monkeypatch):
+    builds = []
+    init = Embedding.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    disks = [gen_nested_triangles(4), gen_counterexample(2)]
+    monkeypatch.setattr(Embedding, "__init__", counting)
+    for emb in disks:
+        out, trace = to_triangulated_disk(emb)
+        assert trace.added_edges == () and out == emb
+    assert builds == []
+
+
 # -- reference: the conversion with one validated rebuild per added edge ------
 
 
