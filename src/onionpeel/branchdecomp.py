@@ -222,7 +222,13 @@ def build_branch_tree(
 
 
 def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
-    """Exact per-arc crossing sets by bottom-up subtree aggregation."""
+    """Exact per-arc crossing sets by bottom-up subtree aggregation.
+
+    Each subtree's map counts the edges below it of every vertex that
+    crosses the arc above it.  A vertex leaves the map once all its edges
+    lie below: it crosses no arc further up.  So a map holds one arc's
+    crossing set, and the whole pass costs O(E * width).
+    """
     if not arcs:
         return 0, []
     adj: dict[int, list[int]] = {n.id: [] for n in nodes}
@@ -254,9 +260,10 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
             if y != parent[x] and parent.get(y) == x:
                 for v, n in counts.pop(y).items():
                     c[v] = c.get(v, 0) + n
+        c = {v: n for v, n in c.items() if n < total[v]}
         counts[x] = c
         if x != root:
-            crossing = frozenset(v for v, n in c.items() if 0 < n < total[v])
+            crossing = frozenset(c)
             arc = (min(x, parent[x]), max(x, parent[x]))
             cuts.append(ArcCut(arc=arc, crossing=crossing))
             width = max(width, len(crossing))

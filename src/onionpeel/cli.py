@@ -298,9 +298,22 @@ def _is_stage(x) -> bool:
     )
 
 
+# a bd node's keys by kind: face nodes name an inner face, the others an edge
+_BD_NODE_KEYS = {
+    "face": {"id", "kind", "face"},
+    "arc": {"id", "kind", "edge"},
+    "edge": {"id", "kind", "edge"},
+}
+
+
 def _is_bd_node(x) -> bool:
     return (
-        isinstance(x, dict) and _is_int(x.get("id")) and isinstance(x.get("kind"), str)
+        isinstance(x, dict)
+        and isinstance(x.get("kind"), str)
+        and x["kind"] in _BD_NODE_KEYS
+        and set(x) == _BD_NODE_KEYS[x["kind"]]
+        and _is_int(x["id"])
+        and (_is_int(x["face"]) if "face" in x else _is_pair(x["edge"]))
     )
 
 
@@ -326,7 +339,11 @@ _SHAPES = {
         "arcs": _list_of(_is_pair),
         "assignment": _is_assignment,
         "width": _is_int,
-        "bounds": lambda x: isinstance(x, dict) and _is_int(x.get("tw")),
+        "bounds": lambda x: (
+            isinstance(x, dict)
+            and set(x) == {"2h", "tw"}
+            and all(map(_is_int, x.values()))
+        ),
     },
     "pipeline": {
         "command": lambda x: isinstance(x, str),
@@ -345,7 +362,11 @@ _SHAPES = {
 
 
 def _check_shape(kind: str, artifact: dict) -> None:
-    """Reject an artifact its checker cannot read, before any check runs."""
+    """Reject an artifact its checker cannot read, before any check runs.
+
+    A bd artifact, which is not compared whole, must also hold no key its
+    checker does not read.
+    """
     if kind == "oracle":
         kind = artifact["oracle"]
         if kind not in ("bw", "outerplanarity", "theorem1"):
@@ -356,7 +377,12 @@ def _check_shape(kind: str, artifact: dict) -> None:
         if not ok(artifact[key]):
             raise FormatError(f"{kind} artifact: malformed {key!r}")
     if kind == "bd":
+        unknown = sorted(set(artifact) - set(_SHAPES["bd"]))
+        if unknown:
+            raise FormatError(f"bd artifact: unknown key {unknown[0]!r}")
         ids = {n["id"] for n in artifact["nodes"]}
+        if len(ids) != len(artifact["nodes"]):
+            raise FormatError("bd artifact: repeated node id")
         ends = {x for arc in artifact["arcs"] for x in arc}
         ends.update(artifact["assignment"].values())
         if not ends <= ids:
@@ -389,10 +415,14 @@ def _verify_conversion(emb, artifact, args) -> None:
 def _verify_bd(emb, artifact, args) -> None:
     """Independent re-check of a claimed branch decomposition.
 
-    Validates the tree shape and assignment directly and recomputes every
-    cut from the leaf-bipartition definition, without using the library's
-    construction or its bottom-up width aggregation.  One DFS checks
-    connectivity and gives the preorder the cuts are read from.
+    Validates the tree shape, the assignment and every node's label
+    directly (edge nodes are exactly the assigned leaves and carry their
+    edge; face nodes name distinct inner faces of the disk) and recomputes
+    every cut from the leaf-bipartition definition, without using the
+    library's construction or its bottom-up width aggregation.  One DFS
+    checks connectivity and gives the preorder the cuts are read from.
+    The stated bounds are re-derived: ``tw`` from the width, ``2h`` from
+    the disk's rooted forest.
     """
     disk, _ = to_triangulated_disk(emb)
     nodes = {n["id"]: n for n in artifact["nodes"]}
@@ -416,14 +446,30 @@ def _verify_bd(emb, artifact, args) -> None:
         len(set(assignment.values())) == len(assignment),
         "bd artifact: assignment not injective",
     )
-    for leaf in assignment.values():
+    for (u, v), leaf in assignment.items():
         _require(len(adj[leaf]) == 1, "bd artifact: assigned node not a leaf")
         _require(nodes[leaf]["kind"] == "edge", "bd artifact: leaf kind")
+        _require(nodes[leaf]["edge"] == [u, v], "bd artifact: leaf edge mismatch")
+    _require(
+        sum(n["kind"] == "edge" for n in nodes.values()) == len(assignment),
+        "bd artifact: unassigned edge node",
+    )
+    faces = [n["face"] for n in nodes.values() if n["kind"] == "face"]
+    outer = disk.faces.index(disk.outer_faces[0])
+    _require(
+        len(set(faces)) == len(faces)
+        and all(0 <= f < len(disk.faces) and f != outer for f in faces),
+        "bd artifact: face nodes are not distinct inner faces",
+    )
     width = max(_arc_cuts(order, parent, arcs, assignment), default=0)
     _require(width == artifact["width"], "bd artifact: width mismatch")
     _require(
         artifact["bounds"]["tw"] == treewidth_bound(width),
         "bd artifact: tw bound mismatch",
+    )
+    _require(
+        artifact["bounds"]["2h"] == 2 * (build_rooted_forest(disk).height + 1),
+        "bd artifact: 2h bound mismatch",
     )
 
 

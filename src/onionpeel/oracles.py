@@ -2,12 +2,18 @@
 
 Three independent oracles: exact branchwidth by enumerating every unrooted
 binary tree over the edge set (with monotone pruning), exact graph
-outerplanarity by enumerating every rotation system and outer-face choice,
-and exhaustive polygon triangulation of a single face.  Together they
-certify the lower-bound theorem: the 12k-vertex counterexample gadget is
-3-connected, so its sphere embedding is unique and scanning outer-face
-choices of each face triangulation covers every drawing of every
-triangulation.
+outerplanarity by enumerating every rotation system up to mirror image
+and every outer-face choice, and exhaustive polygon triangulation of a
+single face.  Together they certify the lower-bound theorem: the
+12k-vertex counterexample gadget is 3-connected, so its sphere embedding
+is unique and scanning outer-face choices of each face triangulation
+covers every drawing of every triangulation.
+
+The kernels run on integers: a rotation system is a successor permutation
+of numbered darts, whose cycle count is the Euler check, and a face is a
+bitmask of its vertices.  Peel counts come from one breadth-first search
+over co-facial neighbourhood masks (:func:`_min_peels`), which shares no
+code with the pipeline's :func:`onion_peels`.
 
 Budgets are hard caps with explicit errors, never silent truncation.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterator
 
 from .embedding import (
@@ -25,7 +31,6 @@ from .embedding import (
     FaceWalk,
     _components,
     _FaceBuilder,
-    _trace,
     is_triangulation,
 )
 from .errors import (
@@ -37,7 +42,6 @@ from .errors import (
     SelfLoop,
 )
 from .generators import gen_counterexample, gen_k4_minus_edge
-from .peeling import _radial_layers
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,12 @@ def brute_branchwidth(graph, budget: OracleBudget | None = None) -> int:
 def brute_outerplanarity(graph, budget: OracleBudget | None = None) -> int:
     """Exact outerplanarity: minimum peel count over all drawings.
 
-    Enumerates every rotation system, keeps those passing the Euler
-    sphere check, and minimizes the peel count over every face chosen as
-    outer.  Disconnected graphs take the maximum over components (drawn
-    side by side).
+    Enumerates every rotation system up to mirror image (a mirrored
+    system traces the same faces reversed), keeps those whose dart
+    successor permutation has the cycle count Euler's formula asks for,
+    and minimizes the peel count, found by a bitmask co-facial search,
+    over every face chosen as outer.  Disconnected graphs take the maximum
+    over components (drawn side by side).
     """
     budget = budget or OracleBudget()
     if isinstance(graph, Embedding):
@@ -180,31 +186,112 @@ def _abstract_components(adj: dict[int, set[int]]) -> list[list[int]]:
 
 
 def _component_outerplanarity(comp: list[int], adj: dict[int, set[int]]) -> int:
+    """Fewest peels of one connected component over all its drawings.
+
+    Darts are numbered so that the darts entering each vertex form one
+    block, in sorted order of their tails.  A cyclic order at a vertex is
+    then one block of successor indices, and a rotation system is the
+    concatenation of one block per vertex: a permutation of the darts
+    whose cycles are the face walks, so the Euler check counts cycles.
+    A system and its mirror image trace the same faces reversed, so the
+    first vertex of degree >= 3 keeps one order of each mirror pair.
+    """
     if len(comp) == 1:
         return 1
-    n_edges = sum(len(adj[v] & set(comp)) for v in comp) // 2
-    orders = []
+    nbrs = {v: sorted(adj[v]) for v in comp}
+    base: dict[int, int] = {}
+    head_bits: list[int] = []
+    for i, v in enumerate(comp):
+        base[v] = len(head_bits)
+        head_bits += [1 << i] * len(nbrs[v])
+    pos = {(u, v): base[v] + j for v in comp for j, u in enumerate(nbrs[v])}
+    blocks = []
+    mirror_fixed = False
     for v in comp:
-        ns = sorted(adj[v])
-        if len(ns) <= 2:
-            orders.append((tuple(ns),))
-        else:
-            orders.append(tuple((ns[0],) + p for p in permutations(ns[1:])))
+        ns = nbrs[v]
+        orders = [(ns[0],) + p for p in permutations(ns[1:])]
+        if len(ns) >= 3 and not mirror_fixed:
+            orders = [o for o in orders if o[1] < o[-1]]
+            mirror_fixed = True
+        block = []
+        for o in orders:
+            after = {u: o[(j + 1) % len(o)] for j, u in enumerate(o)}
+            block.append(tuple(pos[(v, after[u])] for u in ns))
+        blocks.append(block)
+    n_darts = len(head_bits)
+    planar_faces = 2 - len(comp) + n_darts // 2
     best: int | None = None
-    for combo in product(*orders):
-        rot = dict(zip(comp, combo))
-        walks, _ = _trace(rot)
-        if len(comp) - n_edges + len(walks) != 2:
+    for combo in product(*blocks):
+        succ = list(chain.from_iterable(combo))
+        seen = bytearray(n_darts)
+        faces = 0
+        for start in range(n_darts):
+            if not seen[start]:
+                faces += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = 1
+                    d = succ[d]
+        if faces != planar_faces:
             continue
-        face_sets = [{d[0] for d in walk} for walk in walks]
-        for i in range(len(walks)):
-            k = len(_radial_layers(face_sets, [i], comp))
-            if best is None or k < best:
-                best = k
+        # few systems are planar, so only they pay for the vertex masks
+        masks = []
+        seen = bytearray(n_darts)
+        for start in range(n_darts):
+            if not seen[start]:
+                mask = 0
+                d = start
+                while not seen[d]:
+                    seen[d] = 1
+                    mask |= head_bits[d]
+                    d = succ[d]
+                masks.append(mask)
+        k = _min_peels(masks, len(comp))
+        if best is None or k < best:
+            best = k
     if best is None:
         raise NotPlanar(
             f"no rotation system of component {comp[:4]}... achieves genus 0"
         )
+    return best
+
+
+def _min_peels(face_masks: list[int], n: int) -> int:
+    """Fewest peels over every face chosen as outer, on vertex bitmasks.
+
+    Vertices are bits 0..n-1 and each face is the mask of its vertices.
+    From each start face, a breadth-first search adds, per layer, every
+    unplaced vertex sharing a face with the layer, and counts the layers:
+    the peel count with that face outer.  A vertex never reached raises a
+    bug certificate.
+    """
+    near = [0] * n
+    for mask in face_masks:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            near[low.bit_length() - 1] |= mask
+            rest ^= low
+    everyone = (1 << n) - 1
+    best = n
+    for start in face_masks:
+        placed = layer = start
+        peels = 0
+        while layer:
+            peels += 1
+            reach = 0
+            while layer:
+                low = layer & -layer
+                reach |= near[low.bit_length() - 1]
+                layer ^= low
+            layer = reach & ~placed
+            placed |= layer
+        if placed != everyone:
+            raise InvariantViolation(
+                f"co-facial search never reached {bin(everyone & ~placed).count('1')} "
+                "vertices"
+            )
+        best = min(best, peels)
     return best
 
 
@@ -313,11 +400,9 @@ class Theorem1Report:
 
 def _min_peels_over_faces(tri: Embedding) -> int:
     """Fewest peels of ``tri`` over every choice of outer face."""
-    face_sets = [f.vertex_set for f in tri.faces]
-    verts = tri.vertices
-    return min(
-        len(_radial_layers(face_sets, [i], verts)) for i in range(len(face_sets))
-    )
+    bit = {v: 1 << i for i, v in enumerate(tri.vertices)}
+    masks = [sum(bit[v] for v in f.vertex_set) for f in tri.faces]
+    return _min_peels(masks, len(bit))
 
 
 def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Report:

@@ -12,12 +12,14 @@ from onionpeel import (
     gen_counterexample,
     gen_cycle,
     gen_nested_triangles,
+    gen_path,
     gen_wheel,
     onion_peels,
     to_triangulated_disk,
     treewidth_bound,
     verify_tree_cotree,
 )
+from onionpeel.branchdecomp import ArcCut, _width_and_cuts
 
 
 def disk_and_forest(emb):
@@ -89,6 +91,58 @@ def test_branch_tree_structure_corpus(corpus):
         edge_nodes = {n.id for n in bd.nodes if n.kind == "edge"}
         assert leaves == edge_nodes, label
         assert sorted(bd.assignment) == list(disk.edges), label
+
+
+def unpruned_width_and_cuts(nodes, arcs, assignment):
+    """Reference: every subtree's map keeps every vertex with an edge below."""
+    if not arcs:
+        return 0, []
+    adj = {n.id: [] for n in nodes}
+    for a, b in arcs:
+        adj[a].append(b)
+        adj[b].append(a)
+    leaf_edge = {leaf: e for e, leaf in assignment.items()}
+    total = {}
+    for e in assignment:
+        for v in e:
+            total[v] = total.get(v, 0) + 1
+    root = min(adj)
+    parent = {root: root}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    counts = {}
+    cuts = []
+    width = 0
+    for x in reversed(order):
+        c = {}
+        if x in leaf_edge:
+            for v in leaf_edge[x]:
+                c[v] = c.get(v, 0) + 1
+        for y in adj[x]:
+            if y != parent[x] and parent.get(y) == x:
+                for v, n in counts.pop(y).items():
+                    c[v] = c.get(v, 0) + n
+        counts[x] = c
+        if x != root:
+            crossing = frozenset(v for v, n in c.items() if 0 < n < total[v])
+            arc = (min(x, parent[x]), max(x, parent[x]))
+            cuts.append(ArcCut(arc=arc, crossing=crossing))
+            width = max(width, len(crossing))
+    cuts.sort(key=lambda c: c.arc)
+    return width, cuts
+
+
+def test_width_and_cuts_match_unpruned_aggregation(corpus):
+    extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))]
+    for label, emb in corpus + extra:
+        disk, forest = disk_and_forest(emb)
+        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+        args = (bd.nodes, bd.arcs, bd.assignment)
+        assert _width_and_cuts(*args) == unpruned_width_and_cuts(*args), label
 
 
 def test_width_two_ways_agree(small_corpus):

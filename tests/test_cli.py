@@ -346,6 +346,16 @@ def arc_cuts(artifact):
     return _arc_cuts(order, parent, [tuple(a) for a in artifact["arcs"]], assignment)
 
 
+def with_assignment(bd, assignment):
+    """``bd`` with its leaves reassigned, each edge node relabelled to match."""
+    edge_of = {leaf: [int(t) for t in key.split("-")] for key, leaf in assignment.items()}
+    nodes = [
+        {**n, "edge": edge_of[n["id"]]} if n["id"] in edge_of else n
+        for n in bd["nodes"]
+    ]
+    return {**bd, "nodes": nodes, "assignment": assignment}
+
+
 def test_verify_bd_cuts_match_per_arc_definition(tmp_path, small_corpus):
     epg_path = tmp_path / "g.epg"
     artifact = tmp_path / "bd.json"
@@ -365,7 +375,7 @@ def test_verify_bd_cuts_match_per_arc_definition(tmp_path, small_corpus):
         for _ in range(3):
             edges, leaves = list(bd["assignment"]), list(bd["assignment"].values())
             rng.shuffle(leaves)
-            variants.append({**bd, "assignment": dict(zip(edges, leaves))})
+            variants.append(with_assignment(bd, dict(zip(edges, leaves))))
         for data in variants:
             cuts = ref_arc_cuts(data)
             assert arc_cuts(data) == cuts, label
@@ -376,3 +386,40 @@ def test_verify_bd_cuts_match_per_arc_definition(tmp_path, small_corpus):
             assert code == 0, (label, err)
             code, _, err = verify({**data, "width": width + 1})
             assert code == 1 and "width mismatch" in err, (label, err)
+
+
+def test_verify_checks_bd_labels_and_bounds(tmp_path, small_corpus):
+    epg_path = tmp_path / "g.epg"
+    artifact = tmp_path / "bd.json"
+
+    def verify(epg, data):
+        epg_path.write_text(epg)
+        artifact.write_text(json.dumps(data))
+        return run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+
+    def relabel(kind, key, value):
+        def tamper(data):
+            for node in data["nodes"]:
+                if node["kind"] == kind:
+                    node[key] = value
+        return tamper
+
+    epg = format_epg(gen_counterexample(2))
+    for tamper, error in [
+        (lambda d: d["bounds"].update({"2h": 999}), "InvariantViolation"),
+        (relabel("edge", "edge", [7, 7]), "InvariantViolation"),
+        (relabel("face", "kind", "x"), "FormatError"),
+        (relabel("face", "face", [0]), "FormatError"),
+        (lambda d: d.update(extra=1), "FormatError"),
+    ]:
+        data = json.loads(run_cli(["bd"], stdin_text=epg)[1])
+        tamper(data)
+        code, _, err = verify(epg, data)
+        assert code == 1 and error in err, (data, err)
+
+    for label, emb in small_corpus:
+        epg = format_epg(emb)
+        code, out, _ = run_cli(["bd"], stdin_text=epg)
+        assert code == 0, label
+        code, _, err = verify(epg, json.loads(out))
+        assert code == 0, (label, err)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -20,6 +22,14 @@ from onionpeel import (
     is_triangulation,
     onion_peels,
 )
+from onionpeel.embedding import _trace
+from onionpeel.oracles import (
+    _abstract_components,
+    _component_outerplanarity,
+    _min_peels,
+    _min_peels_over_faces,
+)
+from onionpeel.peeling import _radial_layers
 
 
 def test_branchwidth_examples():
@@ -165,3 +175,136 @@ def test_oracle_sandwich_small(small_corpus):
             assert brute_branchwidth(emb) <= decompose_pipeline(emb).width, label
         if emb.vertex_count <= 7:
             assert brute_outerplanarity(emb) <= onion_peels(emb).k, label
+
+
+def traced_component_outerplanarity(comp, adj):
+    """Reference: trace the faces of every rotation system, mirror images
+    included, and peel each planar one from every face by radial search."""
+    if len(comp) == 1:
+        return 1
+    n_edges = sum(len(adj[v] & set(comp)) for v in comp) // 2
+    orders = []
+    for v in comp:
+        ns = sorted(adj[v])
+        if len(ns) <= 2:
+            orders.append((tuple(ns),))
+        else:
+            orders.append(tuple((ns[0],) + p for p in itertools.permutations(ns[1:])))
+    best = None
+    for combo in itertools.product(*orders):
+        walks, _ = _trace(dict(zip(comp, combo)))
+        if len(comp) - n_edges + len(walks) != 2:
+            continue
+        face_sets = [{d[0] for d in walk} for walk in walks]
+        for i in range(len(walks)):
+            k = len(_radial_layers(face_sets, [i], comp))
+            if best is None or k < best:
+                best = k
+    if best is None:
+        raise errors.NotPlanar(f"component {comp[:4]}... has no planar rotation system")
+    return best
+
+
+def outcome(fn, comp, adj):
+    try:
+        return fn(comp, adj)
+    except errors.NotPlanar:
+        return "not planar"
+
+
+def assert_components_match_traced_reference(adj, label):
+    for comp in _abstract_components(adj):
+        fast = outcome(_component_outerplanarity, comp, adj)
+        assert fast == outcome(traced_component_outerplanarity, comp, adj), (label, comp)
+
+
+def adjacency(n, edges):
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def rotation_systems(adj):
+    return math.prod(math.factorial(max(len(ns) - 1, 0)) for ns in adj.values())
+
+
+def random_small_graphs(count, seed):
+    """Seeded graphs on 2-7 vertices, isolated vertices kept.
+
+    Most are G(n, p) with p drawn from [0.3, 1) per graph, so sparse
+    disconnected graphs and dense ones occur; 40% of those on 6-7 vertices
+    are a relabelled K3,3 plus G(n, p/5), so non-planar inputs occur too.
+    A draw with more than 1500 rotation systems is redrawn, to bound the
+    reference's run time.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(2, 7)
+        p = rng.uniform(0.3, 1.0)
+        edges = set()
+        if n >= 6 and rng.random() < 0.4:
+            p /= 5
+            side = rng.sample(range(n), 6)
+            edges = {(min(a, b), max(a, b)) for a in side[:3] for b in side[3:]}
+        edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        adj = adjacency(n, edges)
+        if rotation_systems(adj) <= 1500:
+            graphs.append(adj)
+    return graphs
+
+
+def test_component_outerplanarity_matches_traced_reference_on_random_graphs():
+    graphs = random_small_graphs(400, seed=5)
+    kinds = {"disconnected": 0, "not planar": 0, "2-outerplanar": 0}
+    for i, adj in enumerate(graphs):
+        assert_components_match_traced_reference(adj, i)
+        comps = _abstract_components(adj)
+        found = [outcome(_component_outerplanarity, c, adj) for c in comps]
+        kinds["disconnected"] += len(comps) > 1
+        kinds["not planar"] += "not planar" in found
+        kinds["2-outerplanar"] += 2 in found
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_component_outerplanarity_matches_traced_reference_on_corpus(corpus):
+    # the oracle reads only the edge set, so each distinct one is run once
+    graphs = {
+        emb.edges: (label, emb)
+        for label, emb in reversed(corpus)
+        if emb.vertex_count <= OracleBudget().max_vertices
+    }
+    assert len(graphs) == 20
+    for label, emb in graphs.values():
+        adj = {v: set(emb.rotation(v)) for v in emb.vertices}
+        assert_components_match_traced_reference(adj, label)
+
+
+def test_component_outerplanarity_matches_traced_reference_on_kuratowski_graphs():
+    k5 = adjacency(5, itertools.combinations(range(5), 2))
+    k33 = adjacency(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for label, adj in [("K5", k5), ("K3,3", k33)]:
+        assert outcome(_component_outerplanarity, list(adj), adj) == "not planar"
+        assert_components_match_traced_reference(adj, label)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_min_peels_over_faces_matches_radial_layers(k):
+    gadget = gen_counterexample(k)
+    long_face = next(f for f in gadget.faces if len(f) != 3)
+    tris = list(enumerate_face_triangulations(gadget, long_face))
+    assert len(tris) == 132
+    for tri in tris:
+        face_sets = [f.vertex_set for f in tri.faces]
+        expected = min(
+            len(_radial_layers(face_sets, [i], tri.vertices))
+            for i in range(len(face_sets))
+        )
+        assert _min_peels_over_faces(tri) == expected
+
+
+def test_min_peels_reports_unreachable_vertices():
+    with pytest.raises(errors.InvariantViolation):
+        _min_peels([0b000111, 0b111000], 6)
