@@ -8,12 +8,10 @@ with the generators, traces their faces, and peels them layer by layer.
 
 from onionpeel import (
     build_embedding,
-    check_inward_face,
     format_epg,
     gen_nested_triangles,
     gen_wheel,
     onion_peels,
-    remove_vertices,
     to_dot,
 )
 
@@ -29,24 +27,27 @@ for f in triangle.faces:
 k4 = gen_wheel(3)
 print("\nK4 peels:", [sorted(layer) for layer in onion_peels(k4).layers])
 
-# Peeling is literally iterated deletion of the outer vertices.  Watch the
-# outer region get remarked after each round.
-emb = gen_nested_triangles(3)
-print("\npeeling three nested triangles:")
-round_no = 0
-while emb.vertex_count:
-    round_no += 1
-    layer = sorted(emb.outer_vertices)
-    print(f"  round {round_no}: outer = {layer}")
-    emb = remove_vertices(emb, layer)
-
-# Every vertex one layer deep sees the layer above it through one of its
-# faces; the witness report lists those faces.
+# Peel i is what lies on the outer region once peels 1..i-1 are deleted.
+# onion_peels finds every layer in one search, deleting nothing: peel i is
+# the set of vertices on a face that touches peel i-1 but not on any
+# earlier peel.
 t3 = gen_nested_triangles(3)
-report = check_inward_face(t3, onion_peels(t3))
+layers = onion_peels(t3).layers
+print("\npeeling three nested triangles:")
+for i, layer in enumerate(layers, 1):
+    print(f"  peel {i}: {sorted(layer)}")
+
+# So every vertex one layer deep sees the layer above it through one of
+# its faces; list those witness faces.
 print("\ninward-face witnesses (vertex -> face indices):")
-for v in sorted(report):
-    print(f"  {v}: {report[v]}")
+for i, layer in enumerate(layers[1:], 2):
+    above = layers[i - 2]
+    for v in sorted(layer):
+        faces = [
+            fi for fi, f in enumerate(t3.faces)
+            if v in f.vertex_set and f.vertex_set & above
+        ]
+        print(f"  {v} (peel {i}): {tuple(faces)}")
 
 # Embeddings serialize to EPG text and DOT.
 print("\nEPG for the triangle:")

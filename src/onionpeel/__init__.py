@@ -23,18 +23,13 @@ from .branchdecomp import (
 )
 from .embedding import (
     Dart,
-    DualGraph,
     Edge,
     Embedding,
     FaceWalk,
-    add_edge_in_face,
     build_embedding,
-    dual_graph,
     edge_of,
     is_triangulated_disk,
     is_triangulation,
-    remove_vertices,
-    twin,
 )
 from .epg import format_epg, parse_epg, to_dot
 from .generators import (
@@ -63,7 +58,6 @@ from .peeling import (
     PeelDecomposition,
     RootedForest,
     build_rooted_forest,
-    check_inward_face,
     onion_peels,
     saturate_inward_neighbors,
     validate_forest,
@@ -73,7 +67,6 @@ from .triangulate import (
     DiskConversionTrace,
     to_full_triangulation,
     to_triangulated_disk,
-    verify_trace,
 )
 
 __version__ = "0.1.0"
@@ -88,9 +81,8 @@ __all__ = [
     "compute_width", "decompose_pipeline", "treewidth_bound",
     "verify_tree_cotree",
     # embedding
-    "Dart", "DualGraph", "Edge", "Embedding", "FaceWalk", "add_edge_in_face",
-    "build_embedding", "dual_graph", "edge_of", "is_triangulated_disk",
-    "is_triangulation", "remove_vertices", "twin",
+    "Dart", "Edge", "Embedding", "FaceWalk", "build_embedding", "edge_of",
+    "is_triangulated_disk", "is_triangulation",
     # epg
     "format_epg", "parse_epg", "to_dot",
     # generators
@@ -103,9 +95,8 @@ __all__ = [
     "enumerate_face_triangulations", "is_three_connected",
     # peeling
     "ForestCertificate", "PeelDecomposition", "RootedForest",
-    "build_rooted_forest", "check_inward_face", "onion_peels",
-    "saturate_inward_neighbors", "validate_forest", "verify_forest_bound",
+    "build_rooted_forest", "onion_peels", "saturate_inward_neighbors",
+    "validate_forest", "verify_forest_bound",
     # triangulate
     "DiskConversionTrace", "to_full_triangulation", "to_triangulated_disk",
-    "verify_trace",
 ]

@@ -417,7 +417,8 @@ def _verify_bd(emb, artifact, args) -> None:
 
     Validates the tree shape, the assignment and every node's label
     directly (edge nodes are exactly the assigned leaves and carry their
-    edge; face nodes name distinct inner faces of the disk) and recomputes
+    edge; face nodes name distinct inner faces of the disk; each arc node
+    joins exactly the two faces its edge separates) and recomputes
     every cut from the leaf-bipartition definition, without using the
     library's construction or its bottom-up width aggregation.  One DFS
     checks connectivity and gives the preorder the cuts are read from.
@@ -461,6 +462,15 @@ def _verify_bd(emb, artifact, args) -> None:
         and all(0 <= f < len(disk.faces) and f != outer for f in faces),
         "bd artifact: face nodes are not distinct inner faces",
     )
+    for i, n in nodes.items():
+        if n["kind"] == "arc":
+            u, v = n["edge"]
+            sides = sorted(nodes[j]["face"] for j in adj[i] if nodes[j]["kind"] == "face")
+            _require(
+                disk.has_edge(u, v)
+                and sides == sorted(disk.face_index_of_dart(d) for d in ((u, v), (v, u))),
+                "bd artifact: arc edge does not separate the arc's two faces",
+            )
     width = max(_arc_cuts(order, parent, arcs, assignment), default=0)
     _require(width == artifact["width"], "bd artifact: width mismatch")
     _require(

@@ -4,7 +4,7 @@ An embedding is a per-vertex cyclic order of neighbors (the rotation,
 clockwise by convention) plus one designated outer dart per edged
 component.  A *dart* is one direction of an edge and is represented by the
 ordered pair ``(u, v)``; the pair is its own identifier, its origin is
-``u`` and its twin is ``(v, u)``.  Simple graphs only: no self-loops, no
+``u`` and its reverse is ``(v, u)``.  Simple graphs only: no self-loops, no
 parallel edges.
 
 Faces are traced with one fixed successor rule:
@@ -15,13 +15,12 @@ All geometric statements are realized through this single convention;
 nothing downstream depends on clockwise versus counterclockwise, only on
 consistency.
 
-Embeddings are immutable values.  Surgery (adding an edge inside a face,
-removing outer vertices) returns a new embedding; derived data (face
-walks, components) is computed once and cached on the instance.  Every
-added edge goes through one internal primitive, the corner link of a
-mutable face builder, so a run of insertions validates only once.
-Disconnected inputs are accepted only when every component lies in the
-outer region: one outer dart per edged component, all merged into a single
+Embeddings are immutable values; derived data (face walks, components) is
+computed once and cached on the instance.  Every added edge goes through
+one internal primitive, the corner link of a mutable face builder, so a
+run of insertions validates only once.  An embedding of several
+components is accepted only when every component lies in the outer
+region: one outer dart per edged component, all merged into a single
 outer region.  Isolated vertices carry an empty rotation and count as
 outer.
 """
@@ -35,26 +34,14 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     AsymmetricAdjacency,
     BadParameter,
-    Disconnected,
-    EdgeExists,
     EulerViolation,
-    InvariantViolation,
     NestedComponent,
-    NotOnFace,
-    NotOnOuterFace,
     ParallelEdge,
-    SameVertex,
     SelfLoop,
 )
 
 Dart = tuple[int, int]
 Edge = tuple[int, int]
-
-
-def twin(dart: Dart) -> Dart:
-    """The opposite direction of the same edge."""
-    u, v = dart
-    return (v, u)
 
 
 def edge_of(dart: Dart) -> Edge:
@@ -93,10 +80,6 @@ class FaceWalk:
 
     def edges(self) -> tuple[Edge, ...]:
         return tuple(edge_of(d) for d in self.darts)
-
-    def occurrences(self, v: int) -> tuple[int, ...]:
-        """Positions at which v is the origin of a walk dart."""
-        return tuple(i for i, d in enumerate(self.darts) if d[0] == v)
 
 
 def _canonical_rotation(rot: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,9 +235,6 @@ class Embedding:
     def degree(self, v: int) -> int:
         return len(self._rot[v])
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._rot
-
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._rot and v in self._rot[u]
 
@@ -296,14 +276,6 @@ class Embedding:
         return self._walk_of_dart[d]
 
     @property
-    def merged_face_count(self) -> int:
-        """Face count with all outer walks merged into one region."""
-        n_outer = len(self.outer_faces)
-        if n_outer == 0:
-            return 1 if self._rot else 0
-        return len(self._faces) - n_outer + 1
-
-    @property
     def outer_vertices(self) -> frozenset[int]:
         """Vertices on the outer region, isolated vertices included."""
         memo = self._memo.get("outer_vertices")
@@ -332,7 +304,7 @@ class Embedding:
         return len(self.components) <= 1
 
     def rotations_dict(self) -> dict[int, list[int]]:
-        """Mutable copy of the rotation map, for surgery."""
+        """Mutable copy of the rotation map."""
         return {v: list(ns) for v, ns in self._rot.items()}
 
 
@@ -430,139 +402,15 @@ def is_triangulation(emb: Embedding) -> bool:
     return all(len(f) == 3 for f in emb.faces)
 
 
-def _resolve_face(emb: Embedding, face: FaceWalk | int) -> FaceWalk:
-    if isinstance(face, int):
-        try:
-            return emb.faces[face]
-        except IndexError:
-            raise NotOnFace(f"no face with index {face}") from None
-    for f in emb.faces:
-        if f.darts == face.darts:
-            return f
-    raise NotOnFace("given walk is not a face of this embedding")
-
-
-def add_edge_in_face(
-    emb: Embedding,
-    u: int,
-    v: int,
-    face: FaceWalk | int,
-    u_occurrence: int = 0,
-    v_occurrence: int = 0,
-) -> Embedding:
-    """Split a face by a new edge (u, v) drawn inside it.
-
-    ``u_occurrence``/``v_occurrence`` select which occurrence of the vertex
-    on the walk anchors the edge when the face is not simple.  If the face
-    was outer, the sub-face containing the component's outer dart stays
-    outer.
-    """
-    if u == v:
-        raise SameVertex(f"cannot add edge ({u}, {v})")
-    if emb.has_edge(u, v):
-        raise EdgeExists(f"edge ({u}, {v}) already present")
-    walk = _resolve_face(emb, face)
-    occ_u = walk.occurrences(u)
-    occ_v = walk.occurrences(v)
-    if u_occurrence >= len(occ_u):
-        raise NotOnFace(f"vertex {u} occurrence {u_occurrence} not on face")
-    if v_occurrence >= len(occ_v):
-        raise NotOnFace(f"vertex {v} occurrence {v_occurrence} not on face")
-    b = _FaceBuilder(emb)
-    b.link(walk.darts[occ_u[u_occurrence] - 1], walk.darts[occ_v[v_occurrence] - 1])
-    return Embedding(b.rot, emb.outer_darts)
-
-
-def remove_vertices(emb: Embedding, remove: Iterable[int]) -> Embedding:
-    """Delete outer-region vertices and remark the new outer region.
-
-    Every removed vertex must lie on the outer region.  The old outer
-    region merges with every face incident to a removed vertex: a
-    surviving face is outer iff one of its darts bounded such a face.
-    The result may be disconnected or empty.
-    """
-    gone = {int(v) for v in remove}
-    for v in gone:
-        if not emb.has_vertex(v):
-            raise NotOnOuterFace(f"vertex {v} not in embedding")
-    interior = gone - emb.outer_vertices
-    if interior:
-        raise NotOnOuterFace(
-            f"vertices not on the outer region: {sorted(interior)[:5]}"
-        )
-
-    dissolving: set[int] = set()
-    for i, f in enumerate(emb.faces):
-        if f.is_outer or (f.vertex_set & gone):
-            dissolving.add(i)
-
-    rotations = {
-        v: [w for w in ns if w not in gone]
-        for v, ns in ((x, emb.rotation(x)) for x in emb.vertices)
-        if v not in gone
-    }
-    if not rotations:
-        return Embedding({}, ())
-
-    walks, walk_of = _trace(rotations)
-    marked = {
-        i
-        for i, w in enumerate(walks)
-        if any(emb.face_index_of_dart(d) in dissolving for d in w)
-    }
-    comp_of = _components(rotations)
-    per_comp: dict[int, set[int]] = {}
-    for i in marked:
-        per_comp.setdefault(comp_of[walks[i][0][0]], set()).add(i)
-    edged = {comp_of[v] for v, ns in rotations.items() if ns}
-    for c in edged:
-        ws = per_comp.get(c, set())
-        if len(ws) != 1:
-            raise InvariantViolation(
-                f"outer remarking chose {len(ws)} walks for component {c}"
-            )
-    outer = tuple(walks[next(iter(ws))][0] for ws in per_comp.values())
-    return Embedding(rotations, outer)
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Dual multigraph: one node per face walk, one edge per primal edge."""
-
-    node_count: int
-    # (face_i, face_j, primal edge), sorted by primal edge
-    edges: tuple[tuple[int, int, Edge], ...]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.node_count
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-
-def dual_graph(emb: Embedding) -> DualGraph:
-    """Dual of a connected embedding, with primal-edge back-references."""
-    if not emb.is_connected:
-        raise Disconnected("dual graph requires a connected embedding")
-    edges = []
-    for e in emb.edges:
-        u, v = e
-        edges.append(
-            (emb.face_index_of_dart((u, v)), emb.face_index_of_dart((v, u)), e)
-        )
-    return DualGraph(node_count=len(emb.faces), edges=tuple(edges))
-
-
 # ---------------------------------------------------------------------------
-# Shared surgery helpers (used by peeling, triangulation and the oracles)
+# Edge insertion (used by peeling, triangulation and the oracles)
 # ---------------------------------------------------------------------------
 
 
 class _FaceBuilder:
     """Mutable copy of an embedding that grows by one edge at a time.
 
-    Internal to the surgery code: callers copy an embedding in, link
+    The one edge-insertion primitive: callers copy an embedding in, link
     corners, and validate once at the end with :meth:`embedding`.  It
     holds the rotations, adjacency sets, and every face walk as a dart
     tuple starting at its minimal dart, keyed by an id that the walk

@@ -38,28 +38,6 @@ class NestedComponent(OnionPeelError):
     """A component's region is not the shared outer region (unsupported)."""
 
 
-# -- embedding surgery -----------------------------------------------------
-
-class NotOnFace(OnionPeelError):
-    """Requested vertex/occurrence does not lie on the given face walk."""
-
-
-class EdgeExists(OnionPeelError):
-    """The edge to add is already present."""
-
-
-class SameVertex(OnionPeelError):
-    """Both endpoints of the edge to add are the same vertex."""
-
-
-class NotOnOuterFace(OnionPeelError):
-    """A vertex scheduled for removal is not on the outer region."""
-
-
-class Disconnected(OnionPeelError):
-    """Operation requires a connected embedding."""
-
-
 # -- peeling / forest ------------------------------------------------------
 
 class UnreachableVertex(OnionPeelError):

@@ -152,7 +152,7 @@ def brute_outerplanarity(graph, budget: OracleBudget | None = None) -> int:
     system traces the same faces reversed), keeps those whose dart
     successor permutation has the cycle count Euler's formula asks for,
     and minimizes the peel count, found by a bitmask co-facial search,
-    over every face chosen as outer.  Disconnected graphs take the maximum
+    over every face chosen as outer.  A disconnected graph takes the maximum
     over components (drawn side by side).
     """
     budget = budget or OracleBudget()

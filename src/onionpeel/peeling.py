@@ -14,8 +14,8 @@ layering of Baker's technique (also Bienstock & Monma, 1990).
 Saturation adds edges inside each inner face so that every vertex one peel
 deep gains a neighbor one peel up, after which a multi-source BFS from the
 outer vertices yields a spanning forest whose height is at most (peel
-count - 1).  Peels are cached on the embedding value; surgery produces new
-values, so caches never go stale.
+count - 1).  Peels are cached on the embedding value, which is immutable,
+so caches never go stale.
 """
 
 from __future__ import annotations
@@ -129,39 +129,6 @@ def onion_peels(emb: Embedding) -> PeelDecomposition:
     result = PeelDecomposition(layers=layers)
     emb._memo["peels"] = result
     return result
-
-
-def check_inward_face(
-    emb: Embedding, peels: PeelDecomposition
-) -> dict[int, tuple[int, ...]]:
-    """Witness faces showing each deep vertex sees the peel above it.
-
-    For every v in L_i with i > 1, returns the indices of v's incident
-    faces that contain an L_{i-1} vertex.  Every such vertex must get a
-    nonempty witness tuple; an empty one would falsify the peel structure,
-    so it raises a bug certificate.
-    """
-    index = peels.index_of()
-    report: dict[int, tuple[int, ...]] = {}
-    incident: dict[int, list[int]] = {}
-    for fi, f in enumerate(emb.faces):
-        for v in f.vertex_set:
-            incident.setdefault(v, []).append(fi)
-    for v, i in sorted(index.items()):
-        if i == 1:
-            continue
-        witnesses = tuple(
-            fi
-            for fi in incident.get(v, ())
-            if any(index[w] == i - 1 for w in emb.faces[fi].vertex_set)
-        )
-        if not witnesses:
-            raise InvariantViolation(
-                f"vertex {v} in peel {i} has no incident face touching "
-                f"peel {i - 1}"
-            )
-        report[v] = witnesses
-    return report
 
 
 def saturate_inward_neighbors(emb: Embedding) -> Embedding:

@@ -32,9 +32,6 @@ from .embedding import (
 from .errors import InvariantViolation, RepairStuck, TooSmall
 from .peeling import _saturate, onion_peels
 
-STAGES = ("saturate", "connect", "outer-cut", "inner-cut", "ear", "apex")
-
-
 @dataclass(frozen=True)
 class DiskConversionTrace:
     """Audit trail of a conversion: every added edge with its stage."""
@@ -216,29 +213,3 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
         added_edges=tuple(added), input=emb, output=result
     )
     return result, trace
-
-
-def verify_trace(trace: DiskConversionTrace, full: bool = False) -> None:
-    """Re-check a conversion trace against its input and output.
-
-    Confirms the stage labels, that the added edges are new and mutually
-    distinct, that the output edge set is exactly input plus additions,
-    and that re-running the (deterministic) pipeline reproduces both the
-    output and the trace.
-    """
-    seen: set[Edge] = set()
-    input_edges = set(trace.input.edges)
-    for u, v, stage in trace.added_edges:
-        if stage not in STAGES:
-            raise InvariantViolation(f"unknown stage {stage!r}")
-        e = (min(u, v), max(u, v))
-        if e in input_edges or e in seen:
-            raise InvariantViolation(f"edge {e} not new in trace")
-        seen.add(e)
-    if set(trace.output.edges) != input_edges | seen:
-        raise InvariantViolation("trace edges do not account for the output")
-    rerun, retrace = (
-        to_full_triangulation(trace.input) if full else to_triangulated_disk(trace.input)
-    )
-    if rerun != trace.output or retrace.added_edges != trace.added_edges:
-        raise InvariantViolation("trace does not replay to the recorded output")

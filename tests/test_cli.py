@@ -404,10 +404,16 @@ def test_verify_checks_bd_labels_and_bounds(tmp_path, small_corpus):
                     node[key] = value
         return tamper
 
+    def swap_arc_edges(data):
+        a, b = [n for n in data["nodes"] if n["kind"] == "arc"][:2]
+        a["edge"], b["edge"] = b["edge"], a["edge"]
+
     epg = format_epg(gen_counterexample(2))
     for tamper, error in [
         (lambda d: d["bounds"].update({"2h": 999}), "InvariantViolation"),
         (relabel("edge", "edge", [7, 7]), "InvariantViolation"),
+        (relabel("arc", "edge", [7, 7]), "InvariantViolation"),
+        (swap_arc_edges, "InvariantViolation"),
         (relabel("face", "kind", "x"), "FormatError"),
         (relabel("face", "face", [0]), "FormatError"),
         (lambda d: d.update(extra=1), "FormatError"),

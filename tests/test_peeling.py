@@ -7,7 +7,6 @@ from onionpeel import (
     RootedForest,
     build_embedding,
     build_rooted_forest,
-    check_inward_face,
     enumerate_face_triangulations,
     errors,
     gen_counterexample,
@@ -17,11 +16,39 @@ from onionpeel import (
     gen_random_kouter,
     gen_wheel,
     onion_peels,
-    remove_vertices,
     saturate_inward_neighbors,
     verify_forest_bound,
 )
+from onionpeel.embedding import _components, _trace
 from onionpeel.oracles import _min_peels_over_faces
+
+
+def remove_vertices(emb, remove):
+    """Reference deletion of outer-region vertices, remarking the outer region.
+
+    Every removed vertex must lie on the outer region (``ValueError``
+    otherwise).  The old outer region merges with every face incident to a
+    removed vertex: a surviving face is outer iff one of its darts bounded
+    such a face.  The result may be disconnected or empty.
+    """
+    gone = set(remove)
+    if not gone <= emb.outer_vertices:
+        raise ValueError(f"not on the outer region: {sorted(gone - emb.outer_vertices)}")
+    dissolving = {i for i, f in enumerate(emb.faces) if f.is_outer or f.vertex_set & gone}
+    rotations = {
+        v: [w for w in emb.rotation(v) if w not in gone]
+        for v in emb.vertices
+        if v not in gone
+    }
+    walks, _ = _trace(rotations)
+    comp_of = _components(rotations)
+    per_comp = {}
+    for w in walks:
+        if any(emb.face_index_of_dart(d) in dissolving for d in w):
+            per_comp.setdefault(comp_of[w[0][0]], []).append(w[0])
+    edged = {comp_of[v] for v, ns in rotations.items() if ns}
+    assert set(per_comp) == edged and all(len(ds) == 1 for ds in per_comp.values())
+    return Embedding(rotations, [ds[0] for ds in per_comp.values()])
 
 
 def removal_peels(emb):
@@ -74,7 +101,7 @@ def with_pendant(emb, face, v):
     """Attach a new degree-1 vertex to ``v`` inside ``face``."""
     p = max(emb.vertices) + 1
     darts = face.darts
-    j = face.occurrences(v)[0]
+    j = face.vertices.index(v)
     before = darts[j - 1][0]
     rot = emb.rotations_dict()
     rot[v].insert(rot[v].index(before) + 1, p)
@@ -176,32 +203,44 @@ def test_peels_partition_vertices(corpus):
         assert all(layer for layer in peels.layers), label
 
 
+def inward_witnesses(emb):
+    """Per vertex of peel i > 1, its incident faces holding a peel i-1 vertex."""
+    index = onion_peels(emb).index_of()
+    return {
+        v: [
+            fi for fi, f in enumerate(emb.faces)
+            if v in f.vertex_set and any(index[w] == i - 1 for w in f.vertex_set)
+        ]
+        for v, i in index.items()
+        if i > 1
+    }
+
+
 def test_check_inward_face_k4():
-    k4 = gen_wheel(3)
-    report = check_inward_face(k4, onion_peels(k4))
+    report = inward_witnesses(gen_wheel(3))
     assert set(report) == {3}
     # all three incident triangles of the hub touch the rim
     assert len(report[3]) == 3
 
 
 def test_check_inward_face_nested():
-    t2 = gen_nested_triangles(2)
-    report = check_inward_face(t2, onion_peels(t2))
+    report = inward_witnesses(gen_nested_triangles(2))
     assert set(report) == {0, 1, 2}
     assert all(report[v] for v in report)
 
 
 def test_check_inward_face_outerplanar_is_empty():
-    c5 = gen_cycle(5)
-    assert check_inward_face(c5, onion_peels(c5)) == {}
+    assert inward_witnesses(gen_cycle(5)) == {}
 
 
 def test_check_inward_face_all_corpus(corpus):
+    """Every vertex of peel i > 1 has an incident face touching peel i - 1."""
     for label, emb in corpus:
         peels = onion_peels(emb)
-        report = check_inward_face(emb, peels)
+        report = inward_witnesses(emb)
         deep = {v for layer in peels.layers[1:] for v in layer}
         assert set(report) == deep, label
+        assert all(report.values()), label
 
 
 def test_saturate_triangle_noop():

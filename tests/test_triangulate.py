@@ -4,7 +4,6 @@ import pytest
 
 from onionpeel import (
     Embedding,
-    add_edge_in_face,
     build_embedding,
     build_rooted_forest,
     errors,
@@ -22,7 +21,6 @@ from onionpeel import (
     to_full_triangulation,
     to_triangulated_disk,
     validate_forest,
-    verify_trace,
 )
 from onionpeel.embedding import _FaceBuilder, fan_targets
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
@@ -137,8 +135,10 @@ def test_ears_square():
 
 
 def test_ears_avoid_existing_chord():
-    c5 = gen_cycle(5)
-    withchord = add_edge_in_face(c5, 0, 2, c5.outer_faces[0])
+    # the 5-cycle with the chord (0, 2) drawn in its outer face
+    withchord = Embedding(
+        {0: [1, 4, 2], 1: [0, 2], 2: [0, 3, 1], 3: [2, 4], 4: [0, 3]}, [(0, 1)]
+    )
     done, edges = stage_alone(withchord, "ear")
     assert all(len(f) == 3 for f in done.inner_faces)
     assert set(edges) == {(1, 3), (1, 4), (2, 4)}
@@ -194,11 +194,18 @@ def test_disk_corpus_contract(corpus):
 
 
 def test_disk_trace_replay(small_corpus):
+    stages = {"saturate", "connect", "outer-cut", "inner-cut", "ear", "apex"}
     for label, emb in small_corpus:
-        _, trace = to_triangulated_disk(emb)
-        verify_trace(trace)
-        _, trace = to_full_triangulation(emb)
-        verify_trace(trace, full=True)
+        for convert in (to_triangulated_disk, to_full_triangulation):
+            _, trace = convert(emb)
+            assert {s for _, _, s in trace.added_edges} <= stages, label
+            added = [(min(u, v), max(u, v)) for u, v, _ in trace.added_edges]
+            input_edges = set(trace.input.edges)
+            assert len(set(added)) == len(added) and not input_edges & set(added), label
+            assert set(trace.output.edges) == input_edges | set(added), label
+            rerun, retrace = convert(trace.input)
+            assert rerun == trace.output, label
+            assert retrace.added_edges == trace.added_edges, label
 
 
 def test_forest_survives_disk_conversion(corpus):
@@ -331,7 +338,7 @@ def ref_connect(emb):
             if walk is None:  # isolated vertex
                 rotations[x] = [y]
             else:
-                t = walk.darts[walk.occurrences(x)[0] - 1][0]
+                t = walk.darts[walk.vertices.index(x) - 1][0]
                 rotations[x].insert(rotations[x].index(t) + 1, y)
                 drop.add(walk.darts[0])
         outer_darts = [d for d in emb.outer_darts if d not in drop] + [(u, v)]
