@@ -22,7 +22,7 @@ from onionpeel import (
     to_full_triangulation,
 )
 
-# Warm-up: the 4-cycle is the k=1 witness.
+# Warm-up: K4 minus an edge is the k=1 witness; its one triangulation is K4.
 print("k=1:", certify_theorem1(1))
 
 # The k=2 certificate, fully exhaustive.

@@ -50,7 +50,6 @@ from .oracles import (
     brute_outerplanarity,
     catalan,
     certify_theorem1,
-    enumerate_face_triangulations,
     is_three_connected,
 )
 from .peeling import (
@@ -92,7 +91,7 @@ __all__ = [
     # oracles
     "OracleBudget", "Theorem1Report", "brute_branchwidth",
     "brute_outerplanarity", "catalan", "certify_theorem1",
-    "enumerate_face_triangulations", "is_three_connected",
+    "is_three_connected",
     # peeling
     "ForestCertificate", "PeelDecomposition", "RootedForest",
     "build_rooted_forest", "onion_peels", "saturate_inward_neighbors",

@@ -55,11 +55,21 @@ class RunReport:
             raise InvariantViolation("report: tw_bound > 3k - 1")
 
 
+#: largest theorem-1 k that ``oracle`` and ``verify`` certify; the library
+#: itself takes any k
+THEOREM1_MAX_K = 6
+
+
 def _read_embedding(args) -> Embedding:
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as fh:
             return parse_epg(fh.read())
     return parse_epg(sys.stdin.read())
+
+
+def _read_input(args) -> Embedding | None:
+    """The input graph, or None for theorem 1, which builds its own."""
+    return None if getattr(args, "which", None) == "theorem1" else _read_embedding(args)
 
 
 def _digest(emb: Embedding) -> str:
@@ -123,7 +133,7 @@ def _cmd_convert(args, full: bool) -> int:
 
 def _cmd_report(args) -> int:
     """Emit ``args.report``'s JSON; ``verify`` re-derives every report but bd's."""
-    emb = None if getattr(args, "which", None) == "theorem1" else _read_embedding(args)
+    emb = _read_input(args)
     t0 = time.monotonic()
     report = args.report(emb, args)
     print(f"{args.command}: {1000 * (time.monotonic() - t0):.1f} ms", file=sys.stderr)
@@ -201,10 +211,9 @@ def _oracle_report(emb: Embedding | None, args) -> dict:
     if args.which == "outerplanarity":
         return {"oracle": "outerplanarity", "vertices": emb.vertex_count,
                 "k": brute_outerplanarity(emb, budget)}
-    # certify_theorem1's cost grows with k, so k >= 3 needs --slow
-    if args.k >= 3 and not args.slow:
+    if args.k > THEOREM1_MAX_K:
         raise BadParameter(
-            f"theorem1 with k >= 3 requires `onionpeel oracle theorem1 {args.k} --slow`"
+            f"theorem1 k={args.k} exceeds the command-line cap k <= {THEOREM1_MAX_K}"
         )
     report = certify_theorem1(args.k, budget)
     return {
@@ -237,15 +246,13 @@ def _cmd_verify(args) -> int:
             artifact = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"artifact is not JSON: {exc}") from None
-    emb = _read_embedding(args)
     kind = _artifact_kind(artifact)
     _check_shape(kind, artifact)
+    if kind == "oracle":
+        # the oracle and its theorem-1 k come from the artifact
+        args = argparse.Namespace(**vars(args), which=artifact["oracle"], k=artifact.get("k"))
+    emb = _read_input(args)
     if kind in _REPORTS:
-        if kind == "oracle":
-            # the oracle and its theorem-1 k come from the artifact; no --slow
-            args = argparse.Namespace(
-                **vars(args), which=artifact["oracle"], k=artifact.get("k"), slow=False
-            )
         _require(artifact == _REPORTS[kind](emb, args), f"{kind} artifact: rerun differs")
     else:
         {"trace": _verify_conversion, "bd": _verify_bd}[kind](emb, artifact, args)
@@ -579,8 +586,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("which", choices=["bw", "outerplanarity", "theorem1"])
-    p.add_argument("k", nargs="?", type=int, default=1, help="theorem1 parameter")
-    p.add_argument("--slow", action="store_true", help="allow theorem1 k >= 3")
+    p.add_argument(
+        "k", nargs="?", type=int, default=1,
+        help=f"theorem1 parameter, at most {THEOREM1_MAX_K}",
+    )
     io_flags(p)
     budget_flags(p)
     p.set_defaults(func=_cmd_report, report=_oracle_report)

@@ -68,10 +68,11 @@ def parse_epg(text: str) -> Embedding:
 
 
 def _int(token: str, lineno: int) -> int:
-    try:
+    # EPG integers are ASCII -?[0-9]+; ``int`` alone would also take "1_0",
+    # "+0" and non-ASCII digits
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: not an integer: {token!r}") from None
+    raise FormatError(f"line {lineno}: not an integer: {token!r}")
 
 
 def to_dot(emb: Embedding, name: str = "embedding") -> str:

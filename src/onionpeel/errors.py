@@ -86,9 +86,5 @@ class NotPlanar(OnionPeelError):
     """No rotation system of the graph achieves genus zero."""
 
 
-class FaceNotSimple(OnionPeelError):
-    """Face walk repeats a vertex where a simple face is required."""
-
-
 class InvariantViolation(OnionPeelError):
     """Internal construction invariant failed (bug certificate)."""

@@ -4,10 +4,12 @@ Three independent oracles: exact branchwidth by enumerating every unrooted
 binary tree over the edge set (with monotone pruning), exact graph
 outerplanarity by enumerating every rotation system up to mirror image
 and every outer-face choice, and exhaustive polygon triangulation of a
-single face.  Together they certify the lower-bound theorem: the
-12k-vertex counterexample gadget is 3-connected, so its sphere embedding
-is unique and scanning outer-face choices of each face triangulation
-covers every drawing of every triangulation.
+single face, as face vertex masks.  Together they certify the lower-bound
+theorem: the 12k-vertex counterexample gadget is 3-connected, so its
+sphere embedding is unique and scanning outer-face choices of each face
+triangulation covers every drawing of every triangulation.  The
+certificate builds no embedding beyond the gadget itself, so it shares
+no construction code with the pipeline.
 
 The kernels run on integers: a rotation system is a successor permutation
 of numbered darts, whose cycle count is the Euler check, and a face is a
@@ -25,18 +27,10 @@ from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from typing import Iterator
 
-from .embedding import (
-    Edge,
-    Embedding,
-    FaceWalk,
-    _components,
-    _FaceBuilder,
-    is_triangulation,
-)
+from .embedding import Edge, Embedding, _components
 from .errors import (
     BadParameter,
     BudgetExceeded,
-    FaceNotSimple,
     InvariantViolation,
     NotPlanar,
     SelfLoop,
@@ -59,6 +53,16 @@ def _edge_list(graph) -> list[Edge]:
     if isinstance(graph, Embedding):
         return list(graph.edges)
     return sorted({(min(u, v), max(u, v)) for u, v in graph})
+
+
+def _adjacency(graph) -> dict[int, set[int]]:
+    if isinstance(graph, Embedding):
+        return {v: set(graph.rotation(v)) for v in graph.vertices}
+    adj: dict[int, set[int]] = {}
+    for u, v in _edge_list(graph):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
 
 
 def brute_branchwidth(graph, budget: OracleBudget | None = None) -> int:
@@ -156,13 +160,7 @@ def brute_outerplanarity(graph, budget: OracleBudget | None = None) -> int:
     over components (drawn side by side).
     """
     budget = budget or OracleBudget()
-    if isinstance(graph, Embedding):
-        adj = {v: set(graph.rotation(v)) for v in graph.vertices}
-    else:
-        adj = {}
-        for u, v in _edge_list(graph):
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+    adj = _adjacency(graph)
     loops = sorted(v for v, ns in adj.items() if v in ns)
     if loops:
         raise SelfLoop(f"vertex {loops[0]} lists itself as a neighbor")
@@ -299,90 +297,75 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def enumerate_face_triangulations(
-    disk: Embedding, face: FaceWalk | int, budget: OracleBudget | None = None
-) -> Iterator[Embedding]:
-    """All triangulations of one simple face whose chords are new edges.
+def _polygon_triangulations(i: int, j: int) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Triangles (i, k, j) of every triangulation of the sub-polygon c_i..c_j."""
+    if j - i < 2:
+        yield ()
+        return
+    for k in range(i + 1, j):
+        for left in _polygon_triangulations(i, k):
+            for right in _polygon_triangulations(k, j):
+                yield left + right + ((i, k, j),)
 
-    Every other face must already be a triangle, so each emitted embedding
-    is a full triangulation.  Chord sets are the Catalan(m-2) polygon
-    triangulations; a set containing an already-present edge is skipped.
+
+def _face_fillings(
+    gadget: Embedding, budget: OracleBudget
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Triangles filling the gadget's one long face, one tuple per triangulation.
+
+    The long face must be the outer face, simple, and the only face that is
+    not a triangle; anything else is a bug certificate.  Fillings are the
+    Catalan(m-2) polygon triangulations, less those with a chord that is
+    already an edge.  Each adds m-2 triangles and no parallel edge, so one
+    face count of 2n-4, checked once, makes every filling a triangulation.
     """
-    budget = budget or OracleBudget()
-    if isinstance(face, int):
-        face = disk.faces[face]
+    long_faces = [f for f in gadget.faces if len(f) != 3]
+    if len(long_faces) != 1 or not long_faces[0].is_outer:
+        raise InvariantViolation("gadget must have exactly one non-triangle face")
+    face = long_faces[0]
     if not face.is_simple:
-        raise FaceNotSimple(f"face {face.vertices} repeats a vertex")
-    for f in disk.faces:
-        if f.darts != face.darts and len(f) != 3:
-            raise BadParameter("all faces other than the target must be triangles")
-    m = len(face)
+        raise InvariantViolation(f"gadget face {face.vertices} repeats a vertex")
+    c = face.vertices
+    m = len(c)
+    if len(gadget.faces) + m - 3 != 2 * gadget.vertex_count - 4:
+        raise InvariantViolation("filling the long face gives no triangulation")
     if catalan(m - 2) > budget.max_chord_sets:
         raise BudgetExceeded(
             f"Catalan({m - 2}) = {catalan(m - 2)} exceeds budget "
             f"{budget.max_chord_sets}"
         )
-    c = face.vertices
-    for chords in _polygon_chord_sets(0, m - 1):
-        if any(disk.has_edge(c[a], c[b]) for a, b in chords):
-            continue
-        yield _apply_chords(disk, face, chords)
+    for tris in _polygon_triangulations(0, m - 1):
+        chords = [(i, k) for i, k, _ in tris if k - i > 1]
+        chords += [(k, j) for _, k, j in tris if j - k > 1]
+        if not any(gadget.has_edge(c[a], c[b]) for a, b in chords):
+            yield tuple((c[i], c[k], c[j]) for i, k, j in tris)
 
 
-def _polygon_chord_sets(i: int, j: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Chord sets of all triangulations of the sub-polygon c_i..c_j."""
-    if j - i < 3:
-        yield ()
-        return
-    for k in range(i + 1, j):
-        extra = ()
-        if k - i > 1:
-            extra += ((i, k),)
-        if j - k > 1:
-            extra += ((k, j),)
-        for left in _polygon_chord_sets(i, k):
-            for right in _polygon_chord_sets(k, j):
-                yield left + right + extra
+def _triangulation_masks(gadget: Embedding, budget: OracleBudget) -> Iterator[list[int]]:
+    """Face vertex masks of each triangulation of the gadget's long face."""
+    bit = {v: 1 << i for i, v in enumerate(gadget.vertices)}
+    fixed = [sum(bit[v] for v in f.vertex_set) for f in gadget.faces if len(f) == 3]
+    for filling in _face_fillings(gadget, budget):
+        yield fixed + [bit[a] | bit[b] | bit[c] for a, b, c in filling]
 
 
-def _apply_chords(
-    disk: Embedding, face: FaceWalk, chords: tuple[tuple[int, int], ...]
-) -> Embedding:
-    c = face.vertices
-    b = _FaceBuilder(disk)
-    for i, j in chords:
-        x, y = c[i], c[j]
-        # the one walk through both ends; its corners there take the chord
-        walk = next(
-            w for w in (b.walks[b.walk_of[(x, n)]] for n in b.rot[x])
-            if any(d[0] == y for d in w)
-        )
-        corners = [walk[p - 1] for p, d in enumerate(walk) if d[0] in (x, y)]
-        b.link(*corners)
-    emb = Embedding(b.rot, disk.outer_darts)
-    if not is_triangulation(emb):
-        raise InvariantViolation("face triangulation left a non-triangle")
-    return emb
+def is_three_connected(graph) -> bool:
+    """Exhaustive 1- and 2-cut check on an embedding or an edge list.
 
-
-def is_three_connected(emb: Embedding) -> bool:
-    """Exhaustive 1- and 2-cut check."""
-    verts = list(emb.vertices)
-    if len(verts) < 4 or not emb.is_connected:
+    With 4 or more vertices, a disconnected graph fails at a 1-cut.
+    """
+    adj = _adjacency(graph)
+    if len(adj) < 4:
         return False
     for r in (1, 2):
-        for cut in combinations(verts, r):
-            if not _connected_without(emb, set(cut)):
+        for cut in combinations(adj, r):
+            if not _connected_without(adj, set(cut)):
                 return False
     return True
 
 
-def _connected_without(emb: Embedding, removed: set[int]) -> bool:
-    rest = {
-        v: [w for w in emb.rotation(v) if w not in removed]
-        for v in emb.vertices
-        if v not in removed
-    }
+def _connected_without(adj: dict[int, set[int]], removed: set[int]) -> bool:
+    rest = {v: [w for w in ns if w not in removed] for v, ns in adj.items() if v not in removed}
     return len(set(_components(rest).values())) <= 1
 
 
@@ -398,39 +381,36 @@ class Theorem1Report:
     assumption: str
 
 
-def _min_peels_over_faces(tri: Embedding) -> int:
-    """Fewest peels of ``tri`` over every choice of outer face."""
-    bit = {v: 1 << i for i, v in enumerate(tri.vertices)}
-    masks = [sum(bit[v] for v in f.vertex_set) for f in tri.faces]
-    return _min_peels(masks, len(bit))
-
-
 def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Report:
     """Certify the lower bound: every triangulation of G_k has >= k+1 peels.
 
     k = 1 uses K4-minus-an-edge: a triangulation of 4 vertices has 6
     edges, so the only triangulation is K4, whose outerplanarity is found
-    exhaustively.  For k >= 2 the gadget is checked 3-connected (making
-    its sphere embedding unique), every triangulation of its sole
-    non-triangular face is enumerated, and each is peeled from every
-    possible outer face.  The k >= 2 result is contingent on the
-    3-connectivity check, which the report states explicitly.
+    exhaustively from its edge list.  For k >= 2 the gadget is checked
+    3-connected (making its sphere embedding unique), every triangulation
+    of its sole non-triangular face is enumerated as face vertex masks, and
+    each is peeled from every possible outer face.  The k >= 2 result is
+    contingent on the 3-connectivity check, which the report states
+    explicitly.
     """
     budget = budget or OracleBudget()
     if k < 1:
         raise BadParameter(f"need k >= 1, got {k}")
     if k == 1:
         base = gen_k4_minus_edge()
-        outer_idx = base.faces.index(base.outer_faces[0])
-        tris = list(enumerate_face_triangulations(base, outer_idx, budget))
-        if len(tris) != 1 or tris[0].edge_count != 6:
+        k4s = [
+            set(base.edges).union(*(combinations(sorted(t), 2) for t in filling))
+            for filling in _face_fillings(base, budget)
+        ]
+        if len(k4s) != 1 or len(k4s[0]) != 6:
             raise InvariantViolation("K4 minus an edge must triangulate uniquely to K4")
-        min_k = brute_outerplanarity(tris[0], budget)
+        k4 = k4s[0]
+        min_k = brute_outerplanarity(k4, budget)
         return Theorem1Report(
             k=1,
             triangulation_count=1,
             min_outerplanarity=min_k,
-            three_connected=is_three_connected(tris[0]),
+            three_connected=is_three_connected(k4),
             passed=min_k >= 2,
             assumption=(
                 "a 4-vertex triangulation has 6 edges, so K4 is the unique "
@@ -440,16 +420,12 @@ def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Repo
 
     gadget = gen_counterexample(k)
     three = is_three_connected(gadget)
-    long_faces = [f for f in gadget.faces if len(f) != 3]
-    if len(long_faces) != 1 or not long_faces[0].is_outer:
-        raise InvariantViolation(
-            "counterexample gadget must have exactly one non-triangle face"
-        )
-    tris = list(enumerate_face_triangulations(gadget, long_faces[0], budget))
-    min_k = min(_min_peels_over_faces(t) for t in tris)
+    n = gadget.vertex_count
+    peels = [_min_peels(masks, n) for masks in _triangulation_masks(gadget, budget)]
+    min_k = min(peels, default=0)
     return Theorem1Report(
         k=k,
-        triangulation_count=len(tris),
+        triangulation_count=len(peels),
         min_outerplanarity=min_k,
         three_connected=three,
         passed=three and min_k >= k + 1,

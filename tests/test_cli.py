@@ -121,8 +121,17 @@ def test_oracle_budget_flags():
 
 
 def test_theorem1_k3_needs_slow_flag():
-    code, _, err = run_cli(["oracle", "theorem1", "3"])
-    assert code == 1 and "BadParameter" in err and "--slow" in err
+    # the --slow gate is gone: k up to the cap runs, k above it fails fast
+    code, out, _ = run_cli(["oracle", "theorem1", "6"])
+    assert code == 0 and json.loads(out)["min_outerplanarity"] == 7
+    t0 = time.monotonic()
+    code, _, err = run_cli(["oracle", "theorem1", "7"])
+    assert time.monotonic() - t0 < 0.5
+    assert code == 1 and "BadParameter" in err and "k <= 6" in err
+    code, _, err = run_cli(["oracle", "theorem1", "3", "--slow"])
+    assert code == 2 and "--slow" in err
+    code, _, err = run_cli(["oracle", "theorem1", "2", "--budget-chords", "100"])
+    assert code == 1 and "BudgetExceeded" in err
 
 
 def test_malformed_epg_names_error():
@@ -254,6 +263,9 @@ def test_verify_gates_theorem1_artifacts_like_oracle(tmp_path):
     artifact.write_text(out)
     code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
     assert code == 0, err
+    # theorem 1 reads no input graph, so empty stdin is no error
+    code, _, err = run_cli(["verify", "--json", str(artifact)], stdin_text="")
+    assert code == 0, err
     artifact.write_text(json.dumps(
         {"oracle": "theorem1", "k": 12, "min_outerplanarity": 13, "passed": True}
     ))
@@ -261,7 +273,7 @@ def test_verify_gates_theorem1_artifacts_like_oracle(tmp_path):
     code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
     assert time.monotonic() - t0 < 0.5
     assert code == 1 and "BadParameter" in err
-    assert "oracle theorem1 12 --slow" in err
+    assert "k=12 exceeds the command-line cap k <= 6" in err
 
 
 def test_gen_pipe_disk_pipe_verify(tmp_path):

@@ -56,6 +56,10 @@ def test_parse_errors():
         parse_epg("epg 1\nv 0 1 2\n")
     with pytest.raises(errors.FormatError):
         parse_epg("epg 1\nv 0: x\n")
+    # Python's int() takes these; the EPG grammar is ASCII -?[0-9]+
+    for token in ("1_0", "+0", "\u0663"):
+        with pytest.raises(errors.FormatError):
+            parse_epg(f"epg 1\nv {token}: 2\nv 2: {token}\nouter 2 {token}\n")
     with pytest.raises(errors.FormatError):
         parse_epg("epg 1\nv 0: 1\nv 1: 0\nv 0: 1\nouter 0 1\n")
     with pytest.raises(errors.FormatError):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from onionpeel import (
+    Embedding,
     OracleBudget,
     brute_branchwidth,
     brute_outerplanarity,
     catalan,
     certify_theorem1,
     decompose_pipeline,
-    enumerate_face_triangulations,
     errors,
     gen_counterexample,
     gen_cycle,
@@ -22,14 +22,69 @@ from onionpeel import (
     is_triangulation,
     onion_peels,
 )
-from onionpeel.embedding import _trace
+from onionpeel.embedding import _FaceBuilder, _trace
 from onionpeel.oracles import (
     _abstract_components,
     _component_outerplanarity,
+    _face_fillings,
     _min_peels,
-    _min_peels_over_faces,
+    _triangulation_masks,
 )
 from onionpeel.peeling import _radial_layers
+
+
+def enumerate_face_triangulations(disk, face, budget=None):
+    """Reference: all triangulations of one simple face, built as embeddings.
+
+    Every other face must already be a triangle, so each emitted embedding
+    is a full triangulation.  Chord sets are the Catalan(m-2) polygon
+    triangulations; a set containing an already-present edge is skipped.
+    Each chord is linked on the pipeline's face builder and the result is
+    validated as a triangulation.  A face that repeats a vertex, or a
+    second non-triangle face, raises ``ValueError``.
+    """
+    budget = budget or OracleBudget()
+    if isinstance(face, int):
+        face = disk.faces[face]
+    if not face.is_simple:
+        raise ValueError(f"face {face.vertices} repeats a vertex")
+    if any(f.darts != face.darts and len(f) != 3 for f in disk.faces):
+        raise ValueError("all faces other than the target must be triangles")
+    m = len(face)
+    if catalan(m - 2) > budget.max_chord_sets:
+        raise errors.BudgetExceeded(f"Catalan({m - 2}) exceeds {budget.max_chord_sets}")
+    c = face.vertices
+    for chords in polygon_chord_sets(0, m - 1):
+        if any(disk.has_edge(c[a], c[b]) for a, b in chords):
+            continue
+        b = _FaceBuilder(disk)
+        for i, j in chords:
+            x, y = c[i], c[j]
+            # the one walk through both ends; its corners there take the chord
+            walk = next(
+                w for w in (b.walks[b.walk_of[(x, n)]] for n in b.rot[x])
+                if any(d[0] == y for d in w)
+            )
+            b.link(*[walk[p - 1] for p, d in enumerate(walk) if d[0] in (x, y)])
+        tri = Embedding(b.rot, disk.outer_darts)
+        assert is_triangulation(tri)
+        yield tri
+
+
+def polygon_chord_sets(i, j):
+    """Chord sets of all triangulations of the sub-polygon c_i..c_j."""
+    if j - i < 3:
+        yield ()
+        return
+    for k in range(i + 1, j):
+        extra = ()
+        if k - i > 1:
+            extra += ((i, k),)
+        if j - k > 1:
+            extra += ((k, j),)
+        for left in polygon_chord_sets(i, k):
+            for right in polygon_chord_sets(k, j):
+                yield left + right + extra
 
 
 def test_branchwidth_examples():
@@ -121,12 +176,10 @@ def test_enumerate_octagon_of_counterexample():
 
 
 def test_enumerate_requires_simple_face():
-    from onionpeel import Embedding
-
     bow = Embedding(
         {0: [1, 2], 1: [2, 0], 2: [0, 1, 3, 4], 3: [4, 2], 4: [2, 3]}, [(0, 1)]
     )
-    with pytest.raises(errors.FaceNotSimple):
+    with pytest.raises(ValueError):
         list(enumerate_face_triangulations(bow, bow.faces.index(bow.outer_faces[0])))
 
 
@@ -142,9 +195,17 @@ def test_enumerate_budget():
 
 
 def test_three_connectivity_checker():
-    assert is_three_connected(gen_wheel(3))
-    assert not is_three_connected(gen_k4_minus_edge())
-    assert not is_three_connected(gen_cycle(5))
+    for emb, expected in [
+        (gen_wheel(3), True),
+        (gen_k4_minus_edge(), False),
+        (gen_cycle(5), False),
+    ]:
+        assert is_three_connected(emb) is expected
+        assert is_three_connected(emb.edges) is expected
+        assert is_three_connected([(v, u) for u, v in emb.edges]) is expected
+    # two disjoint K4s: each side 3-connected, the whole not connected
+    k4 = list(itertools.combinations(range(4), 2))
+    assert not is_three_connected(k4 + [(u + 4, v + 4) for u, v in k4])
 
 
 def test_theorem1_k1():
@@ -167,6 +228,37 @@ def test_theorem1_k3():
     assert report.passed and report.three_connected
     assert report.triangulation_count == 132
     assert report.min_outerplanarity == 4
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_theorem1_up_to_cli_cap(k):
+    report = certify_theorem1(k)
+    assert report.passed and report.three_connected
+    assert report.triangulation_count == 132
+    assert report.min_outerplanarity == k + 1
+
+
+def test_face_fillings_skip_present_chords_and_reject_bad_gadgets():
+    # K4 minus an edge, missing 1-3 or 0-2: the one filling adds the missing edge
+    for emb, filling in [
+        (gen_k4_minus_edge(), ((1, 2, 3), (0, 1, 3))),
+        (Embedding({0: [1, 3], 1: [2, 3, 0], 2: [3, 1], 3: [0, 1, 2]}, [(1, 2)]),
+         ((0, 1, 2), (0, 2, 3))),
+    ]:
+        assert list(_face_fillings(emb, OracleBudget())) == [filling]
+    bow = Embedding(
+        {0: [1, 2], 1: [2, 0], 2: [0, 1, 3, 4], 3: [4, 2], 4: [2, 3]}, [(0, 1)]
+    )
+    # K4 minus an edge beside a triangle: one simple long face, but 5 faces
+    # where a 7-vertex triangulation has 10
+    beside = Embedding(
+        {0: [1, 2, 3], 1: [2, 0], 2: [3, 0, 1], 3: [0, 2],
+         4: [5, 6], 5: [6, 4], 6: [4, 5]},
+        [(0, 1), (4, 5)],
+    )
+    for graph in (bow, gen_cycle(5), beside):
+        with pytest.raises(errors.InvariantViolation):
+            list(_face_fillings(graph, OracleBudget()))
 
 
 def test_oracle_sandwich_small(small_corpus):
@@ -290,19 +382,30 @@ def test_component_outerplanarity_matches_traced_reference_on_kuratowski_graphs(
         assert_components_match_traced_reference(adj, label)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_min_peels_over_faces_matches_radial_layers(k):
+    """The mask route gives the built triangulations' faces and peel counts.
+
+    Both routes enumerate the 132 triangulations in the same order; each
+    mask list is the reference embedding's faces as vertex masks, and its
+    peel count is the radial peel count minimized over outer faces.
+    """
     gadget = gen_counterexample(k)
     long_face = next(f for f in gadget.faces if len(f) != 3)
     tris = list(enumerate_face_triangulations(gadget, long_face))
-    assert len(tris) == 132
-    for tri in tris:
+    masks = list(_triangulation_masks(gadget, OracleBudget()))
+    assert len(tris) == len(masks) == 132
+    bit = {v: 1 << i for i, v in enumerate(gadget.vertices)}
+    for tri, tri_masks in zip(tris, masks):
+        assert sorted(tri_masks) == sorted(
+            sum(bit[v] for v in f.vertex_set) for f in tri.faces
+        )
         face_sets = [f.vertex_set for f in tri.faces]
         expected = min(
             len(_radial_layers(face_sets, [i], tri.vertices))
             for i in range(len(face_sets))
         )
-        assert _min_peels_over_faces(tri) == expected
+        assert _min_peels(tri_masks, len(bit)) == expected
 
 
 def test_min_peels_reports_unreachable_vertices():

@@ -7,7 +7,6 @@ from onionpeel import (
     RootedForest,
     build_embedding,
     build_rooted_forest,
-    enumerate_face_triangulations,
     errors,
     gen_counterexample,
     gen_cycle,
@@ -20,7 +19,8 @@ from onionpeel import (
     verify_forest_bound,
 )
 from onionpeel.embedding import _components, _trace
-from onionpeel.oracles import _min_peels_over_faces
+from onionpeel.oracles import OracleBudget, _min_peels, _triangulation_masks
+from test_oracles import enumerate_face_triangulations
 
 
 def remove_vertices(emb, remove):
@@ -176,16 +176,18 @@ def test_peels_match_removal_when_a_vertex_isolates_mid_peel():
 
 
 def test_min_peels_over_faces_matches_rebuilt_embeddings():
+    # the theorem-1 mask route against iterated removal on the built triangulations
     gadget = gen_counterexample(2)
     long_face = next(f for f in gadget.faces if len(f) != 3)
     tris = list(enumerate_face_triangulations(gadget, long_face))
-    assert len(tris) == 132
-    for tri in tris[::11]:
+    masks = list(_triangulation_masks(gadget, OracleBudget()))
+    assert len(tris) == len(masks) == 132
+    for tri, tri_masks in list(zip(tris, masks))[::11]:
         rot = {v: tri.rotation(v) for v in tri.vertices}
         by_removal = min(
             len(removal_peels(Embedding(rot, [f.darts[0]]))) for f in tri.faces
         )
-        assert _min_peels_over_faces(tri) == by_removal
+        assert _min_peels(tri_masks, gadget.vertex_count) == by_removal
 
 
 def test_radial_peel_reports_unreachable_vertices():
