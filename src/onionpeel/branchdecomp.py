@@ -12,7 +12,7 @@ plus one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .embedding import Edge, Embedding, _components, is_triangulated_disk
 from .errors import (
@@ -170,6 +170,13 @@ def build_branch_tree(
     (the unique inner side for outer edges).  Face nodes keep degree <= 3
     because a triangle contributes at most one incidence per edge.
     """
+    return _branch_tree(dual, disk, forest)[0]
+
+
+def _branch_tree(
+    dual: DualTree, disk: Embedding, forest: RootedForest
+) -> tuple[BranchDecomposition, list[ArcCut]]:
+    """:func:`build_branch_tree`'s tree and the crossing set of every arc."""
     forest_edges, outer_edges = _forest_and_outer_edges(disk, forest)
     outer_idx = disk.faces.index(disk.outer_faces[0])
     nodes: list[BDNode] = []
@@ -212,13 +219,14 @@ def build_branch_tree(
         if n.kind == "edge" and degree.get(n.id, 0) != 1:
             raise InvariantViolation(f"edge node {n.id} is not a leaf")
     _check_tree([n.id for n in nodes], arcs)
-    width, _ = _width_and_cuts(nodes, arcs, assignment)
-    return BranchDecomposition(
+    width, cuts = _width_and_cuts(nodes, arcs, assignment)
+    bd = BranchDecomposition(
         nodes=tuple(nodes),
         arcs=tuple(sorted(arcs)),
         assignment=assignment,
         width=width,
     )
+    return bd, cuts
 
 
 def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
@@ -227,7 +235,15 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
     Each subtree's map counts the edges below it of every vertex that
     crosses the arc above it.  A vertex leaves the map once all its edges
     lie below: it crosses no arc further up.  So a map holds one arc's
-    crossing set, and the whole pass costs O(E * width).
+    crossing set, at most width entries.
+
+    Maps merge small into large: a node keeps its largest child's map,
+    adds the smaller maps and its own leaf edge into it in place, and
+    tests only the vertices whose count just changed for completion.  A
+    node thus pays for the entries of its smaller children's maps, not
+    for the map it passes up, and the pass costs O(E + sum of the smaller
+    maps' sizes), at most O(E * width).  Arc nodes, whose one smaller
+    child is a leaf, pay O(1).
     """
     if not arcs:
         return 0, []
@@ -248,21 +264,27 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
             if y not in parent:
                 parent[y] = x
                 order.append(y)
-    counts: dict[int, dict[int, int]] = {}
+    below: dict[int, list[dict[int, int]]] = {}  # node -> its children's maps
     cuts: list[ArcCut] = []
     width = 0
     for x in reversed(order):
-        c: dict[int, int] = {}
+        maps = below.pop(x, [])
+        c = max(maps, key=len) if maps else {}
+        changed: list[int] = []
+        for m in maps:
+            if m is not c:
+                for v, n in m.items():
+                    c[v] = c.get(v, 0) + n
+                changed += m
         if x in leaf_edge:
             for v in leaf_edge[x]:
                 c[v] = c.get(v, 0) + 1
-        for y in adj[x]:
-            if y != parent[x] and parent.get(y) == x:
-                for v, n in counts.pop(y).items():
-                    c[v] = c.get(v, 0) + n
-        c = {v: n for v, n in c.items() if n < total[v]}
-        counts[x] = c
+            changed += leaf_edge[x]
+        for v in changed:
+            if c.get(v) == total[v]:
+                del c[v]
         if x != root:
+            below.setdefault(parent[x], []).append(c)
             crossing = frozenset(c)
             arc = (min(x, parent[x]), max(x, parent[x]))
             cuts.append(ArcCut(arc=arc, crossing=crossing))
@@ -291,15 +313,31 @@ def certify_width_bound(
     must lie on the root paths of the subdivided edge's endpoints (a path
     from outer face to outer face, or a cycle through the forest); for an
     arc at an edge-node leaf they must be endpoints of that edge.
+
+    A caller may hand in a tree it built itself, so this call recomputes
+    the width and cuts and checks the stored width against them.  The
+    pipeline has them from building the tree and hands them over once.
     """
     width, cuts = compute_width(bd)
     if width != bd.width:
         raise InvariantViolation(f"stored width {bd.width} != computed {width}")
+    return _certify(disk, forest, bd, cuts)
+
+
+def _certify(
+    disk: Embedding,
+    forest: RootedForest,
+    bd: BranchDecomposition,
+    cuts: Iterable[ArcCut],
+) -> WidthCertificate:
+    """:func:`certify_width_bound` on cuts already computed for ``bd``."""
+    width = bd.width
     h = forest.height
     bound = 2 * (h + 1)
     if width > bound:
         raise BoundViolated(f"width {width} exceeds 2(h+1) = {bound}")
     node_by_id = {n.id: n for n in bd.nodes}
+    separators: dict[int, set[int]] = {}
     for cut in cuts:
         a, b = (node_by_id[cut.arc[0]], node_by_id[cut.arc[1]])
         if a.kind == "edge" or b.kind == "edge":
@@ -310,19 +348,9 @@ def certify_width_bound(
                 )
             continue
         arc_node = a if a.kind == "arc" else b
-        v1, v2 = arc_node.edge
-        p1 = forest.root_path(v1)
-        p2 = forest.root_path(v2)
-        if p1[-1] != p2[-1]:
-            separator = set(p1) | set(p2)
-        else:
-            on_p1 = set(p1)
-            up = [v2]
-            while up[-1] not in on_p1:
-                up.append(forest.parent[up[-1]])
-            lca = up[-1]
-            separator = set(up) | set(p1[: p1.index(lca) + 1])
-        if not cut.crossing <= separator:
+        if arc_node.id not in separators:
+            separators[arc_node.id] = _separator(forest, *arc_node.edge)
+        if not cut.crossing <= separators[arc_node.id]:
             raise BoundViolated(
                 f"cut at arc {cut.arc} escapes its forest separator"
             )
@@ -333,6 +361,24 @@ def certify_width_bound(
         width_bound=bound,
         tw_bound=treewidth_bound(width),
     )
+
+
+def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
+    """Forest vertices on the root paths of v1 and v2.
+
+    With one root, the paths are cut at the lowest common ancestor: the
+    separator is the cycle closed by the edge v1-v2.
+    """
+    p1 = forest.root_path(v1)
+    p2 = forest.root_path(v2)
+    if p1[-1] != p2[-1]:
+        return set(p1) | set(p2)
+    on_p1 = set(p1)
+    up = [v2]
+    while up[-1] not in on_p1:
+        up.append(forest.parent[up[-1]])
+    lca = up[-1]
+    return set(up) | set(p1[: p1.index(lca) + 1])
 
 
 def decompose_pipeline(emb: Embedding) -> WidthCertificate:
@@ -352,8 +398,8 @@ def _decompose(emb: Embedding) -> tuple[WidthCertificate, int]:
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
     dual = build_dual_tree(disk, forest)
-    bd = build_branch_tree(dual, disk, forest)
-    cert = certify_width_bound(disk, forest, bd)
+    bd, cuts = _branch_tree(dual, disk, forest)
+    cert = _certify(disk, forest, bd, cuts)
     if cert.width > 2 * k:
         raise BoundViolated(f"width {cert.width} exceeds 2k = {2 * k}")
     if cert.tw_bound > 3 * k - 1:

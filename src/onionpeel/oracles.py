@@ -260,8 +260,11 @@ def _min_peels(face_masks: list[int], n: int) -> int:
     Vertices are bits 0..n-1 and each face is the mask of its vertices.
     From each start face, a breadth-first search adds, per layer, every
     unplaced vertex sharing a face with the layer, and counts the layers:
-    the peel count with that face outer.  A vertex never reached raises a
-    bug certificate.
+    the peel count with that face outer.  A later start is abandoned as
+    soon as it needs at least the best count so far.  The first start
+    runs to the end: a vertex it never reaches raises a bug certificate,
+    and would be unreached from every start, as co-facial reachability
+    is connectivity.
     """
     near = [0] * n
     for mask in face_masks:
@@ -272,10 +275,10 @@ def _min_peels(face_masks: list[int], n: int) -> int:
             rest ^= low
     everyone = (1 << n) - 1
     best = n
-    for start in face_masks:
+    for i, start in enumerate(face_masks):
         placed = layer = start
         peels = 0
-        while layer:
+        while layer and (i == 0 or peels + 1 < best):
             peels += 1
             reach = 0
             while layer:
@@ -284,12 +287,13 @@ def _min_peels(face_masks: list[int], n: int) -> int:
                 layer ^= low
             layer = reach & ~placed
             placed |= layer
-        if placed != everyone:
+        if i == 0 and placed != everyone:
             raise InvariantViolation(
                 f"co-facial search never reached {bin(everyone & ~placed).count('1')} "
                 "vertices"
             )
-        best = min(best, peels)
+        if not layer:
+            best = peels
     return best
 
 
@@ -350,23 +354,52 @@ def _triangulation_masks(gadget: Embedding, budget: OracleBudget) -> Iterator[li
 
 
 def is_three_connected(graph) -> bool:
-    """Exhaustive 1- and 2-cut check on an embedding or an edge list.
+    """1- and 2-cut check on an embedding or an edge list.
 
-    With 4 or more vertices, a disconnected graph fails at a 1-cut.
+    With 4 or more vertices, the graph is 3-connected iff removing any
+    one vertex leaves it connected and without an articulation point:
+    one low-point search per removed vertex.  A disconnected graph fails
+    at a 1-cut.
     """
     adj = _adjacency(graph)
     if len(adj) < 4:
         return False
-    for r in (1, 2):
-        for cut in combinations(adj, r):
-            if not _connected_without(adj, set(cut)):
-                return False
-    return True
+    return not any(_cut_vertex_without(adj, r) for r in adj)
 
 
-def _connected_without(adj: dict[int, set[int]], removed: set[int]) -> bool:
-    rest = {v: [w for w in ns if w not in removed] for v, ns in adj.items() if v not in removed}
-    return len(set(_components(rest).values())) <= 1
+def _cut_vertex_without(adj: dict[int, set[int]], r: int) -> bool:
+    """Whether G - r is disconnected or has an articulation point.
+
+    Iterative depth-first search with Hopcroft-Tarjan low points: a
+    non-root vertex p is an articulation point iff some child x of p has
+    low[x] >= disc[p], and the root iff it has two or more children.  The
+    tree edge back to p may count as a back edge: it lowers low[x] to
+    disc[p] at most, which leaves that test as it was.
+    """
+    start = next(v for v in adj if v != r)
+    disc = {start: 0}
+    low = {start: 0}
+    root_children = 0
+    stack = [(start, None, iter(adj[start]))]
+    while stack:
+        x, px, todo = stack[-1]
+        for y in todo:
+            if y == r:
+                continue
+            if y not in disc:
+                disc[y] = low[y] = len(disc)
+                stack.append((y, x, iter(adj[y])))
+                break
+            low[x] = min(low[x], disc[y])
+        else:
+            stack.pop()
+            if px == start:
+                root_children += 1
+            elif px is not None:
+                if low[x] >= disc[px]:
+                    return True
+                low[px] = min(low[px], low[x])
+    return root_children > 1 or len(disc) < len(adj) - 1
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from onionpeel import (
@@ -13,19 +16,40 @@ from onionpeel import (
     gen_cycle,
     gen_nested_triangles,
     gen_path,
+    gen_random_kouter,
     gen_wheel,
     onion_peels,
     to_triangulated_disk,
     treewidth_bound,
     verify_tree_cotree,
 )
-from onionpeel.branchdecomp import ArcCut, _width_and_cuts
+from onionpeel import branchdecomp
+from onionpeel.branchdecomp import ArcCut, _branch_tree, _certify, _decompose, _width_and_cuts
 
 
 def disk_and_forest(emb):
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
     return disk, forest
+
+
+def relabel(emb, rng):
+    """The same embedding under a seeded random vertex relabelling."""
+    verts = list(emb.vertices)
+    perm = verts[:]
+    rng.shuffle(perm)
+    p = dict(zip(verts, perm))
+    rot = {p[v]: [p[w] for w in emb.rotation(v)] for v in verts}
+    return Embedding(rot, [(p[a], p[b]) for a, b in emb.outer_darts])
+
+
+def deep_disks():
+    """Inputs shaped like the benchmark's: 8x14 k-ring disks and nested triangles 36 deep."""
+    rng = random.Random(11)
+    disks = [(f"rk8x14#{i}", gen_random_kouter(8, 14, rng.randrange(10**9))) for i in range(3)]
+    disks.append(("nested36", gen_nested_triangles(36)))
+    disks += [(f"nested36#{i}", relabel(gen_nested_triangles(36), rng)) for i in range(2)]
+    return disks
 
 
 def test_dual_tree_triangle():
@@ -137,12 +161,41 @@ def unpruned_width_and_cuts(nodes, arcs, assignment):
 
 
 def test_width_and_cuts_match_unpruned_aggregation(corpus):
-    extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))]
+    extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))] + deep_disks()
     for label, emb in corpus + extra:
         disk, forest = disk_and_forest(emb)
         bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
         args = (bd.nodes, bd.arcs, bd.assignment)
         assert _width_and_cuts(*args) == unpruned_width_and_cuts(*args), label
+
+
+class CountedVertex(int):
+    """A vertex label that counts how often a dict or set hashes it."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedVertex.hashes += 1
+        return int.__hash__(self)
+
+
+def test_width_pass_merges_small_maps_into_large():
+    # nested triangles 9..72 deep have widths 18..144; merging each node's
+    # smaller maps into its largest keeps the dict work per edge flat,
+    # where copying or merging into a smaller map grows with the width
+    per_edge = []
+    for depth in (9, 72):
+        disk, forest = disk_and_forest(gen_nested_triangles(depth))
+        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+        assignment = {
+            (CountedVertex(u), CountedVertex(v)): leaf
+            for (u, v), leaf in bd.assignment.items()
+        }
+        CountedVertex.hashes = 0
+        width, _ = _width_and_cuts(bd.nodes, bd.arcs, assignment)
+        assert width == bd.width == 2 * depth
+        per_edge.append(CountedVertex.hashes / len(assignment))
+    assert per_edge[1] < 1.25 * per_edge[0], per_edge
 
 
 def test_width_two_ways_agree(small_corpus):
@@ -182,6 +235,65 @@ def test_certify_and_bounds_corpus(corpus):
         cert = certify_width_bound(disk, forest, bd)
         assert cert.width <= cert.width_bound, label
         assert cert.width_bound == 2 * (forest.height + 1), label
+
+
+def test_pipeline_certificate_matches_public_route(corpus):
+    for label, emb in corpus:
+        disk, forest = disk_and_forest(emb)
+        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+        public = certify_width_bound(disk, forest, bd)
+        cert, k_out = _decompose(emb)
+        k = onion_peels(emb).k
+        assert cert == dataclasses.replace(public, peel_count=k), label
+        assert k_out == public.peel_count, label
+
+
+def test_width_pass_runs_once_per_pipeline(monkeypatch):
+    calls = []
+    width_and_cuts = branchdecomp._width_and_cuts
+
+    def counting(*args):
+        calls.append(1)
+        return width_and_cuts(*args)
+
+    emb = gen_random_kouter(4, 7, 3)
+    monkeypatch.setattr(branchdecomp, "_width_and_cuts", counting)
+    decompose_pipeline(emb)
+    assert len(calls) == 1
+    calls.clear()
+    disk, forest = disk_and_forest(emb)
+    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+    certify_width_bound(disk, forest, bd)
+    assert len(calls) == 2  # the public call recomputes the cuts
+
+
+def test_certify_rejects_a_wrong_stored_width():
+    disk, forest = disk_and_forest(gen_nested_triangles(4))
+    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+    certify_width_bound(disk, forest, bd)
+    with pytest.raises(errors.InvariantViolation):
+        certify_width_bound(disk, forest, dataclasses.replace(bd, width=bd.width + 1))
+
+
+def test_certify_rejects_a_crossing_vertex_off_its_separator():
+    disk, forest = disk_and_forest(gen_nested_triangles(4))
+    bd, cuts = _branch_tree(build_dual_tree(disk, forest), disk, forest)
+    _certify(disk, forest, bd, cuts)
+    kind = {n.id: n for n in bd.nodes}
+    tampered = 0
+    for i, cut in enumerate(cuts):
+        ends = [kind[x] for x in cut.arc]
+        arc_node = next((n for n in ends if n.kind == "arc"), None)
+        if arc_node is None or any(n.kind == "edge" for n in ends):
+            continue
+        v1, v2 = arc_node.edge
+        paths = set(forest.root_path(v1)) | set(forest.root_path(v2))
+        off = min(set(disk.vertices) - paths)
+        bad = cuts[:i] + [ArcCut(cut.arc, cut.crossing | {off})] + cuts[i + 1:]
+        with pytest.raises(errors.BoundViolated):
+            _certify(disk, forest, bd, bad)
+        tampered += 1
+    assert tampered == 2 * sum(1 for n in bd.nodes if n.kind == "arc")
 
 
 def test_tree_cotree_second_route(small_corpus):

@@ -22,9 +22,10 @@ from onionpeel import (
     is_triangulation,
     onion_peels,
 )
-from onionpeel.embedding import _FaceBuilder, _trace
+from onionpeel.embedding import _FaceBuilder, _components, _trace
 from onionpeel.oracles import (
     _abstract_components,
+    _adjacency,
     _component_outerplanarity,
     _face_fillings,
     _min_peels,
@@ -206,6 +207,76 @@ def test_three_connectivity_checker():
     # two disjoint K4s: each side 3-connected, the whole not connected
     k4 = list(itertools.combinations(range(4), 2))
     assert not is_three_connected(k4 + [(u + 4, v + 4) for u, v in k4])
+    # two K4s sharing the edge 0-1: with either end removed, the other is
+    # the first vertex searched from and the only articulation point
+    assert not is_three_connected(k4 + [(0, 4), (0, 5), (1, 4), (1, 5), (4, 5)])
+
+
+def smallest_cut(adj):
+    """Reference: the size of the smallest vertex set of at most 2 whose
+    removal disconnects the graph, by a component search after removing
+    every such set; None if there is none."""
+    for r in (0, 1, 2):
+        for cut in itertools.combinations(adj, r):
+            rest = {v: [w for w in ns if w not in cut] for v, ns in adj.items() if v not in cut}
+            if len(set(_components(rest).values())) > 1:
+                return r
+    return None
+
+
+def exhaustive_three_connected(graph):
+    """Reference: the component search after every 1- and 2-vertex removal."""
+    adj = _adjacency(graph)
+    return len(adj) >= 4 and smallest_cut(adj) is None
+
+
+def random_connectivity_graphs(count, seed):
+    """Seeded graphs on 4-11 vertices: G(n, p), and two G(n, p) glued at a pair.
+
+    p is drawn from [0.15, 1) per graph, so disconnected draws and cut
+    vertices occur; gluing two dense halves at two shared vertices gives
+    graphs whose only small cut is a pair.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(4, 11)
+        p = rng.uniform(0.15, 1.0)
+        edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+        if rng.random() < 0.3 and n >= 6:
+            cut = rng.randint(3, n - 3)
+            sides = (range(0, cut + 2), range(cut, n))
+            edges = {
+                e
+                for side in sides
+                for e in itertools.combinations(side, 2)
+                if rng.random() < max(p, 0.7)
+            }
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges))
+    return graphs
+
+
+def test_three_connectivity_matches_exhaustive_search_on_random_graphs():
+    kinds = {0: 0, 1: 0, 2: 0, None: 0}  # disconnected, cut vertex, cut pair, none
+    for i, edges in enumerate(random_connectivity_graphs(400, seed=3)):
+        assert is_three_connected(edges) == exhaustive_three_connected(edges), i
+        adj = _adjacency(edges)
+        if len(adj) >= 4:
+            kinds[smallest_cut(adj)] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_three_connectivity_matches_exhaustive_search_on_corpus_and_gadgets(corpus):
+    found = {}
+    for label, emb in corpus:
+        found[label] = is_three_connected(emb)
+        assert found[label] == exhaustive_three_connected(emb), label
+        assert is_three_connected(emb.edges) == found[label], label
+    # theorem 1's gadgets: K4 minus an edge and K4 for k = 1, G_k for k >= 2
+    gadgets = ["k4me", "wheel3"] + [f"counter{k}" for k in range(2, 7)]
+    assert [found[label] for label in gadgets] == [False] + [True] * 6
 
 
 def test_theorem1_k1():
