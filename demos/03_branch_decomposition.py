@@ -11,9 +11,7 @@ is covered by two root paths plus one edge, so the width is at most
 
 from onionpeel import (
     build_branch_tree,
-    build_dual_tree,
     build_rooted_forest,
-    compute_width,
     decompose_pipeline,
     gen_counterexample,
     gen_nested_triangles,
@@ -26,13 +24,16 @@ from onionpeel import (
 disk, _ = to_triangulated_disk(gen_wheel(3))
 forest = build_rooted_forest(disk)
 print("K4 forest: roots", sorted(forest.roots), "parents", dict(forest.parent))
-dual = build_dual_tree(disk, forest)
-print("dual tree: faces", dual.face_ids, "arcs", [(a, b) for a, b, _ in dual.arcs])
+bd = build_branch_tree(disk, forest)  # built, cut and certified in one call
+faces = [n.face for n in bd.nodes if n.kind == "face"]
+dual = {n.id: [] for n in bd.nodes if n.kind == "arc"}  # arc node -> its faces
+for a, b in bd.arcs:
+    if bd.nodes[a].kind == "face" and b in dual:
+        dual[b].append(bd.nodes[a].face)
+print("dual tree: faces", faces, "arcs", [tuple(fs) for fs in dual.values()])
 verify_tree_cotree(disk, forest)  # the tree-co-tree route agrees
-bd = build_branch_tree(dual, disk, forest)
-width, cuts = compute_width(bd)
-print(f"branch tree: {len(bd.nodes)} nodes, width {width}")
-for cut in cuts:
+print(f"branch tree: {len(bd.nodes)} nodes, width {bd.width}")
+for cut in bd.cuts:
     print(f"  arc {cut.arc}: crossing {sorted(cut.crossing)}")
 
 # The one-call pipeline, on instances of growing depth.

@@ -11,12 +11,8 @@ from .branchdecomp import (
     ArcCut,
     BDNode,
     BranchDecomposition,
-    DualTree,
     WidthCertificate,
     build_branch_tree,
-    build_dual_tree,
-    certify_width_bound,
-    compute_width,
     decompose_pipeline,
     treewidth_bound,
     verify_tree_cotree,
@@ -75,9 +71,8 @@ __all__ = [
     "branchdecomp", "embedding", "epg", "errors", "generators", "oracles",
     "peeling", "triangulate",
     # branchdecomp
-    "ArcCut", "BDNode", "BranchDecomposition", "DualTree", "WidthCertificate",
-    "build_branch_tree", "build_dual_tree", "certify_width_bound",
-    "compute_width", "decompose_pipeline", "treewidth_bound",
+    "ArcCut", "BDNode", "BranchDecomposition", "WidthCertificate",
+    "build_branch_tree", "decompose_pipeline", "treewidth_bound",
     "verify_tree_cotree",
     # embedding
     "Dart", "Edge", "Embedding", "FaceWalk", "build_embedding", "edge_of",

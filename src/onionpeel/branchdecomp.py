@@ -1,18 +1,22 @@
 """Branch decompositions of triangulated disks from rooted forests.
 
-The dual tree T* has one node per inner face and one arc per edge that is
-neither a forest edge nor on the outer cycle (tree-co-tree: those duals
-form a spanning tree of the dual minus the outer face).  Subdividing every
-arc and hanging one leaf per graph edge yields a degree-<=3 tree whose
+The duals of the edges that are neither forest edges nor on the outer
+cycle form a tree T* on the inner faces (tree-co-tree: the forest plus
+all but one outer edge is a spanning tree, so the remaining duals span
+the dual graph, with the outer face as a leaf).  Subdividing every arc of
+T* and hanging one leaf per graph edge yields a degree-<=3 tree whose
 leaf assignment is a branch decomposition; a forest of height h-1 bounds
 its width by 2h because every cut is covered by at most two root paths
-plus one edge.
+plus one edge.  :func:`build_branch_tree` is the one builder: it computes
+every cut once and certifies that bound before it hands out the tree.
+:func:`verify_tree_cotree` reaches T* by the tree-co-tree route instead.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .embedding import Edge, Embedding, _components, is_triangulated_disk
 from .errors import (
@@ -25,14 +29,6 @@ from .errors import (
 )
 from .peeling import RootedForest, build_rooted_forest, onion_peels, validate_forest
 from .triangulate import to_triangulated_disk
-
-
-@dataclass(frozen=True)
-class DualTree:
-    """Inner-face tree: nodes are face indices, arcs carry their primal edge."""
-
-    face_ids: tuple[int, ...]
-    arcs: tuple[tuple[int, int, Edge], ...]
 
 
 @dataclass(frozen=True)
@@ -51,19 +47,13 @@ class ArcCut:
 
 @dataclass(frozen=True)
 class BranchDecomposition:
-    """Degree-<=3 tree with one leaf per graph edge."""
+    """Degree-<=3 tree with one leaf per graph edge, and every arc's cut."""
 
-    nodes: tuple[BDNode, ...]
+    nodes: tuple[BDNode, ...]  # node ids are positions
     arcs: tuple[tuple[int, int], ...]
     assignment: Mapping[Edge, int]
     width: int
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for a, b in self.arcs:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+    cuts: tuple[ArcCut, ...]  # sorted by arc
 
 
 @dataclass(frozen=True)
@@ -75,39 +65,77 @@ class WidthCertificate:
     width: int
     width_bound: int  # 2 * (forest_height + 1)
     tw_bound: int
+    disk_peel_count: int  # of the triangulated disk the tree was built on
 
 
-def _forest_and_outer_edges(
-    disk: Embedding, forest: RootedForest
-) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    return forest.edges(), frozenset(disk.outer_faces[0].edges())
+def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposition:
+    """The certified branch tree of a triangulated disk and its rooted forest.
 
-
-def build_dual_tree(disk: Embedding, forest: RootedForest) -> DualTree:
-    """Dual tree on the inner faces of a triangulated disk.
-
-    Arcs are the duals of edges not in the forest and not on the outer
-    cycle.  The construction is verified to be a tree; failure is a bug
-    certificate.
+    Face nodes are the inner faces, in face order.  Every edge neither in
+    the forest nor on the outer cycle is a dual arc, subdivided by an arc
+    node; arc nodes follow in edge order.  Then one edge-node leaf per
+    graph edge, in edge order, hangs from its arc node, or else from the
+    inner face on the side of its canonical dart (the unique inner side
+    for outer edges).  Face nodes keep degree <= 3 because a triangle
+    contributes at most one incidence per edge.  The tree and degree
+    checks and :func:`_certify` are bug certificates.
     """
     if not is_triangulated_disk(disk):
-        raise NotADisk("dual tree requires a triangulated disk")
+        raise NotADisk("branch tree requires a triangulated disk")
     validate_forest(disk, forest)
-    forest_edges, outer_edges = _forest_and_outer_edges(disk, forest)
+    forest_edges = forest.edges()
+    outer_edges = frozenset(disk.outer_faces[0].edges())
     outer_idx = disk.faces.index(disk.outer_faces[0])
-    face_ids = tuple(i for i in range(len(disk.faces)) if i != outer_idx)
-    arcs = []
+    nodes: list[BDNode] = []
+    node_of_face: dict[int, int] = {}
+    for fi in range(len(disk.faces)):
+        if fi != outer_idx:
+            node_of_face[fi] = len(nodes)
+            nodes.append(BDNode(id=len(nodes), kind="face", face=fi))
+    # face ids < arc ids < leaf ids, so every arc below is already (min, max)
+    arcs: list[tuple[int, int]] = []
+    hangs: list[int] = []  # per edge, the node its leaf hangs from
     for e in disk.edges:
-        if e in forest_edges or e in outer_edges:
-            continue
         u, v = e
         f1 = disk.face_index_of_dart((u, v))
         f2 = disk.face_index_of_dart((v, u))
-        if outer_idx in (f1, f2):
+        if e in forest_edges or e in outer_edges:
+            side = f2 if f1 == outer_idx else f1
+            if side == outer_idx:
+                raise InvariantViolation(f"edge {e} has no inner side")
+            hangs.append(node_of_face[side])
+        elif outer_idx in (f1, f2):
             raise InvariantViolation(f"non-outer edge {e} flanks the outer face")
-        arcs.append((f1, f2, e))
-    _check_tree(face_ids, [(a, b) for a, b, _ in arcs])
-    return DualTree(face_ids=face_ids, arcs=tuple(arcs))
+        else:
+            a = len(nodes)
+            nodes.append(BDNode(id=a, kind="arc", edge=e))
+            arcs += [(node_of_face[f1], a), (node_of_face[f2], a)]
+            hangs.append(a)
+    assignment: dict[Edge, int] = {}
+    for e, hang in zip(disk.edges, hangs):
+        leaf = len(nodes)
+        nodes.append(BDNode(id=leaf, kind="edge", edge=e))
+        assignment[e] = leaf
+        arcs.append((hang, leaf))
+    arcs.sort()
+
+    degree = Counter(x for arc in arcs for x in arc)
+    for n in nodes:
+        if degree[n.id] > 3:
+            raise DegreeOverflow(f"node {n.id} ({n.kind}) has degree {degree[n.id]}")
+        if n.kind == "edge" and degree[n.id] != 1:
+            raise InvariantViolation(f"edge node {n.id} is not a leaf")
+    _check_tree([n.id for n in nodes], arcs)
+    width, cuts = _width_and_cuts(nodes, arcs, assignment)
+    bd = BranchDecomposition(
+        nodes=tuple(nodes),
+        arcs=tuple(arcs),
+        assignment=assignment,
+        width=width,
+        cuts=cuts,
+    )
+    _certify(forest, bd)
+    return bd
 
 
 def _check_tree(nodes, arcs) -> None:
@@ -127,10 +155,11 @@ def verify_tree_cotree(disk: Embedding, forest: RootedForest) -> None:
     The forest edges plus all but one outer edge (the one with the
     smallest canonical dart) form a spanning tree; the duals of the
     remaining edges must form a spanning tree of the dual graph in which
-    the outer face is a leaf.  Deleting that leaf must reproduce
-    build_dual_tree's arc set exactly.
+    the outer face is a leaf.  Deleting that leaf must give exactly the
+    face pairs that the arc nodes of :func:`build_branch_tree` join.
     """
-    forest_edges, outer_edges = _forest_and_outer_edges(disk, forest)
+    forest_edges = forest.edges()
+    outer_edges = frozenset(disk.outer_faces[0].edges())
     excluded = min(outer_edges)
     tree_edges = forest_edges | (outer_edges - {excluded})
     if len(tree_edges) != disk.vertex_count - 1:
@@ -151,85 +180,21 @@ def verify_tree_cotree(disk: Embedding, forest: RootedForest) -> None:
         raise InvariantViolation(
             f"outer face has co-tree degree {outer_degree}, expected a leaf"
         )
-    dual = build_dual_tree(disk, forest)
+    bd = build_branch_tree(disk, forest)
+    faces_of: dict[int, list[int]] = {}  # arc node -> the faces it joins
+    for pair in bd.arcs:
+        x, y = (bd.nodes[i] for i in pair)
+        if x.kind == "face" and y.kind == "arc":
+            faces_of.setdefault(y.id, []).append(x.face)
     pruned = {
         (min(a, b), max(a, b)) for a, b in co_arcs if outer_idx not in (a, b)
     }
-    built = {(min(a, b), max(a, b)) for a, b, _ in dual.arcs}
+    built = {(min(fs), max(fs)) for fs in faces_of.values()}
     if pruned != built:
-        raise InvariantViolation("co-tree arcs differ from the dual-tree arcs")
+        raise InvariantViolation("co-tree arcs differ from the branch tree's arc nodes")
 
 
-def build_branch_tree(
-    dual: DualTree, disk: Embedding, forest: RootedForest
-) -> BranchDecomposition:
-    """Subdivide every dual arc and hang one edge-node leaf per graph edge.
-
-    Edges whose dual is an arc attach to their arc node; forest and outer
-    edges attach to the inner face on the side of their canonical dart
-    (the unique inner side for outer edges).  Face nodes keep degree <= 3
-    because a triangle contributes at most one incidence per edge.
-    """
-    return _branch_tree(dual, disk, forest)[0]
-
-
-def _branch_tree(
-    dual: DualTree, disk: Embedding, forest: RootedForest
-) -> tuple[BranchDecomposition, list[ArcCut]]:
-    """:func:`build_branch_tree`'s tree and the crossing set of every arc."""
-    forest_edges, outer_edges = _forest_and_outer_edges(disk, forest)
-    outer_idx = disk.faces.index(disk.outer_faces[0])
-    nodes: list[BDNode] = []
-    node_of_face: dict[int, int] = {}
-    for fi in dual.face_ids:
-        node_of_face[fi] = len(nodes)
-        nodes.append(BDNode(id=len(nodes), kind="face", face=fi))
-    arcs: list[tuple[int, int]] = []
-    node_of_dual_arc: dict[Edge, int] = {}
-    for f1, f2, e in sorted(dual.arcs, key=lambda t: t[2]):
-        a = len(nodes)
-        nodes.append(BDNode(id=a, kind="arc", edge=e))
-        node_of_dual_arc[e] = a
-        arcs.append((node_of_face[f1], a))
-        arcs.append((a, node_of_face[f2]))
-    assignment: dict[Edge, int] = {}
-    for e in disk.edges:
-        leaf = len(nodes)
-        nodes.append(BDNode(id=leaf, kind="edge", edge=e))
-        assignment[e] = leaf
-        if e in node_of_dual_arc:
-            arcs.append((node_of_dual_arc[e], leaf))
-        else:
-            u, v = e
-            side = disk.face_index_of_dart((u, v))
-            if side == outer_idx:
-                side = disk.face_index_of_dart((v, u))
-            if side == outer_idx:
-                raise InvariantViolation(f"edge {e} has no inner side")
-            arcs.append((node_of_face[side], leaf))
-    arcs = [(min(a, b), max(a, b)) for a, b in arcs]
-
-    degree: dict[int, int] = {}
-    for a, b in arcs:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    for n in nodes:
-        if degree.get(n.id, 0) > 3:
-            raise DegreeOverflow(f"node {n.id} ({n.kind}) has degree {degree[n.id]}")
-        if n.kind == "edge" and degree.get(n.id, 0) != 1:
-            raise InvariantViolation(f"edge node {n.id} is not a leaf")
-    _check_tree([n.id for n in nodes], arcs)
-    width, cuts = _width_and_cuts(nodes, arcs, assignment)
-    bd = BranchDecomposition(
-        nodes=tuple(nodes),
-        arcs=tuple(sorted(arcs)),
-        assignment=assignment,
-        width=width,
-    )
-    return bd, cuts
-
-
-def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
+def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     """Exact per-arc crossing sets by bottom-up subtree aggregation.
 
     Each subtree's map counts the edges below it of every vertex that
@@ -246,7 +211,7 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
     child is a leaf, pay O(1).
     """
     if not arcs:
-        return 0, []
+        return 0, ()
     adj: dict[int, list[int]] = {n.id: [] for n in nodes}
     for a, b in arcs:
         adj[a].append(b)
@@ -290,12 +255,6 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, list[ArcCut]]:
             cuts.append(ArcCut(arc=arc, crossing=crossing))
             width = max(width, len(crossing))
     cuts.sort(key=lambda c: c.arc)
-    return width, cuts
-
-
-def compute_width(bd: BranchDecomposition) -> tuple[int, tuple[ArcCut, ...]]:
-    """Exact width and the crossing set of every arc."""
-    width, cuts = _width_and_cuts(bd.nodes, bd.arcs, bd.assignment)
     return width, tuple(cuts)
 
 
@@ -304,42 +263,20 @@ def treewidth_bound(bw: int) -> int:
     return max(1, (3 * bw) // 2 - 1)
 
 
-def certify_width_bound(
-    disk: Embedding, forest: RootedForest, bd: BranchDecomposition
-) -> WidthCertificate:
-    """Certify width <= 2(height+1) and re-derive each cut's separator.
+def _certify(forest: RootedForest, bd: BranchDecomposition) -> None:
+    """Check width <= 2(height+1) and each of ``bd.cuts`` against its separator.
 
     For an arc between a face node and an arc node, the crossing vertices
     must lie on the root paths of the subdivided edge's endpoints (a path
     from outer face to outer face, or a cycle through the forest); for an
     arc at an edge-node leaf they must be endpoints of that edge.
-
-    A caller may hand in a tree it built itself, so this call recomputes
-    the width and cuts and checks the stored width against them.  The
-    pipeline has them from building the tree and hands them over once.
     """
-    width, cuts = compute_width(bd)
-    if width != bd.width:
-        raise InvariantViolation(f"stored width {bd.width} != computed {width}")
-    return _certify(disk, forest, bd, cuts)
-
-
-def _certify(
-    disk: Embedding,
-    forest: RootedForest,
-    bd: BranchDecomposition,
-    cuts: Iterable[ArcCut],
-) -> WidthCertificate:
-    """:func:`certify_width_bound` on cuts already computed for ``bd``."""
-    width = bd.width
-    h = forest.height
-    bound = 2 * (h + 1)
-    if width > bound:
-        raise BoundViolated(f"width {width} exceeds 2(h+1) = {bound}")
-    node_by_id = {n.id: n for n in bd.nodes}
+    bound = 2 * (forest.height + 1)
+    if bd.width > bound:
+        raise BoundViolated(f"width {bd.width} exceeds 2(h+1) = {bound}")
     separators: dict[int, set[int]] = {}
-    for cut in cuts:
-        a, b = (node_by_id[cut.arc[0]], node_by_id[cut.arc[1]])
+    for cut in bd.cuts:
+        a, b = (bd.nodes[i] for i in cut.arc)
         if a.kind == "edge" or b.kind == "edge":
             e = (a if a.kind == "edge" else b).edge
             if not cut.crossing <= frozenset(e):
@@ -354,13 +291,6 @@ def _certify(
             raise BoundViolated(
                 f"cut at arc {cut.arc} escapes its forest separator"
             )
-    return WidthCertificate(
-        peel_count=onion_peels(disk).k,
-        forest_height=h,
-        width=width,
-        width_bound=bound,
-        tw_bound=treewidth_bound(width),
-    )
 
 
 def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
@@ -382,34 +312,27 @@ def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
 
 
 def decompose_pipeline(emb: Embedding) -> WidthCertificate:
-    """Disk conversion, forest, dual tree, branch tree, width, bounds.
+    """Disk conversion, forest, certified branch tree, bounds.
 
     The returned certificate reports the input's peel count k and
     guarantees width <= 2k and treewidth bound <= 3k - 1.
     """
-    return _decompose(emb)[0]
-
-
-def _decompose(emb: Embedding) -> tuple[WidthCertificate, int]:
-    """:func:`decompose_pipeline`'s certificate and its disk's peel count."""
     if emb.vertex_count < 3:
         raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k = onion_peels(emb).k
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
-    dual = build_dual_tree(disk, forest)
-    bd, cuts = _branch_tree(dual, disk, forest)
-    cert = _certify(disk, forest, bd, cuts)
-    if cert.width > 2 * k:
-        raise BoundViolated(f"width {cert.width} exceeds 2k = {2 * k}")
-    if cert.tw_bound > 3 * k - 1:
-        raise BoundViolated(
-            f"treewidth bound {cert.tw_bound} exceeds 3k-1 = {3 * k - 1}"
-        )
+    bd = build_branch_tree(disk, forest)
+    tw = treewidth_bound(bd.width)
+    if bd.width > 2 * k:
+        raise BoundViolated(f"width {bd.width} exceeds 2k = {2 * k}")
+    if tw > 3 * k - 1:
+        raise BoundViolated(f"treewidth bound {tw} exceeds 3k-1 = {3 * k - 1}")
     return WidthCertificate(
         peel_count=k,
-        forest_height=cert.forest_height,
-        width=cert.width,
-        width_bound=cert.width_bound,
-        tw_bound=cert.tw_bound,
-    ), cert.peel_count
+        forest_height=forest.height,
+        width=bd.width,
+        width_bound=2 * (forest.height + 1),
+        tw_bound=tw,
+        disk_peel_count=onion_peels(disk).k,
+    )

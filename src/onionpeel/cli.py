@@ -19,13 +19,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .branchdecomp import (
-    _decompose,
-    build_branch_tree,
-    build_dual_tree,
-    treewidth_bound,
-)
-from .embedding import Embedding
+from .branchdecomp import build_branch_tree, decompose_pipeline, treewidth_bound
+from .embedding import Edge, Embedding
 from .epg import format_epg, parse_epg, to_dot
 from .errors import BadParameter, FormatError, InvariantViolation, OnionPeelError
 from .generators import FAMILIES, GadgetSpec, build_gadget
@@ -60,11 +55,19 @@ class RunReport:
 THEOREM1_MAX_K = 6
 
 
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of ``path``, or of stdin without one."""
+    try:
+        if not path:
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path or 'stdin'} is not UTF-8 text: {exc}") from None
+
+
 def _read_embedding(args) -> Embedding:
-    if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return parse_epg(fh.read())
-    return parse_epg(sys.stdin.read())
+    return parse_epg(_read_text(getattr(args, "infile", None)))
 
 
 def _read_input(args) -> Embedding | None:
@@ -162,8 +165,7 @@ def _forest_report(emb: Embedding, args) -> dict:
 def _bd_report(emb: Embedding, args) -> dict:
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
-    dual = build_dual_tree(disk, forest)
-    bd = build_branch_tree(dual, disk, forest)
+    bd = build_branch_tree(disk, forest)
     nodes = []
     for n in bd.nodes:
         rec: dict = {"id": n.id, "kind": n.kind}
@@ -185,12 +187,12 @@ def _bd_report(emb: Embedding, args) -> dict:
 
 
 def _pipeline_report(emb: Embedding, args) -> dict:
-    cert, k_out = _decompose(emb)
+    cert = decompose_pipeline(emb)
     report = RunReport(
         command="pipeline",
         input_digest=_digest(emb),
         k_in=cert.peel_count,
-        k_out=k_out,
+        k_out=cert.disk_peel_count,
         forest_height=cert.forest_height,
         bd_width=cert.width,
         tw_bound=cert.tw_bound,
@@ -200,11 +202,7 @@ def _pipeline_report(emb: Embedding, args) -> dict:
 
 
 def _oracle_report(emb: Embedding | None, args) -> dict:
-    budget = OracleBudget(
-        max_edges=args.budget_edges,
-        max_vertices=args.budget_vertices,
-        max_chord_sets=args.budget_chords,
-    )
+    budget = OracleBudget(max_edges=args.budget_edges, max_vertices=args.budget_vertices)
     if args.which == "bw":
         return {"oracle": "bw", "edges": emb.edge_count,
                 "branchwidth": brute_branchwidth(emb, budget)}
@@ -241,11 +239,11 @@ _REPORTS = {
 def _cmd_verify(args) -> int:
     if not args.json:
         raise BadParameter("verify requires --json ARTIFACT")
-    with open(args.json, "r", encoding="utf-8") as fh:
-        try:
-            artifact = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"artifact is not JSON: {exc}") from None
+    text = _read_text(args.json)
+    try:
+        artifact = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"artifact is not JSON: {exc}") from None
     kind = _artifact_kind(artifact)
     _check_shape(kind, artifact)
     if kind == "oracle":
@@ -324,10 +322,18 @@ def _is_bd_node(x) -> bool:
     )
 
 
+def _edge_key(key: str) -> Edge | None:
+    """The edge a bd assignment key names, or None unless it reads ``f"{u}-{v}"``."""
+    m = re.fullmatch(r"(-?[0-9]+)-(-?[0-9]+)", key)
+    if m is None:
+        return None
+    u, v = int(m[1]), int(m[2])
+    return (u, v) if key == f"{u}-{v}" else None
+
+
 def _is_assignment(x) -> bool:
     return isinstance(x, dict) and all(
-        re.fullmatch(r"[0-9]+-[0-9]+", key) and _is_int(leaf)
-        for key, leaf in x.items()
+        _edge_key(key) is not None and _is_int(leaf) for key, leaf in x.items()
     )
 
 
@@ -412,11 +418,10 @@ def _verify_conversion(emb, artifact, args) -> None:
         "conversion artifact: rerun differs",
     )
     if args.out:
-        with open(args.out, "r", encoding="utf-8") as fh:
-            _require(
-                parse_epg(fh.read()) == out,
-                "conversion artifact: output embedding differs",
-            )
+        _require(
+            parse_epg(_read_text(args.out)) == out,
+            "conversion artifact: output embedding differs",
+        )
 
 
 def _verify_bd(emb, artifact, args) -> None:
@@ -443,10 +448,7 @@ def _verify_bd(emb, artifact, args) -> None:
     order, parent = _preorder(adj, min(nodes))
     _require(len(order) == len(nodes), "bd artifact: tree disconnected")
     _require(all(len(adj[i]) <= 3 for i in nodes), "bd artifact: degree > 3")
-    assignment = {}
-    for key, leaf in artifact["assignment"].items():
-        u, v = (int(t) for t in key.split("-"))
-        assignment[(u, v)] = leaf
+    assignment = {_edge_key(key): leaf for key, leaf in artifact["assignment"].items()}
     _require(
         sorted(assignment) == list(disk.edges), "bd artifact: edges mismatch"
     )
@@ -549,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def budget_flags(p):
         p.add_argument("--budget-edges", type=int, default=9)
         p.add_argument("--budget-vertices", type=int, default=7)
-        p.add_argument("--budget-chords", type=int, default=10**6)
 
     p = sub.add_parser("gen", help="emit a corpus family instance as EPG")
     p.add_argument("family", choices=FAMILIES)

@@ -42,11 +42,15 @@ from .generators import gen_counterexample, gen_k4_minus_edge
 class OracleBudget:
     max_edges: int = 9
     max_vertices: int = 7
-    max_chord_sets: int = 10**6
 
     def __post_init__(self):
-        if min(self.max_edges, self.max_vertices, self.max_chord_sets) < 1:
+        if min(self.max_edges, self.max_vertices) < 1:
             raise BadParameter("budgets must be positive")
+
+
+#: most polygon triangulations theorem 1 enumerates of one face; its faces
+#: are the gadget's 8-gon (Catalan(6) = 132) and K4 minus an edge's 4-face (2)
+MAX_CHORD_SETS = 10**6
 
 
 def _edge_list(graph) -> list[Edge]:
@@ -312,9 +316,7 @@ def _polygon_triangulations(i: int, j: int) -> Iterator[tuple[tuple[int, int, in
                 yield left + right + ((i, k, j),)
 
 
-def _face_fillings(
-    gadget: Embedding, budget: OracleBudget
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
+def _face_fillings(gadget: Embedding) -> Iterator[tuple[tuple[int, int, int], ...]]:
     """Triangles filling the gadget's one long face, one tuple per triangulation.
 
     The long face must be the outer face, simple, and the only face that is
@@ -333,10 +335,9 @@ def _face_fillings(
     m = len(c)
     if len(gadget.faces) + m - 3 != 2 * gadget.vertex_count - 4:
         raise InvariantViolation("filling the long face gives no triangulation")
-    if catalan(m - 2) > budget.max_chord_sets:
+    if catalan(m - 2) > MAX_CHORD_SETS:
         raise BudgetExceeded(
-            f"Catalan({m - 2}) = {catalan(m - 2)} exceeds budget "
-            f"{budget.max_chord_sets}"
+            f"Catalan({m - 2}) = {catalan(m - 2)} exceeds budget {MAX_CHORD_SETS}"
         )
     for tris in _polygon_triangulations(0, m - 1):
         chords = [(i, k) for i, k, _ in tris if k - i > 1]
@@ -345,11 +346,11 @@ def _face_fillings(
             yield tuple((c[i], c[k], c[j]) for i, k, j in tris)
 
 
-def _triangulation_masks(gadget: Embedding, budget: OracleBudget) -> Iterator[list[int]]:
+def _triangulation_masks(gadget: Embedding) -> Iterator[list[int]]:
     """Face vertex masks of each triangulation of the gadget's long face."""
     bit = {v: 1 << i for i, v in enumerate(gadget.vertices)}
     fixed = [sum(bit[v] for v in f.vertex_set) for f in gadget.faces if len(f) == 3]
-    for filling in _face_fillings(gadget, budget):
+    for filling in _face_fillings(gadget):
         yield fixed + [bit[a] | bit[b] | bit[c] for a, b, c in filling]
 
 
@@ -433,7 +434,7 @@ def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Repo
         base = gen_k4_minus_edge()
         k4s = [
             set(base.edges).union(*(combinations(sorted(t), 2) for t in filling))
-            for filling in _face_fillings(base, budget)
+            for filling in _face_fillings(base)
         ]
         if len(k4s) != 1 or len(k4s[0]) != 6:
             raise InvariantViolation("K4 minus an edge must triangulate uniquely to K4")
@@ -454,7 +455,7 @@ def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Repo
     gadget = gen_counterexample(k)
     three = is_three_connected(gadget)
     n = gadget.vertex_count
-    peels = [_min_peels(masks, n) for masks in _triangulation_masks(gadget, budget)]
+    peels = [_min_peels(masks, n) for masks in _triangulation_masks(gadget)]
     min_k = min(peels, default=0)
     return Theorem1Report(
         k=k,

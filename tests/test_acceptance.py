@@ -12,7 +12,6 @@ from onionpeel import (
     brute_branchwidth,
     brute_outerplanarity,
     build_branch_tree,
-    build_dual_tree,
     build_rooted_forest,
     certify_theorem1,
     decompose_pipeline,
@@ -112,9 +111,9 @@ def test_criterion_6_branch_decomposition(corpus):
             k = onion_peels(emb).k
             disk, _ = to_triangulated_disk(emb)
             forest = build_rooted_forest(disk)
-            dual = build_dual_tree(disk, forest)  # verifies acyclic+connected
-            assert len(dual.arcs) == len(dual.face_ids) - 1, label
-            bd = build_branch_tree(dual, disk, forest)
+            bd = build_branch_tree(disk, forest)  # verifies acyclic+connected
+            kinds = [n.kind for n in bd.nodes]
+            assert kinds.count("arc") == kinds.count("face") - 1, label
             degree: dict[int, int] = {}
             for a, b in bd.arcs:
                 degree[a] = degree.get(a, 0) + 1

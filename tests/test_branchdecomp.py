@@ -6,10 +6,7 @@ import pytest
 from onionpeel import (
     Embedding,
     build_branch_tree,
-    build_dual_tree,
     build_rooted_forest,
-    certify_width_bound,
-    compute_width,
     decompose_pipeline,
     errors,
     gen_counterexample,
@@ -24,7 +21,7 @@ from onionpeel import (
     verify_tree_cotree,
 )
 from onionpeel import branchdecomp
-from onionpeel.branchdecomp import ArcCut, _branch_tree, _certify, _decompose, _width_and_cuts
+from onionpeel.branchdecomp import ArcCut, _certify, _width_and_cuts
 
 
 def disk_and_forest(emb):
@@ -52,40 +49,51 @@ def deep_disks():
     return disks
 
 
+def dual_tree(bd):
+    """The branch tree's face nodes, and per arc node its edge and faces."""
+    faces = [n.face for n in bd.nodes if n.kind == "face"]
+    joined = {n.id: [] for n in bd.nodes if n.kind == "arc"}
+    for a, b in bd.arcs:
+        if bd.nodes[a].kind == "face" and b in joined:
+            joined[b].append(bd.nodes[a].face)
+    return faces, [(bd.nodes[a].edge, sorted(fs)) for a, fs in joined.items()]
+
+
 def test_dual_tree_triangle():
     disk, forest = disk_and_forest(gen_cycle(3))
-    dual = build_dual_tree(disk, forest)
-    assert len(dual.face_ids) == 1 and dual.arcs == ()
+    faces, arcs = dual_tree(build_branch_tree(disk, forest))
+    assert len(faces) == 1 and arcs == []
 
 
 def test_dual_tree_k4_is_path():
     disk, forest = disk_and_forest(gen_wheel(3))
-    dual = build_dual_tree(disk, forest)
-    assert len(dual.face_ids) == 3
-    assert sorted(e for _, _, e in dual.arcs) == [(1, 3), (2, 3)]
+    faces, arcs = dual_tree(build_branch_tree(disk, forest))
+    assert len(faces) == 3
+    assert sorted(e for e, _ in arcs) == [(1, 3), (2, 3)]
     degree = {}
-    for a, b, _ in dual.arcs:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
+    for _, ends in arcs:
+        assert len(ends) == 2
+        for f in ends:
+            degree[f] = degree.get(f, 0) + 1
     assert sorted(degree.values()) == [1, 1, 2]
 
 
 def test_dual_tree_octahedron_has_seven_faces():
     disk, forest = disk_and_forest(gen_nested_triangles(2))
-    dual = build_dual_tree(disk, forest)
-    assert len(dual.face_ids) == 7
-    assert len(dual.arcs) == 6
+    faces, arcs = dual_tree(build_branch_tree(disk, forest))
+    assert len(faces) == 7
+    assert len(arcs) == 6
 
 
 def test_dual_tree_requires_disk():
     c4 = gen_cycle(4)
     with pytest.raises(errors.NotADisk):
-        build_dual_tree(c4, build_rooted_forest(c4))
+        build_branch_tree(c4, build_rooted_forest(c4))
 
 
 def test_branch_tree_triangle():
     disk, forest = disk_and_forest(gen_cycle(3))
-    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+    bd = build_branch_tree(disk, forest)
     kinds = [n.kind for n in bd.nodes]
     assert kinds.count("face") == 1 and kinds.count("edge") == 3
     assert len(bd.arcs) == 3
@@ -94,7 +102,7 @@ def test_branch_tree_triangle():
 
 def test_branch_tree_k4_node_count():
     disk, forest = disk_and_forest(gen_wheel(3))
-    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+    bd = build_branch_tree(disk, forest)
     assert len(bd.nodes) == 3 + 2 + 6
     assert {n.id for n in bd.nodes if n.kind == "edge"} == set(bd.assignment.values())
 
@@ -102,10 +110,9 @@ def test_branch_tree_k4_node_count():
 def test_branch_tree_structure_corpus(corpus):
     for label, emb in corpus:
         disk, forest = disk_and_forest(emb)
-        dual = build_dual_tree(disk, forest)
-        bd = build_branch_tree(dual, disk, forest)
+        bd = build_branch_tree(disk, forest)
         n_inner = len(disk.faces) - 1
-        assert len(bd.nodes) == n_inner + len(dual.arcs) + disk.edge_count, label
+        assert len(bd.nodes) == n_inner + (n_inner - 1) + disk.edge_count, label
         degree = {}
         for a, b in bd.arcs:
             degree[a] = degree.get(a, 0) + 1
@@ -120,7 +127,7 @@ def test_branch_tree_structure_corpus(corpus):
 def unpruned_width_and_cuts(nodes, arcs, assignment):
     """Reference: every subtree's map keeps every vertex with an edge below."""
     if not arcs:
-        return 0, []
+        return 0, ()
     adj = {n.id: [] for n in nodes}
     for a, b in arcs:
         adj[a].append(b)
@@ -157,16 +164,16 @@ def unpruned_width_and_cuts(nodes, arcs, assignment):
             cuts.append(ArcCut(arc=arc, crossing=crossing))
             width = max(width, len(crossing))
     cuts.sort(key=lambda c: c.arc)
-    return width, cuts
+    return width, tuple(cuts)
 
 
 def test_width_and_cuts_match_unpruned_aggregation(corpus):
     extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))] + deep_disks()
     for label, emb in corpus + extra:
         disk, forest = disk_and_forest(emb)
-        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+        bd = build_branch_tree(disk, forest)
         args = (bd.nodes, bd.arcs, bd.assignment)
-        assert _width_and_cuts(*args) == unpruned_width_and_cuts(*args), label
+        assert (bd.width, bd.cuts) == unpruned_width_and_cuts(*args), label
 
 
 class CountedVertex(int):
@@ -186,7 +193,7 @@ def test_width_pass_merges_small_maps_into_large():
     per_edge = []
     for depth in (9, 72):
         disk, forest = disk_and_forest(gen_nested_triangles(depth))
-        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
+        bd = build_branch_tree(disk, forest)
         assignment = {
             (CountedVertex(u), CountedVertex(v)): leaf
             for (u, v), leaf in bd.assignment.items()
@@ -201,11 +208,14 @@ def test_width_pass_merges_small_maps_into_large():
 def test_width_two_ways_agree(small_corpus):
     for label, emb in small_corpus:
         disk, forest = disk_and_forest(emb)
-        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
-        width, cuts = compute_width(bd)
-        assert width == bd.width, label
-        adj = bd.adjacency()
-        by_arc = {c.arc: c.crossing for c in cuts}
+        bd = build_branch_tree(disk, forest)
+        assert bd.width == max(len(c.crossing) for c in bd.cuts), label
+        adj = {n.id: [] for n in bd.nodes}
+        for a, b in bd.arcs:
+            adj[a].append(b)
+            adj[b].append(a)
+        by_arc = {c.arc: c.crossing for c in bd.cuts}
+        assert sorted(by_arc) == list(bd.arcs), label
         leaf_of = {leaf: e for e, leaf in bd.assignment.items()}
         for a, b in bd.arcs:
             side = {a}
@@ -231,21 +241,13 @@ def test_width_two_ways_agree(small_corpus):
 def test_certify_and_bounds_corpus(corpus):
     for label, emb in corpus:
         disk, forest = disk_and_forest(emb)
-        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
-        cert = certify_width_bound(disk, forest, bd)
-        assert cert.width <= cert.width_bound, label
+        bd = build_branch_tree(disk, forest)
+        cert = decompose_pipeline(emb)
+        assert cert.width == bd.width <= cert.width_bound, label
         assert cert.width_bound == 2 * (forest.height + 1), label
-
-
-def test_pipeline_certificate_matches_public_route(corpus):
-    for label, emb in corpus:
-        disk, forest = disk_and_forest(emb)
-        bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
-        public = certify_width_bound(disk, forest, bd)
-        cert, k_out = _decompose(emb)
-        k = onion_peels(emb).k
-        assert cert == dataclasses.replace(public, peel_count=k), label
-        assert k_out == public.peel_count, label
+        assert cert.forest_height == forest.height, label
+        assert cert.peel_count == onion_peels(emb).k, label
+        assert cert.disk_peel_count == onion_peels(disk).k, label
 
 
 def test_width_pass_runs_once_per_pipeline(monkeypatch):
@@ -261,24 +263,15 @@ def test_width_pass_runs_once_per_pipeline(monkeypatch):
     decompose_pipeline(emb)
     assert len(calls) == 1
     calls.clear()
-    disk, forest = disk_and_forest(emb)
-    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
-    certify_width_bound(disk, forest, bd)
-    assert len(calls) == 2  # the public call recomputes the cuts
-
-
-def test_certify_rejects_a_wrong_stored_width():
-    disk, forest = disk_and_forest(gen_nested_triangles(4))
-    bd = build_branch_tree(build_dual_tree(disk, forest), disk, forest)
-    certify_width_bound(disk, forest, bd)
-    with pytest.raises(errors.InvariantViolation):
-        certify_width_bound(disk, forest, dataclasses.replace(bd, width=bd.width + 1))
+    build_branch_tree(*disk_and_forest(emb))
+    assert len(calls) == 1
 
 
 def test_certify_rejects_a_crossing_vertex_off_its_separator():
     disk, forest = disk_and_forest(gen_nested_triangles(4))
-    bd, cuts = _branch_tree(build_dual_tree(disk, forest), disk, forest)
-    _certify(disk, forest, bd, cuts)
+    bd = build_branch_tree(disk, forest)
+    _certify(forest, bd)
+    cuts = bd.cuts
     kind = {n.id: n for n in bd.nodes}
     tampered = 0
     for i, cut in enumerate(cuts):
@@ -289,9 +282,9 @@ def test_certify_rejects_a_crossing_vertex_off_its_separator():
         v1, v2 = arc_node.edge
         paths = set(forest.root_path(v1)) | set(forest.root_path(v2))
         off = min(set(disk.vertices) - paths)
-        bad = cuts[:i] + [ArcCut(cut.arc, cut.crossing | {off})] + cuts[i + 1:]
+        bad = cuts[:i] + (ArcCut(cut.arc, cut.crossing | {off}),) + cuts[i + 1:]
         with pytest.raises(errors.BoundViolated):
-            _certify(disk, forest, bd, bad)
+            _certify(forest, dataclasses.replace(bd, cuts=bad))
         tampered += 1
     assert tampered == 2 * sum(1 for n in bd.nodes if n.kind == "arc")
 
@@ -303,15 +296,10 @@ def test_tree_cotree_second_route(small_corpus):
 
 
 def test_width_of_single_leaf_decomposition():
-    from onionpeel import BDNode, BranchDecomposition
+    from onionpeel import BDNode
 
-    bd = BranchDecomposition(
-        nodes=(BDNode(id=0, kind="edge", edge=(0, 1)),),
-        arcs=(),
-        assignment={(0, 1): 0},
-        width=0,
-    )
-    assert compute_width(bd) == (0, ())
+    nodes = (BDNode(id=0, kind="edge", edge=(0, 1)),)
+    assert _width_and_cuts(nodes, (), {(0, 1): 0}) == (0, ())
 
 
 def test_treewidth_bound_values():

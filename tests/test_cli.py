@@ -5,7 +5,15 @@ import random
 import sys
 import time
 
-from onionpeel import format_epg, gen_counterexample, gen_cycle, gen_wheel, treewidth_bound
+from onionpeel import (
+    Embedding,
+    branchdecomp,
+    format_epg,
+    gen_counterexample,
+    gen_cycle,
+    gen_wheel,
+    treewidth_bound,
+)
 from onionpeel.cli import _arc_cuts, _preorder, cli_main
 
 
@@ -130,8 +138,17 @@ def test_theorem1_k3_needs_slow_flag():
     assert code == 1 and "BadParameter" in err and "k <= 6" in err
     code, _, err = run_cli(["oracle", "theorem1", "3", "--slow"])
     assert code == 2 and "--slow" in err
-    code, _, err = run_cli(["oracle", "theorem1", "2", "--budget-chords", "100"])
-    assert code == 1 and "BudgetExceeded" in err
+    # the chord-set budget is a library constant, no longer a flag
+    for argv in (["oracle", "theorem1", "2"], ["verify", "--json", "a.json"]):
+        code, _, err = run_cli(argv + ["--budget-chords", "100"])
+        assert code == 2 and "--budget-chords" in err
+
+
+def test_bd_certifies_its_tree(monkeypatch):
+    # a tree whose cuts escape their forest separators is not handed out
+    monkeypatch.setattr(branchdecomp, "_separator", lambda forest, v1, v2: set())
+    code, _, err = run_cli(["bd"], stdin_text=format_epg(gen_wheel(3)))
+    assert code == 1 and "BoundViolated" in err
 
 
 def test_malformed_epg_names_error():
@@ -242,6 +259,68 @@ def test_verify_rejects_malformed_artifacts(tmp_path):
         artifact.write_text(json.dumps(bad))
         code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
         assert code == 1 and "FormatError" in err, (bad, err)
+
+
+def test_verify_accepts_bd_with_negative_vertex_ids(tmp_path):
+    tri = gen_cycle(3)
+    shifted = Embedding(
+        {v - 1: [w - 1 for w in tri.rotation(v)] for v in tri.vertices},
+        [(a - 1, b - 1) for a, b in tri.outer_darts],
+    )
+    epg_path, artifact = tmp_path / "g.epg", tmp_path / "bd.json"
+    epg_path.write_text(format_epg(shifted))
+    code, _, err = run_cli(["bd", "--in", str(epg_path), "--json", str(artifact)])
+    assert code == 0, err
+    assert "-1-0" in json.loads(artifact.read_text())["assignment"]
+    code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+    assert code == 0, err
+
+
+def test_verify_rejects_a_non_canonical_bd_key(tmp_path):
+    # "00-1" names edge 0-1, but bd writes that edge's key as "0-1" only
+    epg_path, artifact = tmp_path / "g.epg", tmp_path / "bd.json"
+    epg_path.write_text(format_epg(gen_wheel(3)))
+    data = json.loads(run_cli(["bd", "--in", str(epg_path)])[1])
+    data["assignment"]["00-1"] = data["assignment"]["0-1"]
+    artifact.write_text(json.dumps(data))
+    code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+    assert code == 1 and "FormatError" in err, err
+
+
+def test_undecodable_epg_input_is_a_format_error(tmp_path):
+    bad = tmp_path / "bad.epg"
+    bad.write_bytes(b"\xffepg 1\n")
+    code, _, err = run_cli(["peel", "--in", str(bad)])
+    assert code == 1 and "FormatError" in err, err
+
+
+def verify_bytes(tmp_path, content: bytes):
+    """``verify`` of an artifact file holding ``content``, against a 4-cycle."""
+    epg_path, artifact = tmp_path / "g.epg", tmp_path / "a.json"
+    epg_path.write_text(format_epg(gen_cycle(4)))
+    artifact.write_bytes(content)
+    return run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+
+
+def test_undecodable_artifact_is_a_format_error(tmp_path):
+    code, _, err = verify_bytes(tmp_path, b"\xff{}")
+    assert code == 1 and "FormatError" in err, err
+
+
+def test_too_deep_artifact_is_a_format_error(tmp_path):
+    code, _, err = verify_bytes(tmp_path, b"[" * 200_000)
+    assert code == 1 and "FormatError" in err, err
+
+
+def test_undecodable_claimed_output_is_a_format_error(tmp_path):
+    epg_path, trace, out = tmp_path / "g.epg", tmp_path / "trace.json", tmp_path / "k4.epg"
+    epg_path.write_text(format_epg(gen_cycle(4)))
+    argv = ["--in", str(epg_path), "--json", str(trace), "--out", str(out)]
+    assert run_cli(["triangulate"] + argv)[0] == 0
+    assert run_cli(["verify"] + argv)[0] == 0
+    out.write_bytes(b"\xff" + out.read_bytes())
+    code, _, err = run_cli(["verify"] + argv)
+    assert code == 1 and "FormatError" in err, err
 
 
 def test_verify_oracle_artifact(tmp_path):

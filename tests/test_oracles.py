@@ -27,6 +27,7 @@ from onionpeel.oracles import (
     _abstract_components,
     _adjacency,
     _component_outerplanarity,
+    MAX_CHORD_SETS,
     _face_fillings,
     _min_peels,
     _triangulation_masks,
@@ -34,7 +35,7 @@ from onionpeel.oracles import (
 from onionpeel.peeling import _radial_layers
 
 
-def enumerate_face_triangulations(disk, face, budget=None):
+def enumerate_face_triangulations(disk, face):
     """Reference: all triangulations of one simple face, built as embeddings.
 
     Every other face must already be a triangle, so each emitted embedding
@@ -44,7 +45,6 @@ def enumerate_face_triangulations(disk, face, budget=None):
     validated as a triangulation.  A face that repeats a vertex, or a
     second non-triangle face, raises ``ValueError``.
     """
-    budget = budget or OracleBudget()
     if isinstance(face, int):
         face = disk.faces[face]
     if not face.is_simple:
@@ -52,8 +52,8 @@ def enumerate_face_triangulations(disk, face, budget=None):
     if any(f.darts != face.darts and len(f) != 3 for f in disk.faces):
         raise ValueError("all faces other than the target must be triangles")
     m = len(face)
-    if catalan(m - 2) > budget.max_chord_sets:
-        raise errors.BudgetExceeded(f"Catalan({m - 2}) exceeds {budget.max_chord_sets}")
+    if catalan(m - 2) > MAX_CHORD_SETS:
+        raise errors.BudgetExceeded(f"Catalan({m - 2}) exceeds {MAX_CHORD_SETS}")
     c = face.vertices
     for chords in polygon_chord_sets(0, m - 1):
         if any(disk.has_edge(c[a], c[b]) for a, b in chords):
@@ -185,14 +185,13 @@ def test_enumerate_requires_simple_face():
 
 
 def test_enumerate_budget():
-    g2 = gen_counterexample(2)
-    outer_idx = g2.faces.index(g2.outer_faces[0])
+    # the wheel's 17-gon rim has Catalan(15) = 9,694,845 triangulations
+    w17 = gen_wheel(17)
+    assert catalan(15) > MAX_CHORD_SETS
     with pytest.raises(errors.BudgetExceeded):
-        list(
-            enumerate_face_triangulations(
-                g2, outer_idx, OracleBudget(max_chord_sets=100)
-            )
-        )
+        list(enumerate_face_triangulations(w17, w17.outer_faces[0]))
+    with pytest.raises(errors.BudgetExceeded):
+        next(_face_fillings(w17))
 
 
 def test_three_connectivity_checker():
@@ -316,7 +315,7 @@ def test_face_fillings_skip_present_chords_and_reject_bad_gadgets():
         (Embedding({0: [1, 3], 1: [2, 3, 0], 2: [3, 1], 3: [0, 1, 2]}, [(1, 2)]),
          ((0, 1, 2), (0, 2, 3))),
     ]:
-        assert list(_face_fillings(emb, OracleBudget())) == [filling]
+        assert list(_face_fillings(emb)) == [filling]
     bow = Embedding(
         {0: [1, 2], 1: [2, 0], 2: [0, 1, 3, 4], 3: [4, 2], 4: [2, 3]}, [(0, 1)]
     )
@@ -329,7 +328,7 @@ def test_face_fillings_skip_present_chords_and_reject_bad_gadgets():
     )
     for graph in (bow, gen_cycle(5), beside):
         with pytest.raises(errors.InvariantViolation):
-            list(_face_fillings(graph, OracleBudget()))
+            list(_face_fillings(graph))
 
 
 def test_oracle_sandwich_small(small_corpus):
@@ -464,7 +463,7 @@ def test_min_peels_over_faces_matches_radial_layers(k):
     gadget = gen_counterexample(k)
     long_face = next(f for f in gadget.faces if len(f) != 3)
     tris = list(enumerate_face_triangulations(gadget, long_face))
-    masks = list(_triangulation_masks(gadget, OracleBudget()))
+    masks = list(_triangulation_masks(gadget))
     assert len(tris) == len(masks) == 132
     bit = {v: 1 << i for i, v in enumerate(gadget.vertices)}
     for tri, tri_masks in zip(tris, masks):

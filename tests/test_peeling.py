@@ -19,7 +19,7 @@ from onionpeel import (
     verify_forest_bound,
 )
 from onionpeel.embedding import _components, _trace
-from onionpeel.oracles import OracleBudget, _min_peels, _triangulation_masks
+from onionpeel.oracles import _min_peels, _triangulation_masks
 from test_oracles import enumerate_face_triangulations
 
 
@@ -180,7 +180,7 @@ def test_min_peels_over_faces_matches_rebuilt_embeddings():
     gadget = gen_counterexample(2)
     long_face = next(f for f in gadget.faces if len(f) != 3)
     tris = list(enumerate_face_triangulations(gadget, long_face))
-    masks = list(_triangulation_masks(gadget, OracleBudget()))
+    masks = list(_triangulation_masks(gadget))
     assert len(tris) == len(masks) == 132
     for tri, tri_masks in list(zip(tris, masks))[::11]:
         rot = {v: tri.rotation(v) for v in tri.vertices}
