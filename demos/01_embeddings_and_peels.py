@@ -7,7 +7,7 @@ with the generators, traces their faces, and peels them layer by layer.
 """
 
 from onionpeel import (
-    build_embedding,
+    Embedding,
     format_epg,
     gen_nested_triangles,
     gen_wheel,
@@ -18,7 +18,7 @@ from onionpeel import (
 # The smallest interesting embedding: a triangle.  Darts are ordered
 # vertex pairs; the outer dart (0, 1) picks which of the two face walks
 # is the unbounded one.
-triangle = build_embedding([0, 1, 2], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
+triangle = Embedding({0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
 print("triangle faces:")
 for f in triangle.faces:
     print("  ", f.vertices, "(outer)" if f.is_outer else "(inner)")

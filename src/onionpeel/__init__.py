@@ -22,15 +22,12 @@ from .embedding import (
     Edge,
     Embedding,
     FaceWalk,
-    build_embedding,
     edge_of,
     is_triangulated_disk,
     is_triangulation,
 )
 from .epg import format_epg, parse_epg, to_dot
 from .generators import (
-    GadgetSpec,
-    build_gadget,
     gen_counterexample,
     gen_cycle,
     gen_k4_minus_edge,
@@ -49,14 +46,12 @@ from .oracles import (
     is_three_connected,
 )
 from .peeling import (
-    ForestCertificate,
     PeelDecomposition,
     RootedForest,
     build_rooted_forest,
     onion_peels,
     saturate_inward_neighbors,
     validate_forest,
-    verify_forest_bound,
 )
 from .triangulate import (
     DiskConversionTrace,
@@ -75,22 +70,20 @@ __all__ = [
     "build_branch_tree", "decompose_pipeline", "treewidth_bound",
     "verify_tree_cotree",
     # embedding
-    "Dart", "Edge", "Embedding", "FaceWalk", "build_embedding", "edge_of",
-    "is_triangulated_disk", "is_triangulation",
+    "Dart", "Edge", "Embedding", "FaceWalk", "edge_of", "is_triangulated_disk",
+    "is_triangulation",
     # epg
     "format_epg", "parse_epg", "to_dot",
     # generators
-    "GadgetSpec", "build_gadget", "gen_counterexample", "gen_cycle",
-    "gen_k4_minus_edge", "gen_nested_triangles", "gen_path",
-    "gen_random_kouter", "gen_wheel",
+    "gen_counterexample", "gen_cycle", "gen_k4_minus_edge",
+    "gen_nested_triangles", "gen_path", "gen_random_kouter", "gen_wheel",
     # oracles
     "OracleBudget", "Theorem1Report", "brute_branchwidth",
     "brute_outerplanarity", "catalan", "certify_theorem1",
     "is_three_connected",
     # peeling
-    "ForestCertificate", "PeelDecomposition", "RootedForest",
-    "build_rooted_forest", "onion_peels", "saturate_inward_neighbors",
-    "validate_forest", "verify_forest_bound",
+    "PeelDecomposition", "RootedForest", "build_rooted_forest",
+    "onion_peels", "saturate_inward_neighbors", "validate_forest",
     # triangulate
     "DiskConversionTrace", "to_full_triangulation", "to_triangulated_disk",
 ]

@@ -15,7 +15,7 @@ every cut once and certifies that bound before it hands out the tree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .embedding import Edge, Embedding, _components, is_triangulated_disk
@@ -25,7 +25,6 @@ from .errors import (
     InvariantViolation,
     NotADisk,
     NotATree,
-    TooSmall,
 )
 from .peeling import RootedForest, build_rooted_forest, onion_peels, validate_forest
 from .triangulate import to_triangulated_disk
@@ -58,7 +57,7 @@ class BranchDecomposition:
 
 @dataclass(frozen=True)
 class WidthCertificate:
-    """Achieved peel count, forest height, width, and the certified bounds."""
+    """Achieved peel count, forest height, width, the certified bounds and tree."""
 
     peel_count: int
     forest_height: int
@@ -66,6 +65,7 @@ class WidthCertificate:
     width_bound: int  # 2 * (forest_height + 1)
     tw_bound: int
     disk_peel_count: int  # of the triangulated disk the tree was built on
+    tree: BranchDecomposition = field(repr=False, compare=False)
 
 
 def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposition:
@@ -314,14 +314,15 @@ def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
 def decompose_pipeline(emb: Embedding) -> WidthCertificate:
     """Disk conversion, forest, certified branch tree, bounds.
 
-    The returned certificate reports the input's peel count k and
-    guarantees width <= 2k and treewidth bound <= 3k - 1.
+    The returned certificate reports the input's peel count k, holds the
+    certified tree, and guarantees forest height <= k - 1, width <= 2k and
+    treewidth bound <= 3k - 1.
     """
-    if emb.vertex_count < 3:
-        raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k = onion_peels(emb).k
     disk, _ = to_triangulated_disk(emb)
     forest = build_rooted_forest(disk)
+    if forest.height > k - 1:
+        raise BoundViolated(f"forest height {forest.height} exceeds k-1 = {k - 1}")
     bd = build_branch_tree(disk, forest)
     tw = treewidth_bound(bd.width)
     if bd.width > 2 * k:
@@ -335,4 +336,5 @@ def decompose_pipeline(emb: Embedding) -> WidthCertificate:
         width_bound=2 * (forest.height + 1),
         tw_bound=tw,
         disk_peel_count=onion_peels(disk).k,
+        tree=bd,
     )

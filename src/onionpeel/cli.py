@@ -17,37 +17,23 @@ import sys
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 
-from .branchdecomp import build_branch_tree, decompose_pipeline, treewidth_bound
+from .branchdecomp import decompose_pipeline, treewidth_bound
 from .embedding import Edge, Embedding
 from .epg import format_epg, parse_epg, to_dot
 from .errors import BadParameter, FormatError, InvariantViolation, OnionPeelError
-from .generators import FAMILIES, GadgetSpec, build_gadget
+from .generators import (
+    gen_counterexample,
+    gen_cycle,
+    gen_k4_minus_edge,
+    gen_nested_triangles,
+    gen_path,
+    gen_random_kouter,
+    gen_wheel,
+)
 from .oracles import OracleBudget, brute_branchwidth, brute_outerplanarity, certify_theorem1
 from .peeling import build_rooted_forest, onion_peels, saturate_inward_neighbors
 from .triangulate import to_full_triangulation, to_triangulated_disk
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Headline numbers of a pipeline run; bounds re-checked before emission."""
-
-    command: str
-    input_digest: str
-    k_in: int
-    k_out: int
-    forest_height: int
-    bd_width: int
-    tw_bound: int
-
-    def check(self) -> None:
-        if self.k_out > self.k_in:
-            raise InvariantViolation("report: k_out > k_in")
-        if self.bd_width > 2 * self.k_in:
-            raise InvariantViolation("report: bd_width > 2k")
-        if self.tw_bound > 3 * self.k_in - 1:
-            raise InvariantViolation("report: tw_bound > 3k - 1")
 
 
 #: largest theorem-1 k that ``oracle`` and ``verify`` certify; the library
@@ -102,16 +88,24 @@ def _trace_json(trace, emb_in: Embedding, emb_out: Embedding) -> dict:
 # -- subcommand handlers -----------------------------------------------------
 
 
+#: ``gen``'s families, each with its generator called on the parsed arguments
+_FAMILIES = {
+    "nested_triangles": lambda a: gen_nested_triangles(a.parameter),
+    "counterexample": lambda a: gen_counterexample(a.parameter),
+    "k4_minus_edge": lambda a: gen_k4_minus_edge(),
+    "cycle": lambda a: gen_cycle(a.parameter),
+    "wheel": lambda a: gen_wheel(a.parameter),
+    "path": lambda a: gen_path(a.parameter),
+    "random_kouter": lambda a: gen_random_kouter(a.parameter, a.width, a.seed),
+}
+
+
 def _cmd_gen(args) -> int:
     if args.family != "k4_minus_edge" and args.parameter is None:
         raise BadParameter(f"family {args.family!r} requires a parameter")
-    spec = GadgetSpec(
-        family=args.family,
-        parameter=args.parameter if args.parameter is not None else 1,
-        seed=args.seed,
-        width=args.width,
-    )
-    emb = build_gadget(spec)
+    if args.parameter is not None and args.parameter < 1:
+        raise BadParameter(f"parameter must be >= 1, got {args.parameter}")
+    emb = _FAMILIES[args.family](args)
     _emit_text(format_epg(emb), args.out)
     if args.dot:
         _emit_text(to_dot(emb), args.dot)
@@ -163,9 +157,8 @@ def _forest_report(emb: Embedding, args) -> dict:
 
 
 def _bd_report(emb: Embedding, args) -> dict:
-    disk, _ = to_triangulated_disk(emb)
-    forest = build_rooted_forest(disk)
-    bd = build_branch_tree(disk, forest)
+    cert = decompose_pipeline(emb)
+    bd = cert.tree
     nodes = []
     for n in bd.nodes:
         rec: dict = {"id": n.id, "kind": n.kind}
@@ -179,26 +172,21 @@ def _bd_report(emb: Embedding, args) -> dict:
         "arcs": [list(a) for a in bd.arcs],
         "assignment": {f"{u}-{v}": leaf for (u, v), leaf in sorted(bd.assignment.items())},
         "width": bd.width,
-        "bounds": {
-            "2h": 2 * (forest.height + 1),
-            "tw": treewidth_bound(bd.width),
-        },
+        "bounds": {"2h": cert.width_bound, "tw": cert.tw_bound},
     }
 
 
 def _pipeline_report(emb: Embedding, args) -> dict:
     cert = decompose_pipeline(emb)
-    report = RunReport(
-        command="pipeline",
-        input_digest=_digest(emb),
-        k_in=cert.peel_count,
-        k_out=cert.disk_peel_count,
-        forest_height=cert.forest_height,
-        bd_width=cert.width,
-        tw_bound=cert.tw_bound,
-    )
-    report.check()
-    return report.__dict__
+    return {
+        "command": "pipeline",
+        "input_digest": _digest(emb),
+        "k_in": cert.peel_count,
+        "k_out": cert.disk_peel_count,
+        "forest_height": cert.forest_height,
+        "bd_width": cert.width,
+        "tw_bound": cert.tw_bound,
+    }
 
 
 def _oracle_report(emb: Embedding | None, args) -> dict:
@@ -213,7 +201,7 @@ def _oracle_report(emb: Embedding | None, args) -> dict:
         raise BadParameter(
             f"theorem1 k={args.k} exceeds the command-line cap k <= {THEOREM1_MAX_K}"
         )
-    report = certify_theorem1(args.k, budget)
+    report = certify_theorem1(args.k)
     return {
         "oracle": "theorem1",
         "k": report.k,
@@ -553,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-vertices", type=int, default=7)
 
     p = sub.add_parser("gen", help="emit a corpus family instance as EPG")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("parameter", nargs="?", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=5, help="ring width (random_kouter)")

@@ -229,9 +229,6 @@ class Embedding:
         """Cyclic neighbor order at v (canonical start)."""
         return self._rot[v]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._rot[v]
-
     def degree(self, v: int) -> int:
         return len(self._rot[v])
 
@@ -361,26 +358,6 @@ def _components(rot: Mapping[int, Iterable[int]]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def build_embedding(
-    vertices: Iterable[int],
-    rotations: Mapping[int, Sequence[int]],
-    outer_darts: Iterable[Dart],
-) -> Embedding:
-    """Validate and construct an embedding.
-
-    ``vertices`` may list isolated vertices absent from ``rotations``;
-    every rotation key must be listed.  All invariants are checked eagerly.
-    """
-    vs = {int(v) for v in vertices}
-    unknown = set(rotations) - vs
-    if unknown:
-        raise AsymmetricAdjacency(
-            f"rotation map names unlisted vertices: {sorted(unknown)[:5]}"
-        )
-    full = {v: tuple(rotations.get(v, ())) for v in vs}
-    return Embedding(full, outer_darts)
 
 
 def is_triangulated_disk(emb: Embedding) -> bool:

@@ -19,7 +19,7 @@ identical bytes.
 
 from __future__ import annotations
 
-from .embedding import Dart, Embedding, build_embedding
+from .embedding import Dart, Embedding
 from .errors import FormatError
 
 HEADER = "epg 1"
@@ -64,7 +64,7 @@ def parse_epg(text: str) -> Embedding:
             raise FormatError(f"line {lineno}: unknown directive {tokens[0]!r}")
     if not saw_header:
         raise FormatError("empty input: missing EPG header")
-    return build_embedding(rotations.keys(), rotations, outer)
+    return Embedding(rotations, outer)
 
 
 def _int(token: str, lineno: int) -> int:

@@ -1,7 +1,8 @@
 """Deterministic builders for the test-corpus graph families.
 
 All generators return validated embeddings with documented outer faces and
-0-based integer vertex ids.  The nested-triangle family stacks triangles
+0-based integer vertex ids; the CLI's ``gen`` command maps each family
+name to one of them.  The nested-triangle family stacks triangles
 joined by zigzag hexagons so that every annulus face is a triangle; the
 counterexample family arranges four such gadgets around an octagonal outer
 cycle with a fixed fill pattern, giving a triangulated disk on 12k
@@ -11,7 +12,6 @@ vertices whose every triangulation needs k+1 peels.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .embedding import Embedding
 from .errors import BadParameter
@@ -167,46 +167,3 @@ def gen_random_kouter(k: int, width: int, seed: int) -> Embedding:
             rot[v] = [nxt] + downs[v][::-1] + [prv] + ups[v]
     base = (k - 1) * width
     return Embedding(rot, [(base, base + 1)])
-
-
-FAMILIES = (
-    "nested_triangles",
-    "counterexample",
-    "k4_minus_edge",
-    "cycle",
-    "wheel",
-    "path",
-    "random_kouter",
-)
-
-
-@dataclass(frozen=True)
-class GadgetSpec:
-    """A corpus family instance: family name, size parameter, seed."""
-
-    family: str
-    parameter: int = 1
-    seed: int = 0
-    width: int = 5  # random_kouter only
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise BadParameter(f"unknown family {self.family!r}")
-        if self.parameter < 1:
-            raise BadParameter(f"parameter must be >= 1, got {self.parameter}")
-
-
-def build_gadget(spec: GadgetSpec) -> Embedding:
-    if spec.family == "nested_triangles":
-        return gen_nested_triangles(spec.parameter)
-    if spec.family == "counterexample":
-        return gen_counterexample(spec.parameter)
-    if spec.family == "k4_minus_edge":
-        return gen_k4_minus_edge()
-    if spec.family == "cycle":
-        return gen_cycle(spec.parameter)
-    if spec.family == "wheel":
-        return gen_wheel(spec.parameter)
-    if spec.family == "path":
-        return gen_path(spec.parameter)
-    return gen_random_kouter(spec.parameter, spec.width, spec.seed)

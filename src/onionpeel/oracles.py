@@ -415,19 +415,19 @@ class Theorem1Report:
     assumption: str
 
 
-def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Report:
+def certify_theorem1(k: int) -> Theorem1Report:
     """Certify the lower bound: every triangulation of G_k has >= k+1 peels.
 
     k = 1 uses K4-minus-an-edge: a triangulation of 4 vertices has 6
     edges, so the only triangulation is K4, whose outerplanarity is found
-    exhaustively from its edge list.  For k >= 2 the gadget is checked
+    exhaustively from its edge list under the default oracle budget.  For
+    k >= 2 the gadget is checked
     3-connected (making its sphere embedding unique), every triangulation
     of its sole non-triangular face is enumerated as face vertex masks, and
     each is peeled from every possible outer face.  The k >= 2 result is
     contingent on the 3-connectivity check, which the report states
     explicitly.
     """
-    budget = budget or OracleBudget()
     if k < 1:
         raise BadParameter(f"need k >= 1, got {k}")
     if k == 1:
@@ -439,7 +439,7 @@ def certify_theorem1(k: int, budget: OracleBudget | None = None) -> Theorem1Repo
         if len(k4s) != 1 or len(k4s[0]) != 6:
             raise InvariantViolation("K4 minus an edge must triangulate uniquely to K4")
         k4 = k4s[0]
-        min_k = brute_outerplanarity(k4, budget)
+        min_k = brute_outerplanarity(k4)
         return Theorem1Report(
             k=1,
             triangulation_count=1,

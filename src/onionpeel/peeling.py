@@ -14,8 +14,10 @@ layering of Baker's technique (also Bienstock & Monma, 1990).
 Saturation adds edges inside each inner face so that every vertex one peel
 deep gains a neighbor one peel up, after which a multi-source BFS from the
 outer vertices yields a spanning forest whose height is at most (peel
-count - 1).  Peels are cached on the embedding value, which is immutable,
-so caches never go stale.
+count - 1).  :func:`validate_forest` checks a forest's shape only; the
+height bound is certified where the forest is used, in
+``branchdecomp.decompose_pipeline``.  Peels are cached on the embedding
+value, which is immutable, so caches never go stale.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .embedding import Edge, Embedding, _FaceBuilder, fan_targets
-from .errors import BoundViolated, InvariantViolation, UnreachableVertex
+from .errors import InvariantViolation, UnreachableVertex
 
 
 @dataclass(frozen=True)
@@ -231,34 +233,3 @@ def validate_forest(emb: Embedding, forest: RootedForest) -> None:
             raise InvariantViolation(
                 f"tree of {v} contains {len(outer & seen)} outer vertices"
             )
-
-
-@dataclass(frozen=True)
-class ForestCertificate:
-    """Peel/height fragment of a width certificate."""
-
-    peel_count: int
-    height: int
-
-
-def verify_forest_bound(emb: Embedding, forest: RootedForest) -> ForestCertificate:
-    """Certify that a rooted forest of height h witnesses <= h+1 peels.
-
-    Checks peel_count <= height + 1 and that every depth-d vertex lies in
-    peel d+1 or an earlier one.  Raises BoundViolated otherwise: that would
-    contradict the forest-height theorem, so it is a bug certificate.
-    """
-    validate_forest(emb, forest)
-    peels = onion_peels(emb)
-    h = forest.height
-    if peels.k > h + 1:
-        raise BoundViolated(
-            f"peel count {peels.k} exceeds forest height {h} + 1"
-        )
-    index = peels.index_of()
-    for v, d in forest.depth.items():
-        if index[v] > d + 1:
-            raise BoundViolated(
-                f"vertex {v} at depth {d} sits in peel {index[v]} > {d + 1}"
-            )
-    return ForestCertificate(peel_count=peels.k, height=h)

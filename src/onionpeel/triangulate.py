@@ -37,8 +37,6 @@ class DiskConversionTrace:
     """Audit trail of a conversion: every added edge with its stage."""
 
     added_edges: tuple[tuple[int, int, str], ...]
-    input: Embedding
-    output: Embedding
 
 
 def _connect(b: _FaceBuilder, outer_vertices: frozenset[int]) -> list[Edge]:
@@ -162,10 +160,7 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
             f"disk pipeline raised the peel count {k_in} -> "
             f"{onion_peels(current).k}"
         )
-    trace = DiskConversionTrace(
-        added_edges=tuple(added), input=emb, output=current
-    )
-    return current, trace
+    return current, DiskConversionTrace(added_edges=tuple(added))
 
 
 def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrace]:
@@ -178,8 +173,6 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     outer region; the final outer face is the fan triangle at r's
     cyclic-successor neighbor.  Peel count grows by at most one.
     """
-    if emb.vertex_count < 3:
-        raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k_in = onion_peels(emb).k
     disk, disk_trace = to_triangulated_disk(emb)
     walk = disk.outer_faces[0]
@@ -209,7 +202,4 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
         raise InvariantViolation(
             f"apex step raised the peel count {k_in} -> {onion_peels(result).k}"
         )
-    trace = DiskConversionTrace(
-        added_edges=tuple(added), input=emb, output=result
-    )
-    return result, trace
+    return result, DiskConversionTrace(added_edges=tuple(added))

@@ -24,9 +24,9 @@ from onionpeel import (
     to_full_triangulation,
     to_triangulated_disk,
     treewidth_bound,
-    verify_forest_bound,
 )
 from test_cli import run_cli
+from test_peeling import check_depth_bounds_peel
 
 
 @contextmanager
@@ -101,8 +101,7 @@ def test_criterion_5_forest_height(corpus):
             sat = saturate_inward_neighbors(emb)
             forest = build_rooted_forest(sat)
             assert forest.height <= k - 1, label
-            cert = verify_forest_bound(sat, forest)
-            assert cert.peel_count <= cert.height + 1, label
+            check_depth_bounds_peel(sat, forest)
 
 
 def test_criterion_6_branch_decomposition(corpus):

@@ -5,10 +5,12 @@ import pytest
 
 from onionpeel import (
     Embedding,
+    RootedForest,
     build_branch_tree,
     build_rooted_forest,
     decompose_pipeline,
     errors,
+    format_epg,
     gen_counterexample,
     gen_cycle,
     gen_nested_triangles,
@@ -18,10 +20,12 @@ from onionpeel import (
     onion_peels,
     to_triangulated_disk,
     treewidth_bound,
+    validate_forest,
     verify_tree_cotree,
 )
 from onionpeel import branchdecomp
 from onionpeel.branchdecomp import ArcCut, _certify, _width_and_cuts
+from test_cli import run_cli
 
 
 def disk_and_forest(emb):
@@ -331,5 +335,34 @@ def test_pipeline_width_bound_corpus(corpus):
 
 
 def test_pipeline_too_small():
-    with pytest.raises(errors.TooSmall):
+    with pytest.raises(errors.TooSmall, match="need at least 3 vertices, got 2"):
         decompose_pipeline(Embedding({0: [1], 1: [0]}, [(0, 1)]))
+
+
+def depth_first_forest(emb):
+    """A valid outer-rooted forest grown depth first, taller than the BFS one."""
+    depth = dict.fromkeys(emb.outer_vertices, 0)
+    parent = {}
+
+    def grow(u):
+        for w in emb.rotation(u):
+            if w not in depth:
+                parent[w], depth[w] = u, depth[u] + 1
+                grow(w)
+
+    for r in sorted(emb.outer_vertices):
+        grow(r)
+    return RootedForest(parent=parent, depth=depth, roots=emb.outer_vertices)
+
+
+def test_pipeline_certifies_the_forest_lemma(monkeypatch):
+    emb = gen_nested_triangles(4)  # a triangulation: its own disk
+    deep = depth_first_forest(emb)
+    validate_forest(emb, deep)
+    assert deep.height >= onion_peels(emb).k
+    monkeypatch.setattr(branchdecomp, "build_rooted_forest", depth_first_forest)
+    with pytest.raises(errors.BoundViolated, match="forest height"):
+        decompose_pipeline(emb)
+    for command in ("bd", "pipeline"):
+        code, _, err = run_cli([command], stdin_text=format_epg(emb))
+        assert code == 1 and "BoundViolated: forest height" in err

@@ -11,6 +11,10 @@ from onionpeel import (
     format_epg,
     gen_counterexample,
     gen_cycle,
+    gen_k4_minus_edge,
+    gen_nested_triangles,
+    gen_path,
+    gen_random_kouter,
     gen_wheel,
     treewidth_bound,
 )
@@ -33,9 +37,22 @@ def run_cli(argv, stdin_text=""):
 
 
 def test_gen_matches_library():
-    code, out, _ = run_cli(["gen", "cycle", "4"])
-    assert code == 0
-    assert out == format_epg(gen_cycle(4))
+    for argv, emb in [
+        (["nested_triangles", "3"], gen_nested_triangles(3)),
+        (["counterexample", "2"], gen_counterexample(2)),
+        (["k4_minus_edge"], gen_k4_minus_edge()),
+        (["cycle", "4"], gen_cycle(4)),
+        (["wheel", "5"], gen_wheel(5)),
+        (["path", "3"], gen_path(3)),
+        (["random_kouter", "3", "--seed", "7", "--width", "4"], gen_random_kouter(3, 4, 7)),
+        (["random_kouter", "2"], gen_random_kouter(2, 5, 0)),
+    ]:
+        code, out, _ = run_cli(["gen"] + argv)
+        assert code == 0 and out == format_epg(emb), argv
+    for argv in (["cycle", "0"], ["k4_minus_edge", "0"]):
+        code, out, err = run_cli(["gen"] + argv)
+        assert code == 1 and out == ""
+        assert "BadParameter: parameter must be >= 1, got 0" in err
 
 
 def test_gen_requires_parameter():
@@ -142,6 +159,29 @@ def test_theorem1_k3_needs_slow_flag():
     for argv in (["oracle", "theorem1", "2"], ["verify", "--json", "a.json"]):
         code, _, err = run_cli(argv + ["--budget-chords", "100"])
         assert code == 2 and "--budget-chords" in err
+
+
+def test_theorem1_ignores_the_oracle_budgets():
+    # the budgets bound bw and outerplanarity; theorem 1 runs K4 under the default
+    for argv in (
+        ["oracle", "theorem1", "1", "--budget-vertices", "3"],
+        ["oracle", "theorem1", "2", "--budget-vertices", "3", "--budget-edges", "1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        assert out == run_cli(argv[:3])[1]
+    code, _, err = run_cli(["oracle", "theorem1", "1", "--budget-vertices", "0"])
+    assert code == 1 and "BadParameter" in err
+
+
+def test_bd_and_pipeline_share_one_tree(corpus):
+    for label, emb in corpus:
+        epg = format_epg(emb)
+        bd = json.loads(run_cli(["bd"], stdin_text=epg)[1])
+        report = json.loads(run_cli(["pipeline"], stdin_text=epg)[1])
+        assert bd["width"] == report["bd_width"], label
+        assert bd["bounds"]["2h"] == 2 * (report["forest_height"] + 1), label
+        assert bd["bounds"]["tw"] == report["tw_bound"], label
 
 
 def test_bd_certifies_its_tree(monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from onionpeel import (
     Embedding,
-    build_embedding,
     errors,
     gen_cycle,
     gen_k4_minus_edge,
@@ -22,7 +21,7 @@ TRIANGLE = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
 
 
 def triangle():
-    return build_embedding([0, 1, 2], TRIANGLE, [(0, 1)])
+    return Embedding(TRIANGLE, [(0, 1)])
 
 
 def link_in_face(emb, face, u, v):
@@ -48,19 +47,19 @@ def test_dart_conventions():
 
 def test_self_loop_rejected():
     with pytest.raises(errors.SelfLoop):
-        build_embedding([0, 1], {0: [0, 1], 1: [0]}, [(0, 1)])
+        Embedding({0: [0, 1], 1: [0]}, [(0, 1)])
 
 
 def test_parallel_edge_rejected():
     with pytest.raises(errors.ParallelEdge):
-        build_embedding([0, 1, 2], {0: [1, 1, 2], 1: [0, 2], 2: [0, 1]}, [(0, 1)])
+        Embedding({0: [1, 1, 2], 1: [0, 2], 2: [0, 1]}, [(0, 1)])
 
 
 def test_asymmetric_adjacency_rejected():
     with pytest.raises(errors.AsymmetricAdjacency):
-        build_embedding([0, 1, 2], {0: [1, 2], 1: [0], 2: [0, 1]}, [(0, 1)])
+        Embedding({0: [1, 2], 1: [0], 2: [0, 1]}, [(0, 1)])
     with pytest.raises(errors.AsymmetricAdjacency):
-        build_embedding([0, 1], {0: [1, 7], 1: [0]}, [(0, 1)])
+        Embedding({0: [1, 7], 1: [0]}, [(0, 1)])
 
 
 def test_euler_violation_rejected():
@@ -83,8 +82,8 @@ def test_nested_component_rejected():
 
 def test_nested_triangles_counts_revalidated():
     emb = gen_nested_triangles(3)
-    revalidated = build_embedding(
-        emb.vertices, {v: emb.rotation(v) for v in emb.vertices}, emb.outer_darts
+    revalidated = Embedding(
+        {v: emb.rotation(v) for v in emb.vertices}, emb.outer_darts
     )
     assert revalidated == emb
     assert revalidated.vertex_count == 9
@@ -209,14 +208,14 @@ def test_euler_and_walk_sum_invariants(corpus):
 
 
 def test_isolated_vertices_are_outer():
-    emb = build_embedding([0, 1, 2, 7], TRIANGLE, [(0, 1)])
+    emb = Embedding({**TRIANGLE, 7: []}, [(0, 1)])
     assert 7 in emb.outer_vertices
     assert emb.degree(7) == 0
 
 
 def test_embedding_equality_ignores_rotation_start():
-    a = build_embedding([0, 1, 2], TRIANGLE, [(0, 1)])
-    b = build_embedding([0, 1, 2], {0: [2, 1], 1: [0, 2], 2: [1, 0]}, [(1, 2)])
+    a = Embedding(TRIANGLE, [(0, 1)])
+    b = Embedding({0: [2, 1], 1: [0, 2], 2: [1, 0]}, [(1, 2)])
     # same cyclic orders, outer dart on the same walk
     assert a == b and hash(a) == hash(b)
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onionpeel import (
-    build_embedding,
+    Embedding,
     errors,
     format_epg,
     gen_counterexample,
@@ -21,7 +21,7 @@ outer 0 1
 
 
 def test_canonical_triangle_text():
-    emb = build_embedding([0, 1, 2], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
+    emb = Embedding({0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
     assert format_epg(emb) == TRIANGLE_TEXT
     assert parse_epg(TRIANGLE_TEXT) == emb
 
@@ -42,7 +42,7 @@ def test_round_trip_corpus(corpus):
 
 
 def test_round_trip_with_isolated_vertex():
-    emb = build_embedding([0, 1, 2, 9], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
+    emb = Embedding({0: [1, 2], 1: [2, 0], 2: [0, 1], 9: []}, [(0, 1)])
     assert "v 9:" in format_epg(emb)
     assert parse_epg(format_epg(emb)) == emb
 
@@ -74,7 +74,7 @@ def test_dot_export_mentions_faces_and_edges():
     assert dot.startswith("graph embedding {")
     assert "// face 0" in dot and "(outer)" in dot
     assert "0 -- 1;" in dot
-    iso = build_embedding([0, 1, 2, 9], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)])
+    iso = Embedding({0: [1, 2], 1: [2, 0], 2: [0, 1], 9: []}, [(0, 1)])
     assert "  9;" in to_dot(iso)
 
 

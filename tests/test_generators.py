@@ -1,8 +1,6 @@
 import pytest
 
 from onionpeel import (
-    GadgetSpec,
-    build_gadget,
     errors,
     format_epg,
     gen_counterexample,
@@ -97,12 +95,3 @@ def test_random_single_ring_is_cycle():
     assert emb.edges == gen_cycle(5).edges
     assert onion_peels(emb).k == 1
 
-
-def test_gadget_spec_dispatch():
-    assert build_gadget(GadgetSpec("cycle", 4)) == gen_cycle(4)
-    assert build_gadget(GadgetSpec("k4_minus_edge")) == gen_k4_minus_edge()
-    assert build_gadget(
-        GadgetSpec("random_kouter", 2, seed=3, width=4)
-    ) == gen_random_kouter(2, 4, 3)
-    with pytest.raises(errors.BadParameter):
-        GadgetSpec("petersen", 1)

@@ -5,7 +5,6 @@ import pytest
 from onionpeel import (
     Embedding,
     RootedForest,
-    build_embedding,
     build_rooted_forest,
     errors,
     gen_counterexample,
@@ -16,7 +15,7 @@ from onionpeel import (
     gen_wheel,
     onion_peels,
     saturate_inward_neighbors,
-    verify_forest_bound,
+    validate_forest,
 )
 from onionpeel.embedding import _components, _trace
 from onionpeel.oracles import _min_peels, _triangulation_masks
@@ -87,14 +86,24 @@ def delete_nonbridge_edges(emb, count, rng):
 
 def side_by_side(*embs):
     """Disjoint union, each component drawn in the shared outer region."""
-    rot, outer, verts, offset = {}, [], [], 0
+    rot, outer, offset = {}, [], 0
     for emb in embs:
-        verts += [v + offset for v in emb.vertices]
         for v in emb.vertices:
             rot[v + offset] = [w + offset for w in emb.rotation(v)]
         outer += [(a + offset, b + offset) for a, b in emb.outer_darts]
         offset += max(emb.vertices) + 1
-    return build_embedding(verts, rot, outer)
+    return Embedding(rot, outer)
+
+
+def check_depth_bounds_peel(emb, forest):
+    """A valid outer-rooted forest puts each depth-d vertex in peel <= d + 1.
+
+    So a forest of height h witnesses at most h + 1 peels.
+    """
+    validate_forest(emb, forest)
+    index = onion_peels(emb).index_of()
+    for v, d in forest.depth.items():
+        assert index[v] <= d + 1, (v, d, index[v])
 
 
 def with_pendant(emb, face, v):
@@ -154,12 +163,12 @@ def test_peels_match_removal_on_side_by_side_components():
 
 
 def test_peels_match_removal_with_isolated_vertices():
-    lone = build_embedding([4, 9], {}, [])
+    lone = Embedding({4: [], 9: []}, [])
     assert onion_peels(lone).layers == removal_peels(lone) == (frozenset({4, 9}),)
-    assert onion_peels(build_embedding([], {}, [])).layers == ()
+    assert onion_peels(Embedding({}, [])).layers == ()
     k4 = gen_wheel(3)
     rot = {v: k4.rotation(v) for v in k4.vertices}
-    emb = build_embedding(list(k4.vertices) + [10, 11], rot, k4.outer_darts)
+    emb = Embedding({**rot, 10: [], 11: []}, k4.outer_darts)
     assert onion_peels(emb).layers == removal_peels(emb)
     assert onion_peels(emb).layers == (frozenset({0, 1, 2, 10, 11}), frozenset({3}))
 
@@ -332,21 +341,21 @@ def test_forest_height_bound_corpus(corpus):
         sat = saturate_inward_neighbors(emb)
         forest = build_rooted_forest(sat)
         assert forest.height <= k - 1, label
-        cert = verify_forest_bound(sat, forest)
-        assert cert.peel_count <= cert.height + 1, label
+        check_depth_bounds_peel(sat, forest)
 
 
-def test_verify_forest_bound_k4():
+def test_forest_peels_k4():
     k4 = gen_wheel(3)
-    cert = verify_forest_bound(k4, build_rooted_forest(k4))
-    assert (cert.peel_count, cert.height) == (2, 1)
+    forest = build_rooted_forest(k4)
+    check_depth_bounds_peel(k4, forest)
+    assert (onion_peels(k4).k, forest.height) == (2, 1)
 
 
 def test_nonspanning_forest_rejected():
     k4 = gen_wheel(3)
     bogus = RootedForest(parent={}, depth={0: 0, 1: 0, 2: 0}, roots=frozenset({0, 1, 2}))
     with pytest.raises(errors.UnreachableVertex):
-        verify_forest_bound(k4, bogus)
+        validate_forest(k4, bogus)
 
 
 def test_forest_roots_are_all_outer_vertices(corpus):

@@ -4,7 +4,6 @@ import pytest
 
 from onionpeel import (
     Embedding,
-    build_embedding,
     build_rooted_forest,
     errors,
     gen_counterexample,
@@ -71,9 +70,7 @@ def test_connect_connected_noop():
 
 
 def test_connect_absorbs_isolated_vertex():
-    emb = build_embedding(
-        [0, 1, 2, 7], {0: [1, 2], 1: [2, 0], 2: [0, 1]}, [(0, 1)]
-    )
+    emb = Embedding({0: [1, 2], 1: [2, 0], 2: [0, 1], 7: []}, [(0, 1)])
     joined, edges = stage_alone(emb, "connect")
     assert joined.is_connected and joined.has_edge(0, 7) and edges == [(0, 7)]
     assert 7 in joined.outer_vertices
@@ -177,9 +174,9 @@ def test_disk_two_triangles():
 
 
 def test_disk_too_small():
-    with pytest.raises(errors.TooSmall):
+    with pytest.raises(errors.TooSmall, match="need at least 3 vertices, got 2"):
         to_triangulated_disk(gen_path(2))
-    with pytest.raises(errors.TooSmall):
+    with pytest.raises(errors.TooSmall, match="need at least 3 vertices, got 2"):
         to_full_triangulation(gen_path(2))
 
 
@@ -197,24 +194,25 @@ def test_disk_trace_replay(small_corpus):
     stages = {"saturate", "connect", "outer-cut", "inner-cut", "ear", "apex"}
     for label, emb in small_corpus:
         for convert in (to_triangulated_disk, to_full_triangulation):
-            _, trace = convert(emb)
+            out, trace = convert(emb)
             assert {s for _, _, s in trace.added_edges} <= stages, label
             added = [(min(u, v), max(u, v)) for u, v, _ in trace.added_edges]
-            input_edges = set(trace.input.edges)
+            input_edges = set(emb.edges)
             assert len(set(added)) == len(added) and not input_edges & set(added), label
-            assert set(trace.output.edges) == input_edges | set(added), label
-            rerun, retrace = convert(trace.input)
-            assert rerun == trace.output, label
+            assert set(out.edges) == input_edges | set(added), label
+            rerun, retrace = convert(emb)
+            assert rerun == out, label
             assert retrace.added_edges == trace.added_edges, label
 
 
 def test_forest_survives_disk_conversion(corpus):
-    for label, emb in corpus:
-        sat = saturate_inward_neighbors(emb)
-        forest = build_rooted_forest(sat)
+    # every chord added after saturation joins two vertices of one saturated
+    # face, whose anchor (smallest (peel, id)) is already adjacent to both
+    for label, emb in differential_inputs(corpus):
+        forest = build_rooted_forest(saturate_inward_neighbors(emb))
         disk, _ = to_triangulated_disk(emb)
-        validate_forest(disk, forest)  # same forest, same height, still rooted
-        assert build_rooted_forest(sat).height == forest.height, label
+        assert build_rooted_forest(disk) == forest, label
+        validate_forest(disk, forest)
 
 
 def test_triangulate_four_cycle_is_k4():
@@ -432,10 +430,10 @@ def differential_inputs(corpus):
             yield f"side{i}_{j}", side_by_side(a, b)
     yield "side_all", side_by_side(*parts)
     tri = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
-    yield "isolated", build_embedding([0, 1, 2, 7], tri, [(0, 1)])
-    yield "isolated_first", build_embedding([0, 4, 5, 6], {
-        v + 4: [w + 4 for w in ns] for v, ns in tri.items()}, [(4, 5)])
-    yield "three_isolated", build_embedding([0, 1, 2], {}, [])
+    yield "isolated", Embedding({**tri, 7: []}, [(0, 1)])
+    yield "isolated_first", Embedding({
+        0: [], **{v + 4: [w + 4 for w in ns] for v, ns in tri.items()}}, [(4, 5)])
+    yield "three_isolated", Embedding({0: [], 1: [], 2: []}, [])
 
 
 def test_conversion_matches_per_edge_rebuild(corpus):
