@@ -17,16 +17,20 @@ consistency.
 
 Embeddings are immutable values; derived data (face walks, components) is
 computed once and cached on the instance.  Every added edge goes through
-one internal primitive, the corner link of a mutable face builder, so a
-run of insertions validates only once.  An embedding of several
-components is accepted only when every component lies in the outer
-region: one outer dart per edged component, all merged into a single
-outer region.  Isolated vertices carry an empty rotation and count as
+one internal primitive, the corner link of a mutable half-edge face
+builder, so a run of insertions validates only once.  A link costs the
+endpoint degrees plus the shorter of the two walks it splits a face into;
+building an embedding is linear up to sorting the darts.  An embedding of
+several components is accepted only when every component lies in the
+outer region: one outer dart per edged component, all merged into a
+single outer region.  Isolated vertices carry an empty rotation and count as
 outer.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Mapping, Sequence
@@ -128,17 +132,18 @@ class Embedding:
 
     @staticmethod
     def _validate_structure(rot: dict[int, tuple[int, ...]]) -> None:
+        adj = {v: set(ns) for v, ns in rot.items()}
         for v, ns in rot.items():
-            if v in ns:
+            if v in adj[v]:
                 raise SelfLoop(f"vertex {v} lists itself as a neighbor")
-            if len(set(ns)) != len(ns):
+            if len(adj[v]) != len(ns):
                 raise ParallelEdge(f"vertex {v} lists a neighbor twice")
             for w in ns:
                 if w not in rot:
                     raise AsymmetricAdjacency(
                         f"{v} lists unknown vertex {w}"
                     )
-                if v not in rot[w]:
+                if v not in adj[w]:
                     raise AsymmetricAdjacency(
                         f"{v} lists {w} but {w} does not list {v}"
                     )
@@ -388,12 +393,15 @@ class _FaceBuilder:
     """Mutable copy of an embedding that grows by one edge at a time.
 
     The one edge-insertion primitive: callers copy an embedding in, link
-    corners, and validate once at the end with :meth:`embedding`.  It
-    holds the rotations, adjacency sets, and every face walk as a dart
-    tuple starting at its minimal dart, keyed by an id that the walk
-    keeps until a link replaces it; ``outer`` holds the ids of the outer
-    walks.  This is the face split of a half-edge structure (the DCEL of
-    de Berg et al., *Computational Geometry*, ch. 2).
+    corners, and validate once at the end with :meth:`embedding`.  It is
+    a pointer half-edge structure (the DCEL of de Berg et al.,
+    *Computational Geometry*, ch. 2): besides the rotations and adjacency
+    sets it holds each dart's successor ``nxt`` under the face rule, each
+    dart's walk id ``wid``, each walk's length ``size``, and ``outer``,
+    the ids of the outer walks; no walk is stored as a dart sequence.
+    A walk's minimal dart comes from a lazy-deletion min-heap, and its
+    vertex-occurrence counts are computed on first request and then kept
+    up to date.
 
     A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
     the walk leaves x on ``(x, s)`` with s the successor of t in the
@@ -403,70 +411,130 @@ class _FaceBuilder:
     def __init__(self, emb: Embedding):
         self.rot = emb.rotations_dict()
         self.adj = {v: set(ns) for v, ns in self.rot.items()}
-        self.walks = {i: f.darts for i, f in enumerate(emb.faces)}
+        self.nxt = {
+            (t, v): (v, s)
+            for v, ns in emb._rot.items()
+            for t, s in zip(ns, ns[1:] + ns[:1])
+        }
+        self.wid = dict(emb._walk_of_dart)
+        self.size = {i: len(f) for i, f in enumerate(emb.faces)}
         self.outer = {i for i, f in enumerate(emb.faces) if f.is_outer}
-        self.walk_of = dict(emb._walk_of_dart)
-        self._fresh = count(len(self.walks))
+        self._faces = emb.faces
+        self._heaps: dict[int, list[Dart]] = {}  # none yet: an input face
+        self._counts: dict[int, Counter[int]] = {}
+        self._fresh = count(len(self.size))
+
+    def first(self, i: int) -> Dart:
+        """The minimal dart of walk i."""
+        heap = self._heaps.get(i)
+        if heap is None:
+            return self._faces[i].darts[0]
+        while self.wid[heap[0]] != i:
+            heapq.heappop(heap)
+        return heap[0]
+
+    def darts(self, start: Dart) -> list[Dart]:
+        """The walk through ``start``, from it."""
+        darts = [start]
+        d = self.nxt[start]
+        while d != start:
+            darts.append(d)
+            d = self.nxt[d]
+        return darts
+
+    def pred(self, d: Dart) -> Dart:
+        """The dart before d on its walk."""
+        v, c = d
+        rot = self.rot[v]
+        return (rot[rot.index(c) - 1], v)
+
+    def counts(self, i: int) -> Counter[int]:
+        """Vertex -> occurrences on walk i."""
+        if i not in self._counts:
+            self._counts[i] = Counter(d[0] for d in self.darts(self.first(i)))
+        return self._counts[i]
+
+    def is_simple(self, i: int) -> bool:
+        """True when no vertex repeats on walk i."""
+        return self.size[i] == 3 or len(self.counts(i)) == self.size[i]
 
     def link(self, corner_u: Dart, corner_v: Dart) -> tuple[int, ...]:
         """Add the edge (u, v) between two corners; return the new walk ids.
 
         Each endpoint gets the other right after t in its rotation, which
-        is where its corner sits.  Two corners of one walk split it into
-        (u, v) followed by the darts after v's corner through u's, and
-        (v, u) followed by the rest; the first part keeps the walk's outer
-        mark.  Corners of two walks, or of an isolated vertex, merge into
-        one walk, outer if either was (an isolated vertex lies in the outer
-        region).  Costs O(length of the walks involved).
+        is where its corner sits, and four successors are rewired.  Two
+        corners of one walk split it into (u, v) followed by the darts
+        after v's corner through u's, and (v, u) followed by the rest; the
+        first part keeps the walk's outer mark.  The parts are walked in
+        lockstep and only the shorter gets a fresh id, so a split costs
+        O(shorter part) and a dart changes id O(log n) times.  Corners of
+        two walks, or of an isolated vertex, merge into one walk with a
+        fresh id, outer if either was (an isolated vertex lies in the
+        outer region), at O(merged walk).
         """
         (t_u, u), (t_v, v) = corner_u, corner_v
+        nxt, wid = self.nxt, self.wid
+        w, w_v = wid.get(corner_u), wid.get(corner_v)
         for t, x, y in ((t_u, u, v), (t_v, v, u)):
             rot = self.rot[x]
-            rot.insert(0 if t is None else rot.index(t) + 1, y)
+            if t is None:
+                rot.append(y)
+                nxt[(y, x)] = (x, y)
+            else:
+                rot.insert(rot.index(t) + 1, y)
+                nxt[(y, x)], nxt[(t, x)] = nxt[(t, x)], (x, y)
             self.adj[x].add(y)
-        w_u, w_v = self.walk_of.get(corner_u), self.walk_of.get(corner_v)
-        if w_u is not None and w_u == w_v:
-            walk = self.walks.pop(w_u)
-            i_u, i_v = walk.index(corner_u), walk.index(corner_v)
-            parts = [
-                (((u, v),) + _cyclic(walk, i_v, i_u), w_u in self.outer),
-                (((v, u),) + _cyclic(walk, i_u, i_v), False),
-            ]
-            self.outer.discard(w_u)
-        else:
+        f = next(self._fresh)
+        if w is None or w != w_v:
             outer = False
-            rest = []
-            for w, corner in ((w_v, corner_v), (w_u, corner_u)):
-                if w is None:
-                    outer = True
-                    rest.append(())
-                    continue
-                walk = self.walks.pop(w)
-                outer = outer or w in self.outer
-                self.outer.discard(w)
-                i = walk.index(corner)
-                rest.append(_cyclic(walk, i, i))
-            parts = [(((u, v),) + rest[0] + ((v, u),) + rest[1], outer)]
-        ids = []
-        for darts, outer in parts:
-            i = next(self._fresh)
-            self.walks[i] = _canonical_walk(darts)
-            self.walk_of.update(dict.fromkeys(darts, i))
-            if outer:
-                self.outer.add(i)
-            ids.append(i)
-        return tuple(ids)
+            for old in (w, w_v):
+                outer = outer or old is None or old in self.outer
+                self.outer.discard(old)
+                self.size.pop(old, None)
+                self._heaps.pop(old, None)
+                self._counts.pop(old, None)
+            self._relabel(self.darts((u, v)), f, outer)
+            return (f,)
+        p, q, n = nxt[(u, v)], nxt[(v, u)], 1
+        while p != (u, v) and q != (v, u):
+            p, q, n = nxt[p], nxt[q], n + 1
+        first_short = p == (u, v)
+        short, long = ((u, v), (v, u)) if first_short else ((v, u), (u, v))
+        outer = first_short and w in self.outer
+        if outer:
+            self.outer.remove(w)
+        darts = self.darts(short)
+        wid[long] = w
+        self.size[w] += 2 - n
+        if w not in self._heaps:
+            self._heaps[w] = list(self._faces[w].darts)
+            heapq.heapify(self._heaps[w])
+        heapq.heappush(self._heaps[w], long)
+        c = self._counts.get(w)
+        if c is not None:
+            part = Counter(d[0] for d in darts)
+            c.update((u, v))
+            c.subtract(part)
+            for x in part:
+                if not c[x]:
+                    del c[x]
+            if n > 3:
+                self._counts[f] = part
+        self._relabel(darts, f, outer)
+        return (f, w) if first_short else (w, f)
+
+    def _relabel(self, darts: list[Dart], f: int, outer: bool) -> None:
+        """Give the whole walk ``darts`` the fresh id f."""
+        self.wid.update(dict.fromkeys(darts, f))
+        self.size[f] = len(darts)
+        heapq.heapify(darts)
+        self._heaps[f] = darts
+        if outer:
+            self.outer.add(f)
 
     def embedding(self) -> Embedding:
         """Validate the current state as an embedding."""
-        return Embedding(self.rot, [self.walks[i][0] for i in self.outer])
-
-
-def _cyclic(walk: tuple[Dart, ...], after: int, upto: int) -> tuple[Dart, ...]:
-    """The darts after position ``after`` through ``upto``, cyclically."""
-    start = after + 1
-    rotated = walk[start:] + walk[:start]
-    return rotated[: (upto - after - 1) % len(walk) + 1]
+        return Embedding(self.rot, [self.first(i) for i in self.outer])
 
 
 def fan_targets(walk: FaceWalk, anchor_pos: int, adjacency_ok) -> list[int]:

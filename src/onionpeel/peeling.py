@@ -156,7 +156,7 @@ def _saturate(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
     index = onion_peels(emb).index_of()
     added = []
     for f in emb.faces:
-        if f.is_outer:
+        if f.is_outer or len(f) == 3:  # a triangle's vertices are adjacent
             continue
         verts = f.vertices
         anchor_pos = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))

@@ -16,7 +16,6 @@ one extra peel.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 
 from .embedding import (
@@ -60,42 +59,42 @@ def _outer_corner(b: _FaceBuilder, x: int) -> Dart:
     """The corner of x's first occurrence on its component's outer walk."""
     if not b.rot[x]:
         return (None, x)
-    walk = next(
-        b.walks[i] for i in (b.walk_of[(x, y)] for y in b.rot[x]) if i in b.outer
-    )
-    pos = next(p for p, d in enumerate(walk) if d[0] == x)
-    return walk[pos - 1]
-
-
-def _is_simple(walk: tuple[Dart, ...]) -> bool:
-    return len({d[0] for d in walk}) == len(walk)
+    i = next(i for i in (b.wid[(x, y)] for y in b.rot[x]) if i in b.outer)
+    d = b.first(i)
+    corner = b.pred(d)
+    while d[0] != x:
+        corner, d = d, b.nxt[d]
+    return corner
 
 
 def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Edge]:
     """Cut corners off wanted faces until no face is wanted.
 
-    Takes the wanted walk with the smallest minimal dart (``wanted(walk,
-    is_outer)``) and the first position j from that dart whose flankers,
+    Takes the wanted walk with the smallest minimal dart (``wanted(b,
+    walk id)``) and the first position j from that dart whose flankers,
     a at j-1 and c at j+1, are distinct and not adjacent, and whose vertex
     repeats on the walk if ``repeated_only``.  The chord (a, c) cuts the
     corner at j off into a triangle; the rest keeps the walk's outer mark.
-    A wanted walk without such a position raises ``stuck(walk)``.
+    A wanted walk without such a position raises ``stuck(b, walk id)``.
     """
-    heap = [(w[0], i) for i, w in b.walks.items() if wanted(w, i in b.outer)]
+    heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
     heapq.heapify(heap)
     added: list[Edge] = []
     while heap:
-        walk = b.walks[heapq.heappop(heap)[1]]
-        counts = Counter(d[0] for d in walk)
-        for j, (v, c) in enumerate(walk):
-            a = walk[j - 1][0]
-            if a != c and c not in b.adj[a] and (counts[v] > 1 or not repeated_only):
+        d, i = heapq.heappop(heap)
+        counts = b.counts(i) if repeated_only else None
+        before = b.pred(d)
+        corner = b.pred(before)
+        for _ in range(b.size[i]):
+            (v, c), a = d, before[0]
+            if a != c and c not in b.adj[a] and (not repeated_only or counts[v] > 1):
                 break
+            corner, before, d = before, d, b.nxt[d]
         else:
-            raise stuck(walk)
-        for i in b.link(walk[j - 2], walk[j]):
-            if wanted(b.walks[i], i in b.outer):
-                heapq.heappush(heap, (b.walks[i][0], i))
+            raise stuck(b, i)
+        for j in b.link(corner, d):
+            if wanted(b, j):
+                heapq.heappush(heap, (b.first(j), j))
         added.append((min(a, c), max(a, c)))
     return added
 
@@ -104,27 +103,28 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
 _CUTS = (
     (
         "outer-cut",
-        lambda walk, outer: outer and not _is_simple(walk),
+        lambda b, i: i in b.outer and not b.is_simple(i),
         True,
-        lambda walk: RepairStuck(
+        lambda b, i: RepairStuck(
             "every occurrence of every repeated outer vertex has adjacent flankers"
         ),
     ),
     (
         "inner-cut",
-        lambda walk, outer: not outer and not _is_simple(walk),
+        lambda b, i: i not in b.outer and not b.is_simple(i),
         True,
-        lambda walk: RepairStuck(
+        lambda b, i: RepairStuck(
             "every occurrence of every repeated inner-face vertex has "
             "adjacent flankers"
         ),
     ),
     (
         "ear",
-        lambda walk, outer: not outer and len(walk) >= 4,
+        lambda b, i: i not in b.outer and b.size[i] >= 4,
         False,
-        lambda walk: InvariantViolation(
-            f"no ear available on inner face {tuple(d[0] for d in walk)}"
+        lambda b, i: InvariantViolation(
+            "no ear available on inner face "
+            f"{tuple(d[0] for d in b.darts(b.first(i)))}"
         ),
     ),
 )

@@ -63,13 +63,21 @@ def enumerate_face_triangulations(disk, face):
             x, y = c[i], c[j]
             # the one walk through both ends; its corners there take the chord
             walk = next(
-                w for w in (b.walks[b.walk_of[(x, n)]] for n in b.rot[x])
+                w for w in (successor_walk(b.nxt, (x, n)) for n in b.rot[x])
                 if any(d[0] == y for d in w)
             )
             b.link(*[walk[p - 1] for p, d in enumerate(walk) if d[0] in (x, y)])
         tri = Embedding(b.rot, disk.outer_darts)
         assert is_triangulation(tri)
         yield tri
+
+
+def successor_walk(nxt, start):
+    """The darts from ``start`` along the successor map back to it."""
+    walk = [start]
+    while nxt[walk[-1]] != start:
+        walk.append(nxt[walk[-1]])
+    return walk
 
 
 def polygon_chord_sets(i, j):

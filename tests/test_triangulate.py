@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from onionpeel import (
     Embedding,
     build_rooted_forest,
+    decompose_pipeline,
     errors,
     gen_counterexample,
     gen_cycle,
@@ -23,6 +25,7 @@ from onionpeel import (
 )
 from onionpeel.embedding import _FaceBuilder, fan_targets
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from test_oracles import successor_walk
 from test_peeling import delete_nonbridge_edges, side_by_side
 
 
@@ -446,3 +449,80 @@ def test_conversion_matches_per_edge_rebuild(corpus):
         assert (tri, trace.added_edges) == ref_full(emb), label
         stages.update(s for _, _, s in trace.added_edges)
     assert stages == {"saturate", "connect", "outer-cut", "inner-cut", "ear", "apex"}
+
+
+# -- the face builder's pointer structure, checked after every link -----------
+
+
+def check_builder(b):
+    """Each walk id traces exactly one face of the rebuilt embedding.
+
+    Returns how many walks hold materialised vertex counts.
+    """
+    darts_of = {}
+    for d, i in b.wid.items():
+        darts_of.setdefault(i, []).append(d)
+    assert set(darts_of) == set(b.size)
+    emb = Embedding(b.rot, [darts_of[i][0] for i in b.outer])
+    assert len(emb.faces) == len(b.size)
+    for v, ns in b.rot.items():
+        assert b.adj[v] == set(ns)
+    for i, darts in darts_of.items():
+        walk = successor_walk(b.nxt, darts[0])
+        face = emb.faces[emb.face_index_of_dart(darts[0])]
+        assert sorted(walk) == sorted(darts) == sorted(face.darts)
+        assert b.size[i] == len(face)
+        assert b.first(i) == face.darts[0]
+        if i in b._counts:
+            assert b._counts[i] == Counter(face.vertices)
+        assert (i in b.outer) == face.is_outer
+    return len(b._counts)
+
+
+def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
+    link = _FaceBuilder.link
+    splits, counted = [], []
+
+    def checked(b, corner_u, corner_v):
+        before = dict(b.wid)
+        # an isolated vertex (no walk) lies in the outer region
+        outer = [b.wid.get(c) in b.outer | {None} for c in (corner_u, corner_v)]
+        ids = link(b, corner_u, corner_v)
+        if len(ids) == 2:
+            assert [i in b.outer for i in ids] == [outer[0], False]
+            moved = sum(b.wid[d] != i for d, i in before.items())
+            assert moved <= min(b.size[i] for i in ids)
+            splits.append(moved)
+        else:
+            assert (ids[0] in b.outer) == any(outer)
+        counted.append(check_builder(b))
+        return ids
+
+    monkeypatch.setattr(_FaceBuilder, "link", checked)
+    inputs = [*differential_inputs(corpus), ("path60", gen_path(60))]
+    for label, emb in inputs:
+        check_builder(_FaceBuilder(emb))
+        to_full_triangulation(emb)
+    assert len(splits) > 1000 and sum(counted) > 1000
+
+
+@pytest.mark.parametrize("family, n", [(gen_path, 2000), (gen_cycle, 4000)])
+def test_long_face_converts_to_a_triangulation(family, n):
+    emb = family(n)
+    tri, trace = to_full_triangulation(emb)
+    assert is_triangulation(tri)
+    assert tri.edge_count == 3 * n - 6
+    added = [(u, v) for u, v, _ in trace.added_edges]
+    assert len(set(added)) == len(added)
+    assert not set(added) & set(emb.edges)
+    assert set(tri.edges) == set(emb.edges) | set(added)
+    assert onion_peels(tri).k <= onion_peels(emb).k + 1
+
+
+def test_long_face_pipeline():
+    emb = gen_cycle(4000)
+    cert = decompose_pipeline(emb)
+    edges = set(cert.tree.assignment)
+    assert cert.peel_count == cert.disk_peel_count == 1
+    assert cert.width <= 2
+    assert set(emb.edges) <= edges and len(edges) == 2 * 4000 - 3
