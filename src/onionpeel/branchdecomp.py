@@ -78,14 +78,15 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     inner face on the side of its canonical dart (the unique inner side
     for outer edges).  Face nodes keep degree <= 3 because a triangle
     contributes at most one incidence per edge.  The tree and degree
-    checks and :func:`_certify` are bug certificates.
+    checks (the tree check inside :func:`_width_and_cuts`) and
+    :func:`_certify` are bug certificates.
     """
     if not is_triangulated_disk(disk):
         raise NotADisk("branch tree requires a triangulated disk")
     validate_forest(disk, forest)
     forest_edges = forest.edges()
     outer_edges = frozenset(disk.outer_faces[0].edges())
-    outer_idx = disk.faces.index(disk.outer_faces[0])
+    outer_idx = disk.face_index_of_dart(disk.outer_darts[0])
     nodes: list[BDNode] = []
     node_of_face: dict[int, int] = {}
     for fi in range(len(disk.faces)):
@@ -125,7 +126,6 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
             raise DegreeOverflow(f"node {n.id} ({n.kind}) has degree {degree[n.id]}")
         if n.kind == "edge" and degree[n.id] != 1:
             raise InvariantViolation(f"edge node {n.id} is not a leaf")
-    _check_tree([n.id for n in nodes], arcs)
     width, cuts = _width_and_cuts(nodes, arcs, assignment)
     bd = BranchDecomposition(
         nodes=tuple(nodes),
@@ -197,6 +197,10 @@ def verify_tree_cotree(disk: Embedding, forest: RootedForest) -> None:
 def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     """Exact per-arc crossing sets by bottom-up subtree aggregation.
 
+    One BFS from the smallest node id both orders the pass and certifies
+    the tree: ``NotATree`` is raised unless there is one arc fewer than
+    nodes and the search reaches every node.
+
     Each subtree's map counts the edges below it of every vertex that
     crosses the arc above it.  A vertex leaves the map once all its edges
     lie below: it crosses no arc further up.  So a map holds one arc's
@@ -210,6 +214,8 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     maps' sizes), at most O(E * width).  Arc nodes, whose one smaller
     child is a leaf, pay O(1).
     """
+    if len(arcs) != len(nodes) - 1:
+        raise NotATree(f"{len(nodes)} nodes but {len(arcs)} arcs")
     if not arcs:
         return 0, ()
     adj: dict[int, list[int]] = {n.id: [] for n in nodes}
@@ -229,6 +235,8 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
             if y not in parent:
                 parent[y] = x
                 order.append(y)
+    if len(order) != len(adj):
+        raise NotATree("arc set leaves the node set disconnected")
     below: dict[int, list[dict[int, int]]] = {}  # node -> its children's maps
     cuts: list[ArcCut] = []
     width = 0
@@ -276,7 +284,7 @@ def _certify(forest: RootedForest, bd: BranchDecomposition) -> None:
         raise BoundViolated(f"width {bd.width} exceeds 2(h+1) = {bound}")
     separators: dict[int, set[int]] = {}
     for cut in bd.cuts:
-        a, b = (bd.nodes[i] for i in cut.arc)
+        a, b = bd.nodes[cut.arc[0]], bd.nodes[cut.arc[1]]
         if a.kind == "edge" or b.kind == "edge":
             e = (a if a.kind == "edge" else b).edge
             if not cut.crossing <= frozenset(e):
@@ -296,19 +304,23 @@ def _certify(forest: RootedForest, bd: BranchDecomposition) -> None:
 def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
     """Forest vertices on the root paths of v1 and v2.
 
-    With one root, the paths are cut at the lowest common ancestor: the
-    separator is the cycle closed by the edge v1-v2.
+    The deeper endpoint climbs by ``forest.depth`` until the two climbs
+    meet, so with one root the paths are cut at the lowest common
+    ancestor: the separator is the cycle closed by the edge v1-v2.  With
+    two roots both climbs end at their roots.
     """
-    p1 = forest.root_path(v1)
-    p2 = forest.root_path(v2)
-    if p1[-1] != p2[-1]:
-        return set(p1) | set(p2)
-    on_p1 = set(p1)
-    up = [v2]
-    while up[-1] not in on_p1:
-        up.append(forest.parent[up[-1]])
-    lca = up[-1]
-    return set(up) | set(p1[: p1.index(lca) + 1])
+    parent, depth = forest.parent, forest.depth
+    sep = {v1, v2}
+    while v1 != v2:
+        if v1 in parent and (v2 not in parent or depth[v1] >= depth[v2]):
+            v1 = parent[v1]
+            sep.add(v1)
+        elif v2 in parent:
+            v2 = parent[v2]
+            sep.add(v2)
+        else:
+            break
+    return sep
 
 
 def decompose_pipeline(emb: Embedding) -> WidthCertificate:

@@ -10,6 +10,7 @@ byte-identical outputs; per-stage timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -522,6 +523,7 @@ def _arc_cuts(order, parent, arcs, assignment) -> list[int]:
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onionpeel",

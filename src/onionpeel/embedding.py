@@ -19,12 +19,12 @@ Embeddings are immutable values; derived data (face walks, components) is
 computed once and cached on the instance.  Every added edge goes through
 one internal primitive, the corner link of a mutable half-edge face
 builder, so a run of insertions validates only once.  A link costs the
-endpoint degrees plus the shorter of the two walks it splits a face into;
-building an embedding is linear up to sorting the darts.  An embedding of
-several components is accepted only when every component lies in the
-outer region: one outer dart per edged component, all merged into a
-single outer region.  Isolated vertices carry an empty rotation and count as
-outer.
+endpoint degrees plus the shorter of the two walks it splits a face into,
+or joins into one; building an embedding is linear up to sorting each
+rotation.  An embedding of several components is accepted only when
+every component lies in the outer region: one outer dart per edged
+component, all merged into a single outer region.  Isolated vertices
+carry an empty rotation and count as outer.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def _canonical_rotation(rot: tuple[int, ...]) -> tuple[int, ...]:
     return rot[i:] + rot[:i]
 
 
-def _canonical_walk(darts: list[Dart]) -> tuple[Dart, ...]:
-    i = darts.index(min(darts))
-    return tuple(darts[i:] + darts[:i])
-
-
 class Embedding:
     """Validated, canonical, immutable rotation-system embedding."""
 
@@ -106,7 +101,7 @@ class Embedding:
         rotations: Mapping[int, Sequence[int]],
         outer_darts: Iterable[Dart],
     ):
-        rot = {int(v): tuple(int(n) for n in ns) for v, ns in rotations.items()}
+        rot = {int(v): tuple(map(int, ns)) for v, ns in rotations.items()}
         self._validate_structure(rot)
         walks, walk_of = _trace(rot)
         comp_of = _components(rot)
@@ -318,29 +313,32 @@ class Embedding:
 def _trace(
     rot: Mapping[int, Sequence[int]],
 ) -> tuple[list[tuple[Dart, ...]], dict[Dart, int]]:
-    """Partition all darts into face walks under the successor rule."""
-    succ_index: dict[int, dict[int, int]] = {
-        v: {w: i for i, w in enumerate(ns)} for v, ns in rot.items()
-    }
-    all_darts = sorted((v, w) for v, ns in rot.items() for w in ns)
+    """Partition all darts into face walks under the successor rule.
+
+    Walks follow one successor map.  Darts are visited in sorted order,
+    so each walk starts at its minimal dart and walks are numbered by it.
+    """
+    succ = _successors(rot)
     walk_of: dict[Dart, int] = {}
     walks: list[tuple[Dart, ...]] = []
-    for start in all_darts:
-        if start in walk_of:
-            continue
-        idx = len(walks)
-        walk: list[Dart] = []
-        d = start
-        while True:
-            walk.append(d)
-            walk_of[d] = idx
-            u, v = d
-            ns = rot[v]
-            d = (v, ns[(succ_index[v][u] + 1) % len(ns)])
-            if d == start:
-                break
-        walks.append(_canonical_walk(walk))
+    for v in sorted(rot):
+        for w in sorted(rot[v]):
+            start = (v, w)
+            if start in walk_of:
+                continue
+            walk = [start]
+            d = succ[start]
+            while d != start:
+                walk.append(d)
+                d = succ[d]
+            walk_of.update(dict.fromkeys(walk, len(walks)))
+            walks.append(tuple(walk))
     return walks, walk_of
+
+
+def _successors(rot: Mapping[int, Sequence[int]]) -> dict[Dart, Dart]:
+    """Each dart (t, v) mapped to (v, s), s after t in the rotation at v."""
+    return {(t, v): (v, s) for v, ns in rot.items() for t, s in zip(ns, ns[1:] + ns[:1])}
 
 
 def _components(rot: Mapping[int, Iterable[int]]) -> dict[int, int]:
@@ -411,11 +409,7 @@ class _FaceBuilder:
     def __init__(self, emb: Embedding):
         self.rot = emb.rotations_dict()
         self.adj = {v: set(ns) for v, ns in self.rot.items()}
-        self.nxt = {
-            (t, v): (v, s)
-            for v, ns in emb._rot.items()
-            for t, s in zip(ns, ns[1:] + ns[:1])
-        }
+        self.nxt = _successors(emb._rot)
         self.wid = dict(emb._walk_of_dart)
         self.size = {i: len(f) for i, f in enumerate(emb.faces)}
         self.outer = {i for i, f in enumerate(emb.faces) if f.is_outer}
@@ -468,9 +462,9 @@ class _FaceBuilder:
         first part keeps the walk's outer mark.  The parts are walked in
         lockstep and only the shorter gets a fresh id, so a split costs
         O(shorter part) and a dart changes id O(log n) times.  Corners of
-        two walks, or of an isolated vertex, merge into one walk with a
-        fresh id, outer if either was (an isolated vertex lies in the
-        outer region), at O(merged walk).
+        two walks, or of an isolated vertex, join into one walk, outer if
+        either was (an isolated vertex lies in the outer region); see
+        :meth:`_join`.
         """
         (t_u, u), (t_v, v) = corner_u, corner_v
         nxt, wid = self.nxt, self.wid
@@ -484,17 +478,9 @@ class _FaceBuilder:
                 rot.insert(rot.index(t) + 1, y)
                 nxt[(y, x)], nxt[(t, x)] = nxt[(t, x)], (x, y)
             self.adj[x].add(y)
-        f = next(self._fresh)
         if w is None or w != w_v:
-            outer = False
-            for old in (w, w_v):
-                outer = outer or old is None or old in self.outer
-                self.outer.discard(old)
-                self.size.pop(old, None)
-                self._heaps.pop(old, None)
-                self._counts.pop(old, None)
-            self._relabel(self.darts((u, v)), f, outer)
-            return (f,)
+            return (self._join(u, v, w, w_v),)
+        f = next(self._fresh)
         p, q, n = nxt[(u, v)], nxt[(v, u)], 1
         while p != (u, v) and q != (v, u):
             p, q, n = nxt[p], nxt[q], n + 1
@@ -506,10 +492,7 @@ class _FaceBuilder:
         darts = self.darts(short)
         wid[long] = w
         self.size[w] += 2 - n
-        if w not in self._heaps:
-            self._heaps[w] = list(self._faces[w].darts)
-            heapq.heapify(self._heaps[w])
-        heapq.heappush(self._heaps[w], long)
+        heapq.heappush(self._heap(w), long)
         c = self._counts.get(w)
         if c is not None:
             part = Counter(d[0] for d in darts)
@@ -522,6 +505,50 @@ class _FaceBuilder:
                 self._counts[f] = part
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
+
+    def _join(self, u: int, v: int, w_u: int | None, w_v: int | None) -> int:
+        """Join the walks w_u and w_v (None: an isolated vertex) across (u, v).
+
+        The longer walk keeps its id.  The shorter side's darts and the
+        two new ones take that id, join its heap and add to its counts, so
+        a join costs O(shorter side) and a dart changes id O(log n) times.
+        Two isolated vertices make a fresh 2-dart walk.
+        """
+        if w_u is None and w_v is None:
+            f = next(self._fresh)
+            self._relabel([(u, v), (v, u)], f, True)
+            return f
+        if w_u is None or (w_v is not None and self.size[w_v] > self.size[w_u]):
+            keep, drop, start, stop = w_v, w_u, (v, u), (u, v)
+        else:
+            keep, drop, start, stop = w_u, w_v, (u, v), (v, u)
+        darts = [start]
+        d = self.nxt[start]
+        while d != stop:
+            darts.append(d)
+            d = self.nxt[d]
+        darts.append(stop)
+        if drop is None or drop in self.outer:
+            self.outer.add(keep)
+        self.outer.discard(drop)
+        self.size[keep] += self.size.pop(drop, 0) + 2
+        self._heaps.pop(drop, None)
+        self._counts.pop(drop, None)
+        self.wid.update(dict.fromkeys(darts, keep))
+        heap = self._heap(keep)
+        for d in darts:
+            heapq.heappush(heap, d)
+        if keep in self._counts:
+            self._counts[keep].update(d[0] for d in darts)
+        return keep
+
+    def _heap(self, i: int) -> list[Dart]:
+        """Walk i's min-heap of darts, made from its input face if it has none."""
+        heap = self._heaps.get(i)
+        if heap is None:
+            heap = self._heaps[i] = list(self._faces[i].darts)
+            heapq.heapify(heap)
+        return heap
 
     def _relabel(self, darts: list[Dart], f: int, outer: bool) -> None:
         """Give the whole walk ``darts`` the fresh id f."""

@@ -19,10 +19,14 @@ identical bytes.
 
 from __future__ import annotations
 
+import re
+
 from .embedding import Dart, Embedding
 from .errors import FormatError
 
 HEADER = "epg 1"
+# a well-formed vertex line; any other goes through the per-token checks
+_VERTEX_LINE = re.compile(r"v\s+-?\d+\s*:\s*(?:-?\d+\s+)*(?:-?\d+)?", re.ASCII)
 
 
 def format_epg(emb: Embedding) -> str:
@@ -52,10 +56,14 @@ def parse_epg(text: str) -> Embedding:
         if tokens[0] == "v":
             if len(tokens) < 3 or tokens[2] != ":":
                 raise FormatError(f"line {lineno}: malformed vertex line")
-            v = _int(tokens[1], lineno)
+            fast = _VERTEX_LINE.fullmatch(line)  # every token an EPG integer
+            v = int(tokens[1]) if fast else _int(tokens[1], lineno)
             if v in rotations:
                 raise FormatError(f"line {lineno}: duplicate vertex {v}")
-            rotations[v] = [_int(t, lineno) for t in tokens[3:]]
+            if fast:
+                rotations[v] = list(map(int, tokens[3:]))
+            else:
+                rotations[v] = [_int(t, lineno) for t in tokens[3:]]
         elif tokens[0] == "outer":
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: malformed outer line")

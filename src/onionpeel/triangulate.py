@@ -134,22 +134,27 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
     """Add edges until the embedding is a triangulated disk.
 
     All stages link corners of one builder, and the result is validated
-    once; an input that needs no edge is returned as it is.  The outer
-    vertex set of the output equals the input's and the peel count never
-    increases; both are enforced here as bug certificates.
+    once; an input that needs no edge is returned as it is, and a
+    triangulated disk skips the builder.  The outer vertex set of the
+    output equals the input's and the peel count never increases; both
+    are enforced here as bug certificates.
     A planar embedding cannot carry two crossing exterior chords, so an
     ear always exists while an inner face is long.
     """
     if emb.vertex_count < 3:
         raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
     k_in = onion_peels(emb).k
-    b = _FaceBuilder(emb)
-    sat = _saturate(b, emb)
-    added = [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
-    added += [(u, v, "connect") for u, v in _connect(b, emb.outer_vertices)]
-    for stage, *cut in _CUTS:
-        added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
-    current = b.embedding() if added else emb
+    added: list[tuple[int, int, str]] = []
+    current = emb
+    if not is_triangulated_disk(emb):  # no stage adds an edge to a disk
+        b = _FaceBuilder(emb)
+        sat = _saturate(b, emb)
+        added += [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
+        added += [(u, v, "connect") for u, v in _connect(b, emb.outer_vertices)]
+        for stage, *cut in _CUTS:
+            added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
+        if added:
+            current = b.embedding()
 
     if not is_triangulated_disk(current):
         raise InvariantViolation("disk pipeline did not produce a disk")

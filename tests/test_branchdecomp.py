@@ -299,6 +299,56 @@ def test_tree_cotree_second_route(small_corpus):
         verify_tree_cotree(disk, forest)
 
 
+def test_width_pass_certifies_the_tree():
+    disk, forest = disk_and_forest(gen_wheel(5))
+    bd = build_branch_tree(disk, forest)
+    n = len(bd.nodes)
+    short = bd.arcs[1:]
+    with pytest.raises(errors.NotATree) as exc:
+        _width_and_cuts(bd.nodes, short, bd.assignment)
+    assert str(exc.value) == f"{n} nodes but {n - 2} arcs"
+    split = bd.arcs[1:] + bd.arcs[1:2]  # the right count, one node cut off
+    with pytest.raises(errors.NotATree) as exc:
+        _width_and_cuts(bd.nodes, split, bd.assignment)
+    assert str(exc.value) == "arc set leaves the node set disconnected"
+    for arcs in (short, split):
+        with pytest.raises(errors.NotATree) as ref:
+            branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
+        with pytest.raises(errors.NotATree) as exc:
+            _width_and_cuts(bd.nodes, arcs, bd.assignment)
+        assert str(exc.value) == str(ref.value)
+
+
+def ref_separator(forest, v1, v2):
+    """Both whole root paths, cut at the lowest common ancestor on one root."""
+    p1 = forest.root_path(v1)
+    p2 = forest.root_path(v2)
+    if p1[-1] != p2[-1]:
+        return set(p1) | set(p2)
+    on_p1 = set(p1)
+    up = [v2]
+    while up[-1] not in on_p1:
+        up.append(forest.parent[up[-1]])
+    lca = up[-1]
+    return set(up) | set(p1[: p1.index(lca) + 1])
+
+
+def test_separator_matches_the_root_path_route(corpus):
+    checked = 0
+    for label, emb in [*corpus, *deep_disks()]:
+        disk, bfs = disk_and_forest(emb)
+        for forest in (bfs, depth_first_forest(disk)):
+            bd = build_branch_tree(disk, forest)
+            for node in bd.nodes:
+                if node.kind == "arc":
+                    v1, v2 = node.edge
+                    for a, b in ((v1, v2), (v2, v1)):
+                        sep = branchdecomp._separator(forest, a, b)
+                        assert sep == ref_separator(forest, a, b), label
+                        checked += 1
+    assert checked > 10000
+
+
 def test_width_of_single_leaf_decomposition():
     from onionpeel import BDNode
 

@@ -14,8 +14,9 @@ from onionpeel import (
     is_triangulated_disk,
     is_triangulation,
 )
-from onionpeel.embedding import _FaceBuilder
+from onionpeel.embedding import _FaceBuilder, _trace
 from test_peeling import remove_vertices
+from test_triangulate import differential_inputs
 
 TRIANGLE = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
 
@@ -105,6 +106,35 @@ def test_trace_k4_faces_frozen():
         ((0, 3), (3, 1), (1, 0)),
         ((1, 3), (3, 2), (2, 1)),
     }
+
+
+def ref_trace(rot):
+    """Face walks by a per-dart rotation lookup, each turned to its minimal dart."""
+    succ_index = {v: {w: i for i, w in enumerate(ns)} for v, ns in rot.items()}
+    walk_of, walks = {}, []
+    for start in sorted((v, w) for v, ns in rot.items() for w in ns):
+        if start in walk_of:
+            continue
+        walk, d = [], start
+        while True:
+            walk.append(d)
+            walk_of[d] = len(walks)
+            u, v = d
+            ns = rot[v]
+            d = (v, ns[(succ_index[v][u] + 1) % len(ns)])
+            if d == start:
+                break
+        i = walk.index(min(walk))
+        walks.append(tuple(walk[i:] + walk[:i]))
+    return walks, walk_of
+
+
+def test_trace_matches_the_rotation_lookup_route(corpus):
+    for label, emb in differential_inputs(corpus):
+        rot = emb.rotations_dict()
+        assert _trace(rot) == ref_trace(rot), label
+        shifted = {v: ns[1:] + ns[:1] for v, ns in rot.items()}
+        assert _trace(shifted) == ref_trace(rot), label
 
 
 def test_trace_is_permutation_decomposition(small_corpus):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from onionpeel import (
     parse_epg,
     to_dot,
 )
+from onionpeel import epg
 
 TRIANGLE_TEXT = """epg 1
 v 0: 1 2
@@ -67,6 +70,39 @@ def test_parse_errors():
     # domain errors surface from validation, not the parser
     with pytest.raises(errors.AsymmetricAdjacency):
         parse_epg("epg 1\nv 0: 1\nv 1:\nouter 0 1\n")
+
+
+@pytest.mark.parametrize("lines", [
+    "v 0:1 2",
+    "v\t0:\t1\t2",
+    "v\x1c0:\x1c1\x1c2",
+    "v 0: +1 2",
+    "v 0: 1_0 2",
+    "v 0: \u0663 2",
+    "v 0: - 2",
+    "v 0: --1 2",
+    "v 0: 1: 2",
+    "v 0: 1 2\nv 0: 1 2",
+])
+def test_vertex_line_fast_path_matches_token_checks(lines, monkeypatch):
+    text = f"epg 1\n{lines}\nv 1: 2 0\nv 2: 0 1\nouter 0 1\n"
+
+    def parse():
+        try:
+            return parse_epg(text)
+        except errors.FormatError as exc:
+            return str(exc)
+
+    fast = parse()
+    monkeypatch.setattr(epg, "_VERTEX_LINE", re.compile(r"(?!)"))
+    assert parse() == fast
+
+
+def test_canonical_vertex_lines_take_the_fast_path(corpus):
+    isolated = Embedding({-3: [-2, -1], -2: [-1, -3], -1: [-3, -2], 9: []}, [(-3, -2)])
+    for label, emb in [*corpus, ("isolated", isolated)]:
+        for line in format_epg(emb).splitlines():
+            assert line[0] != "v" or epg._VERTEX_LINE.fullmatch(line), label
 
 
 def test_dot_export_mentions_faces_and_edges():

@@ -23,6 +23,7 @@ from onionpeel import (
     to_triangulated_disk,
     validate_forest,
 )
+from onionpeel import triangulate
 from onionpeel.embedding import _FaceBuilder, fan_targets
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
 from test_oracles import successor_walk
@@ -293,6 +294,60 @@ def test_disk_conversion_returns_a_disk_input_unbuilt(monkeypatch):
     assert builds == []
 
 
+def test_disk_conversion_skips_the_builder_for_a_disk(monkeypatch):
+    emb = gen_nested_triangles(36)
+
+    def refuse(*args):
+        raise AssertionError("a face builder was made for a triangulated disk")
+
+    monkeypatch.setattr(triangulate, "_FaceBuilder", refuse)
+    out, trace = to_triangulated_disk(emb)
+    assert out is emb and trace.added_edges == ()
+
+
+def many_components(kind, n):
+    """A triangle plus n isolated vertices, or n disjoint triangles."""
+    tri = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
+    if kind == "isolated":
+        return Embedding({**tri, **{v: [] for v in range(3, 3 + n)}}, [(0, 1)])
+    return Embedding(
+        {3 * i + v: [3 * i + w for w in ns] for i in range(n) for v, ns in tri.items()},
+        [(3 * i, 3 * i + 1) for i in range(n)],
+    )
+
+
+@pytest.mark.parametrize("kind, n", [("isolated", 4000), ("triangles", 300)])
+def test_many_components_convert_to_a_disk(kind, n):
+    emb = many_components(kind, n)
+    disk, trace = to_triangulated_disk(emb)
+    assert is_triangulated_disk(disk)
+    assert disk.outer_vertices == emb.outer_vertices
+    added = [(u, v) for u, v, _ in trace.added_edges]
+    assert len(set(added)) == len(added) == disk.edge_count - emb.edge_count
+    assert set(added) == set(disk.edges) - set(emb.edges)
+
+
+def test_joins_relabel_only_the_shorter_side(corpus, monkeypatch):
+    link = _FaceBuilder.link
+    joins = []
+
+    def checked(b, corner_u, corner_v):
+        before = dict(b.wid)
+        sides = [b.size.get(b.wid.get(c), 0) for c in (corner_u, corner_v)]
+        ids = link(b, corner_u, corner_v)
+        if len(ids) == 1:
+            moved = sum(b.wid[d] != i for d, i in before.items())
+            assert moved <= min(sides)
+            joins.append(moved)
+        return ids
+
+    monkeypatch.setattr(_FaceBuilder, "link", checked)
+    inputs = [emb for label, emb in differential_inputs(corpus) if not emb.is_connected]
+    for emb in [*inputs, many_components("isolated", 400), many_components("triangles", 100)]:
+        to_triangulated_disk(emb)
+    assert len(joins) > 500 and max(joins) > 0
+
+
 # -- reference: the conversion with one validated rebuild per added edge ------
 
 
@@ -504,6 +559,15 @@ def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
         check_builder(_FaceBuilder(emb))
         to_full_triangulation(emb)
     assert len(splits) > 1000 and sum(counted) > 1000
+
+
+def test_joins_keep_materialised_counts():
+    for emb in (two_triangles(), many_components("isolated", 3), many_components("triangles", 4)):
+        b = _FaceBuilder(emb)
+        for i in b.size:
+            b.counts(i)
+        _connect(b, emb.outer_vertices)
+        assert check_builder(b) == len(b.size)
 
 
 @pytest.mark.parametrize("family, n", [(gen_path, 2000), (gen_cycle, 4000)])
