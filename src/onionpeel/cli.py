@@ -454,7 +454,7 @@ def _verify_bd(emb, artifact, args) -> None:
         "bd artifact: unassigned edge node",
     )
     faces = [n["face"] for n in nodes.values() if n["kind"] == "face"]
-    outer = disk.faces.index(disk.outer_faces[0])
+    outer = disk.face_index_of_dart(disk.outer_darts[0])
     _require(
         len(set(faces)) == len(faces)
         and all(0 <= f < len(disk.faces) and f != outer for f in faces),

@@ -201,7 +201,15 @@ def build_rooted_forest(emb: Embedding) -> RootedForest:
 
 
 def validate_forest(emb: Embedding, forest: RootedForest) -> None:
-    """Check outer-rootedness, spanning, depth coherence, acyclicity."""
+    """Check outer-rootedness, spanning, depth coherence, acyclicity.
+
+    Depth coherence (every parent one level up) already rules out parent
+    cycles, so the root paths are checked in one pass in depth order:
+    each vertex takes its path's top and its count of outer vertices
+    from its parent.  The pass is linear after one sort by depth, itself
+    linear when the depth map lists the levels in order, as
+    :func:`build_rooted_forest`'s does.
+    """
     verts = set(emb.vertices)
     covered = set(forest.depth)
     if covered != verts:
@@ -212,24 +220,28 @@ def validate_forest(emb: Embedding, forest: RootedForest) -> None:
     for r in forest.roots:
         if r not in outer:
             raise InvariantViolation(f"root {r} is not an outer vertex")
-    for v, p in forest.parent.items():
+    parent, depth, roots = forest.parent, forest.depth, forest.roots
+    for v, p in parent.items():
         if not emb.has_edge(v, p):
             raise InvariantViolation(f"forest edge ({v},{p}) not in embedding")
-        if forest.depth[v] != forest.depth[p] + 1:
+        if depth[v] != depth[p] + 1:
             raise InvariantViolation(f"depth({v}) != depth({p}) + 1")
+    top: dict[int, int] = {}  # vertex -> the parentless end of its root path
+    n_outer: dict[int, int] = {}  # vertex -> outer vertices on its root path
+    for v in sorted(depth, key=depth.__getitem__):
+        p = parent.get(v)
+        if p is None:
+            top[v] = v
+            n_outer[v] = int(v in outer)
+        else:
+            top[v] = top[p]
+            n_outer[v] = n_outer[p] + (v in outer)
     for v in verts:
-        if (v in forest.roots) == (v in forest.parent):
+        if (v in roots) == (v in parent):
             raise InvariantViolation(f"vertex {v}: exactly one of root/parented")
-        seen = {v}
-        x = v
-        while x in forest.parent:
-            x = forest.parent[x]
-            if x in seen:
-                raise InvariantViolation(f"parent cycle through {v}")
-            seen.add(x)
-        if x not in forest.roots:
+        if top[v] not in roots:
             raise UnreachableVertex(f"vertex {v} has no root path")
-        if len(outer & seen) != 1:
+        if n_outer[v] != 1:
             raise InvariantViolation(
-                f"tree of {v} contains {len(outer & seen)} outer vertices"
+                f"tree of {v} contains {n_outer[v]} outer vertices"
             )

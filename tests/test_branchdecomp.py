@@ -416,3 +416,118 @@ def test_pipeline_certifies_the_forest_lemma(monkeypatch):
     for command in ("bd", "pipeline"):
         code, _, err = run_cli([command], stdin_text=format_epg(emb))
         assert code == 1 and "BoundViolated: forest height" in err
+
+
+def test_certify_rejects_a_vertex_off_a_leaf_edge():
+    disk, forest = disk_and_forest(gen_nested_triangles(4))
+    bd = build_branch_tree(disk, forest)
+    cuts = bd.cuts
+    leaf_of = {leaf: e for e, leaf in bd.assignment.items()}
+    tampered = 0
+    for i, cut in enumerate(cuts):
+        leaf = next((x for x in cut.arc if x in leaf_of), None)
+        if leaf is None:
+            continue
+        e = leaf_of[leaf]
+        off = min(set(disk.vertices) - set(e))
+        bad = cuts[:i] + (ArcCut(cut.arc, cut.crossing | {off}),) + cuts[i + 1:]
+        with pytest.raises(errors.BoundViolated) as exc:
+            _certify(forest, dataclasses.replace(bd, cuts=bad))
+        assert str(exc.value) == f"cut at leaf arc {cut.arc} not within edge {e}"
+        tampered += 1
+    assert tampered == disk.edge_count
+
+
+def leaf_defects(bd):
+    """Arc sets of the right or wrong size that are not trees, each by its leaf arcs."""
+    leaves = set(bd.assignment.values())
+    leaf_arcs = [arc for arc in bd.arcs if leaves & set(arc)]
+    inner_arcs = [arc for arc in bd.arcs if not leaves & set(arc)]
+    drop_leaf = [arc for arc in bd.arcs if arc != leaf_arcs[0]]
+    drop_inner = [arc for arc in bd.arcs if arc != inner_arcs[0]]
+    l1, l2 = sorted(leaves - set(leaf_arcs[0]))[:2]
+    return {
+        "leaf arc twice, for an inner arc": drop_inner + [leaf_arcs[0]],
+        "leaf arc twice, for another leaf's": drop_leaf + [leaf_arcs[1]],
+        "leaf joined to a leaf, for another leaf's arc": drop_leaf + [(l1, l2)],
+        "leaf arc dropped": drop_leaf,
+        "leaf arc dropped, inner arc twice": drop_leaf + [inner_arcs[0]],
+    }
+
+
+def test_width_pass_rejects_leaf_defects_with_the_tree_check_text():
+    disk, forest = disk_and_forest(gen_wheel(5))
+    bd = build_branch_tree(disk, forest)
+    ids = [x.id for x in bd.nodes]
+    for label, arcs in leaf_defects(bd).items():
+        with pytest.raises(errors.NotATree) as ref:
+            branchdecomp._check_tree(ids, arcs)
+        for order in (arcs, arcs[::-1]):
+            with pytest.raises(errors.NotATree) as exc:
+                _width_and_cuts(bd.nodes, order, bd.assignment)
+            assert str(exc.value) == str(ref.value), label
+
+
+def test_width_pass_needs_leaves_hung_from_unassigned_nodes():
+    # moving a leaf to hang from another leaf still leaves a tree, but not
+    # one the pass handles: it names the broken assumption, not a non-tree
+    disk, forest = disk_and_forest(gen_wheel(5))
+    bd = build_branch_tree(disk, forest)
+    l1, l2 = sorted(bd.assignment.values())[:2]
+    arcs = [arc for arc in bd.arcs if l2 not in arc] + [(l1, l2)]
+    branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
+    with pytest.raises(errors.InvariantViolation, match="does not hang from"):
+        _width_and_cuts(bd.nodes, arcs, bd.assignment)
+
+
+def test_records_are_immutable_named_tuples():
+    from onionpeel import BDNode
+
+    assert BDNode._fields == ("id", "kind", "face", "edge")
+    assert BDNode._field_defaults == {"face": None, "edge": None}
+    assert ArcCut._fields == ("arc", "crossing")
+    assert ArcCut._field_defaults == {}
+    node = BDNode(id=4, kind="arc", edge=(1, 2))
+    assert node == BDNode(4, "arc", None, (1, 2))
+    assert (node.id, node.kind, node.face, node.edge) == (4, "arc", None, (1, 2))
+    cut = ArcCut(arc=(0, 4), crossing=frozenset({1, 2}))
+    assert cut == ArcCut((0, 4), frozenset({1, 2}))
+    assert hash(cut) == hash(ArcCut((0, 4), frozenset({2, 1})))
+    for record, name in ((node, "kind"), (cut, "crossing")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def random_branch_tree(edges, rng):
+    """Leaves 0..E-1 carry the edges; inner nodes join two random subtrees.
+
+    The arcs come shuffled, each with its ends in random order.
+    """
+    from onionpeel import BDNode
+
+    nodes = [BDNode(i, "edge", None, e) for i, e in enumerate(edges)]
+    arcs = []
+    tops = list(range(len(edges)))
+    while len(tops) > 1:
+        x = len(nodes)
+        nodes.append(BDNode(x, "arc"))
+        for _ in range(2):
+            arc = (tops.pop(rng.randrange(len(tops))), x)
+            arcs.append(arc if rng.random() < 0.5 else arc[::-1])
+        tops.append(x)
+    rng.shuffle(arcs)
+    return nodes, arcs, {e: i for i, e in enumerate(edges)}
+
+
+def test_width_pass_matches_unpruned_aggregation_on_random_trees():
+    # arbitrary graphs, pendant vertices included, on shuffled binary trees
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(2, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
+        nodes, arcs, assignment = random_branch_tree(sorted(edges), rng)
+        if len(nodes) == 1:
+            continue
+        want = unpruned_width_and_cuts(nodes, arcs, assignment)
+        assert _width_and_cuts(nodes, arcs, assignment) == want, edges

@@ -370,3 +370,141 @@ def test_counterexample_peel_sizes():
     assert peels.k == 2
     assert len(peels.layers[0]) == 8  # the outer octagon
     assert len(peels.layers[1]) == 16
+
+
+def ref_validate_forest(emb, forest):
+    """The root-path-climbing check: every vertex walks its whole root path."""
+    verts = set(emb.vertices)
+    covered = set(forest.depth)
+    if covered != verts:
+        raise errors.UnreachableVertex(
+            f"forest does not span: missing {sorted(verts - covered)[:5]}"
+        )
+    outer = emb.outer_vertices
+    for r in forest.roots:
+        if r not in outer:
+            raise errors.InvariantViolation(f"root {r} is not an outer vertex")
+    for v, p in forest.parent.items():
+        if not emb.has_edge(v, p):
+            raise errors.InvariantViolation(f"forest edge ({v},{p}) not in embedding")
+        if forest.depth[v] != forest.depth[p] + 1:
+            raise errors.InvariantViolation(f"depth({v}) != depth({p}) + 1")
+    for v in verts:
+        if (v in forest.roots) == (v in forest.parent):
+            raise errors.InvariantViolation(f"vertex {v}: exactly one of root/parented")
+        seen = {v}
+        x = v
+        while x in forest.parent:
+            x = forest.parent[x]
+            if x in seen:
+                raise errors.InvariantViolation(f"parent cycle through {v}")
+            seen.add(x)
+        if x not in forest.roots:
+            raise errors.UnreachableVertex(f"vertex {v} has no root path")
+        if len(outer & seen) != 1:
+            raise errors.InvariantViolation(
+                f"tree of {v} contains {len(outer & seen)} outer vertices"
+            )
+
+
+def subtree(forest, v):
+    """v and every vertex whose root path passes through v."""
+    return [w for w in forest.depth if v in forest.root_path(w)]
+
+
+def mutate_forest(emb, forest, rng, kind):
+    """A copy of ``forest`` with one defect of the given kind."""
+    parent, depth, roots = dict(forest.parent), dict(forest.depth), set(forest.roots)
+    if not parent and kind not in ("rootless", "outer-child"):
+        return None
+    v = rng.choice(sorted(parent or depth))
+    if kind == "inner-root":  # a parented vertex cut loose and made a root
+        del parent[v]
+        roots.add(v)
+    elif kind == "rootless":  # a root that is no longer one
+        roots.discard(rng.choice(sorted(roots)))
+    elif kind == "orphan":  # a vertex with neither parent nor root status
+        del parent[v]
+    elif kind == "both":  # a root that also has a parent
+        roots.add(v)
+    elif kind == "depth":
+        depth[v] += rng.choice((-1, 1))
+    elif kind == "unspanned":
+        del depth[v]
+    elif kind == "non-edge":  # a parent one level up but not adjacent
+        level = [w for w in depth if depth[w] == depth[v] - 1 and not emb.has_edge(v, w)]
+        if not level:
+            return None
+        parent[v] = rng.choice(level)
+    elif kind == "outer-child":  # an outer root hung below another outer root
+        r = rng.choice(sorted(roots))
+        others = [w for w in emb.rotation(r) if w in roots]
+        if not others:
+            return None
+        for w in subtree(forest, r):
+            depth[w] += 1
+        parent[r] = rng.choice(others)
+        roots.discard(r)
+    return RootedForest(parent=parent, depth=depth, roots=frozenset(roots))
+
+
+def validation_outcome(check, emb, forest):
+    try:
+        check(emb, forest)
+    except errors.OnionPeelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_forest_matches_the_root_path_route(corpus):
+    rng = random.Random(5)
+    kinds = ("inner-root", "rootless", "orphan", "both", "depth",
+             "unspanned", "non-edge", "outer-child")
+    instances = [emb for _, emb in corpus if emb.vertex_count <= 40]
+    instances += [gen_nested_triangles(12), gen_random_kouter(5, 7, 2)]
+    seen = {}
+    for emb in instances:
+        sat = saturate_inward_neighbors(emb)
+        forest = build_rooted_forest(sat)
+        assert validation_outcome(validate_forest, sat, forest) is None
+        for kind in kinds:
+            for _ in range(2):
+                bad = mutate_forest(sat, forest, rng, kind)
+                if bad is None:
+                    continue
+                want = validation_outcome(ref_validate_forest, sat, bad)
+                assert want is not None, kind
+                assert validation_outcome(validate_forest, sat, bad) == want, kind
+                seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == set(kinds), seen
+
+
+class CountingParents(dict):
+    """A parent map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        CountingParents.lookups += 1
+        return super().__getitem__(v)
+
+    def get(self, v, default=None):
+        CountingParents.lookups += 1
+        return super().get(v, default)
+
+    def __contains__(self, v):
+        CountingParents.lookups += 1
+        return super().__contains__(v)
+
+
+def test_validate_forest_is_linear_in_the_vertices():
+    # nested triangles 300 deep have height 299: a per-vertex climb of the
+    # root path makes about n * h / 2 = 135,000 parent lookups
+    emb = gen_nested_triangles(300)
+    forest = build_rooted_forest(emb)
+    counted = RootedForest(
+        parent=CountingParents(forest.parent), depth=forest.depth, roots=forest.roots
+    )
+    CountingParents.lookups = 0
+    validate_forest(emb, counted)
+    assert CountingParents.lookups <= 3 * emb.vertex_count
