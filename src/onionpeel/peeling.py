@@ -77,11 +77,12 @@ def _radial_layers(
 ) -> tuple[frozenset[int], ...]:
     """Peel layers by one BFS over the vertex-face incidence graph.
 
-    ``face_sets[i]`` is the vertex set of face walk i and ``start`` holds
-    the indices of the walks forming the outer region.  Vertices on no
-    walk are isolated and count as outer.  Layer i holds the vertices at
-    radial distance 2i-1 from the start walks.  Runs in O(V + total face
-    length); a vertex left unreached raises a bug certificate.
+    ``face_sets[i]`` holds the vertices of face walk i (repeats allowed)
+    and ``start`` holds the indices of the walks forming the outer region.
+    Vertices on no walk are isolated and count as outer.  Layer i holds
+    the vertices at radial distance 2i-1 from the start walks.  Runs in
+    O(V + total face length); a vertex left unreached raises a bug
+    certificate.
     """
     incident: dict[int, list[int]] = {}
     for fi, fs in enumerate(face_sets):
@@ -124,7 +125,7 @@ def onion_peels(emb: Embedding) -> PeelDecomposition:
         return memo
     faces = emb.faces
     layers = _radial_layers(
-        [f.vertex_set for f in faces],
+        [f.vertices for f in faces],
         [i for i, f in enumerate(faces) if f.is_outer],
         emb.vertices,
     )

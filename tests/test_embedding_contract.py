@@ -1,0 +1,309 @@
+"""The ``Embedding`` constructor's error contract and value semantics.
+
+The reference checks below count Euler's formula component by component
+and read ids through ``int``.  On rotation maps with one or two defects,
+the constructor must raise the same exception class with the same
+message as the reference.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from onionpeel import Embedding, gen_cycle, to_full_triangulation
+from onionpeel.embedding import _FaceBuilder, _components, _successors
+from onionpeel.errors import (
+    AsymmetricAdjacency,
+    BadParameter,
+    EulerViolation,
+    NestedComponent,
+    OnionPeelError,
+    ParallelEdge,
+    SelfLoop,
+)
+from test_embedding import TRIANGLE, ref_trace
+from test_triangulate import differential_inputs
+
+
+def ref_validate_structure(rot):
+    adj = {v: set(ns) for v, ns in rot.items()}
+    for v, ns in rot.items():
+        if v in adj[v]:
+            raise SelfLoop(f"vertex {v} lists itself as a neighbor")
+        if len(adj[v]) != len(ns):
+            raise ParallelEdge(f"vertex {v} lists a neighbor twice")
+        for w in ns:
+            if w not in rot:
+                raise AsymmetricAdjacency(f"{v} lists unknown vertex {w}")
+            if v not in adj[w]:
+                raise AsymmetricAdjacency(f"{v} lists {w} but {w} does not list {v}")
+
+
+def ref_check_euler(rot, walks, comp_of):
+    n_verts, n_darts, n_walks = {}, {}, {}
+    for v, ns in rot.items():
+        c = comp_of[v]
+        n_verts[c] = n_verts.get(c, 0) + 1
+        n_darts[c] = n_darts.get(c, 0) + len(ns)
+    for w in walks:
+        c = comp_of[w[0][0]]
+        n_walks[c] = n_walks.get(c, 0) + 1
+    for c, dv in n_darts.items():
+        if dv == 0:
+            continue
+        v, e, f = n_verts[c], dv // 2, n_walks.get(c, 0)
+        if v - e + f != 2:
+            raise EulerViolation(
+                f"component of vertex {c}: V-E+F = {v}-{e}+{f} != 2 "
+                "(not a sphere embedding)"
+            )
+
+
+def ref_resolve_outer(rot, walks, walk_of, comp_of, outer_darts):
+    chosen = {}
+    for d in outer_darts:
+        d = (int(d[0]), int(d[1]))
+        if d not in walk_of:
+            raise BadParameter(f"outer dart {d} is not a dart of the graph")
+        c = comp_of[d[0]]
+        w = walk_of[d]
+        if c in chosen and chosen[c] != w:
+            raise NestedComponent(
+                f"component of vertex {d[0]} has two distinct outer "
+                "face designations"
+            )
+        chosen[c] = w
+    edged = {comp_of[v] for v, ns in rot.items() if ns}
+    missing = edged - set(chosen)
+    if missing:
+        v = min(missing)
+        raise NestedComponent(f"component of vertex {v} has no outer face designation")
+    return tuple(sorted(walks[w][0] for w in chosen.values()))
+
+
+def outcome(build, rotations, outer):
+    """``(class, message)`` of the error ``build`` raises, or None."""
+    try:
+        build(rotations, outer)
+    except OnionPeelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def ref_build(rotations, outer):
+    rot = {int(v): tuple(map(int, ns)) for v, ns in rotations.items()}
+    ref_validate_structure(rot)
+    walks, walk_of = ref_trace(rot)
+    comp_of = _components(rot)
+    ref_check_euler(rot, walks, comp_of)
+    ref_resolve_outer(rot, walks, walk_of, comp_of, outer)
+
+
+# -- one-defect mutations of (rotations, outer darts) -------------------------
+# Each mutates in place, or returns False when the input has no place for
+# its defect.
+
+
+def self_loop(emb, rot, outer, rng):
+    v = rng.choice(sorted(rot))
+    rot[v].insert(rng.randint(0, len(rot[v])), v)
+
+
+def repeated_neighbour(emb, rot, outer, rng):
+    edged = [v for v in sorted(rot) if rot[v]]
+    if not edged:
+        return False
+    v = rng.choice(edged)
+    rot[v].insert(rng.randint(0, len(rot[v])), rng.choice(rot[v]))
+
+
+def unknown_vertex(emb, rot, outer, rng):
+    v = rng.choice(sorted(rot))
+    rot[v].insert(rng.randint(0, len(rot[v])), max(rot) + 1 + rng.randrange(3))
+
+
+def one_sided(emb, rot, outer, rng):
+    v = rng.choice(sorted(rot))
+    others = [w for w in sorted(rot) if w != v and w not in rot[v]]
+    if others and (not rot[v] or rng.random() < 0.5):
+        rot[v].insert(rng.randint(0, len(rot[v])), rng.choice(others))
+    elif rot[v]:
+        rot[v].remove(rng.choice(rot[v]))
+    else:
+        return False
+
+
+def swapped_entries(emb, rot, outer, rng):
+    high = [v for v in sorted(rot) if len(rot[v]) >= 3]
+    if not high:
+        return False
+    v = rng.choice(high)
+    i, j = rng.sample(range(len(rot[v])), 2)
+    rot[v][i], rot[v][j] = rot[v][j], rot[v][i]
+
+
+def non_dart_outer(emb, rot, outer, rng):
+    u = rng.choice(sorted(rot))
+    w = rng.choice([w for w in [*rot, max(rot) + 1] if w not in rot[u]])
+    outer.insert(rng.randint(0, len(outer)), (u, w))
+
+
+def two_designations(emb, rot, outer, rng):
+    darts = emb.darts
+    walk = {d: emb.face_index_of_dart(d) for d in outer if d in darts}
+    comp = {v: i for i, c in enumerate(emb.components) for v in c}
+    other = [e for e in darts for d in walk
+             if comp[e[0]] == comp[d[0]] and emb.face_index_of_dart(e) != walk[d]]
+    if not other:
+        return False
+    outer.insert(rng.randint(0, len(outer)), rng.choice(other))
+
+
+def missing_designation(emb, rot, outer, rng):
+    if not outer:
+        return False
+    outer.pop(rng.randrange(len(outer)))
+
+
+MUTATIONS = (self_loop, repeated_neighbour, unknown_vertex, one_sided,
+             swapped_entries, non_dart_outer, two_designations, missing_designation)
+
+
+def mutants(inputs, rng):
+    """(label, rotations, outer darts) with one defect, and with two."""
+    for label, emb in inputs:
+        for first in MUTATIONS:
+            for names in ((first,), (first, rng.choice(MUTATIONS))):
+                rot, outer = emb.rotations_dict(), list(emb.outer_darts)
+                if all(f(emb, rot, outer, rng) is not False for f in names):
+                    yield f"{label}:{'+'.join(f.__name__ for f in names)}", rot, outer
+
+
+# a phrase of each message the constructor can raise -> its class
+MESSAGES = {
+    "lists itself": SelfLoop,
+    "lists a neighbor twice": ParallelEdge,
+    "lists unknown vertex": AsymmetricAdjacency,
+    "does not list": AsymmetricAdjacency,
+    "V-E+F": EulerViolation,
+    "is not a dart of the graph": BadParameter,
+    "two distinct outer face designations": NestedComponent,
+    "no outer face designation": NestedComponent,
+}
+
+
+def test_mutated_rotations_raise_the_reference_error(corpus):
+    seen = set()
+    for label, rot, outer in mutants(differential_inputs(corpus), random.Random(14)):
+        expected = outcome(ref_build, rot, outer)
+        assert outcome(Embedding, rot, outer) == expected, label
+        if expected is not None:
+            cls, message = expected
+            seen.update(p for p, c in MESSAGES.items() if c is cls and p in message)
+    assert seen == set(MESSAGES)
+
+
+def test_euler_violation_names_the_first_failing_component():
+    # two octahedra side by side; swapped entries make a component non-planar
+    octahedron = {0: [1, 2, 3, 4], 1: [0, 4, 5, 2], 2: [0, 1, 5, 3],
+                  3: [0, 2, 5, 4], 4: [0, 3, 5, 1], 5: [1, 4, 3, 2]}
+    both = {**octahedron, **{v + 6: [w + 6 for w in ns] for v, ns in octahedron.items()}}
+    Embedding(both, [(0, 1), (6, 7)])
+    for swapped in ([8], [3], [3, 8], [8, 3]):
+        rot = {v: list(ns) for v, ns in both.items()}
+        for v in swapped:
+            rot[v][0], rot[v][1] = rot[v][1], rot[v][0]
+        expected = outcome(ref_build, rot, [(0, 1), (6, 7)])
+        assert expected is not None and expected[0] is EulerViolation
+        assert outcome(Embedding, rot, [(0, 1), (6, 7)]) == expected, swapped
+
+
+# -- vertex ids must be integers ----------------------------------------------
+
+
+class Index:
+    """An integer-like id that is not an int: it has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("rotations, bad", [
+    ({0: [1, 2], 1: [2, 0], 2.9: [0, 1]}, "2.9"),
+    ({0: [1, "2"], 1: ["2", 0], "2": [0, 1]}, "'2'"),
+    ({0: [1, 2], 1: [2, 0], 2: [0, 1], 1.5: []}, "1.5"),
+    ({0: [True, 2], True: [2, 0], 2: [0, True]}, "True"),
+    ({0: [1, 2.0], 1: [2.0, 0], 2: [0, 1]}, "2.0"),
+])
+def test_non_integer_vertex_ids_are_rejected(rotations, bad):
+    with pytest.raises(BadParameter, match=f"vertex id {bad} is not an integer"):
+        Embedding(rotations, [(0, 1)])
+
+
+@pytest.mark.parametrize("dart, message", [
+    ((0, 1.99), "vertex id 1.99 is not an integer"),
+    ((0, 1, 5), r"outer dart \(0, 1, 5\) is not a pair"),
+    ("01", "vertex id '0' is not an integer"),
+    (0, "outer dart 0 is not a pair"),
+    ((0, False), "vertex id False is not an integer"),
+])
+def test_outer_darts_must_be_pairs_of_integers(dart, message):
+    with pytest.raises(BadParameter, match=message):
+        Embedding(TRIANGLE, [dart])
+
+
+def test_index_types_are_accepted_as_plain_ints():
+    i = [Index(v) for v in range(3)]
+    emb = Embedding({i[0]: [i[1], i[2]], i[1]: [2, 0], 2: [i[0], 1]}, [(i[0], i[1])])
+    assert emb == Embedding(TRIANGLE, [(0, 1)])
+    assert {type(v) for v in emb.vertices} == {int}
+    assert {type(w) for v in emb.vertices for w in emb.rotation(v)} == {int}
+    assert {type(v) for d in emb.outer_darts for v in d} == {int}
+
+
+# -- value semantics ----------------------------------------------------------
+
+
+def variants(emb):
+    """The same embedding from shifted rotations and from a reversed dict."""
+    rot = emb.rotations_dict()
+    shifted = {v: ns[1:] + ns[:1] for v, ns in rot.items()}
+    reordered = dict(reversed(list(rot.items())))
+    return [Embedding(shifted, emb.outer_darts), Embedding(reordered, emb.outer_darts)]
+
+
+def test_equal_embeddings_hash_equal_in_any_order_of_use(corpus):
+    for label, emb in corpus[::7]:
+        a, b = variants(emb)
+        hash(a)  # one side hashed first, the other not at all yet
+        assert a == b and b == a and hash(a) == hash(b), label
+        c, d = variants(emb)
+        assert hash(d) == hash(c) and c == d == emb, label
+        assert len({a, b, c, d, emb}) == 1, label
+    assert gen_cycle(4) != gen_cycle(5)
+
+
+def test_face_walks_are_frozen():
+    face = gen_cycle(4).faces[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        face.darts = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        face.is_outer = not face.is_outer
+
+
+def test_conversion_leaves_its_input_unchanged(corpus):
+    for label, emb in corpus:
+        faces = emb.faces
+        full = to_full_triangulation(emb)[0]
+        assert emb.faces == faces, label
+        rebuilt = Embedding(emb.rotations_dict(), emb.outer_darts)
+        assert rebuilt == emb and rebuilt.faces == faces, label
+        # the kept successor map is the one a fresh trace builds, so a second
+        # builder starts from the same state and converts alike
+        assert emb._succ == _successors(emb._rot), label
+        assert to_full_triangulation(emb)[0] == full, label
+        assert _FaceBuilder(emb).nxt == emb._succ, label
