@@ -13,9 +13,12 @@ no construction code with the pipeline.
 
 The kernels run on integers: a rotation system is a successor permutation
 of numbered darts, whose cycle count is the Euler check, and a face is a
-bitmask of its vertices.  Peel counts come from one breadth-first search
-over co-facial neighbourhood masks (:func:`_min_peels`), which shares no
-code with the pipeline's :func:`onion_peels`.
+bitmask of its vertices.  Darts are traced once per choice of orders at
+every vertex but one, the closing vertex, whose orders then only close
+the traced chains through it (:func:`_component_outerplanarity`).  Peel
+counts come from one breadth-first search over co-facial neighbourhood
+masks (:func:`_min_peels`), which shares no code with the pipeline's
+:func:`onion_peels`.
 
 Budgets are hard caps with explicit errors, never silent truncation.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 from .embedding import Edge, Embedding, _components
@@ -197,65 +201,121 @@ def _component_outerplanarity(comp: list[int], adj: dict[int, set[int]]) -> int:
     whose cycles are the face walks, so the Euler check counts cycles.
     A system and its mirror image trace the same faces reversed, so the
     first vertex of degree >= 3 keeps one order of each mirror pair.
+
+    The *closing vertex* x, the vertex with the most orders (the first in
+    component order on a tie), has its entering darts numbered last, and
+    only the other vertices' blocks are enumerated.  Each of their
+    combinations is traced once with x's entering darts left open: the
+    cycles that avoid x are counted, and the chain from each dart leaving
+    x is followed to the dart entering x where it ends (``end``).  An
+    order of x closes each chain end onto a leaving dart, so the faces
+    through x are the cycles of the permutation ``k -> nxt[end[k]]`` on
+    x's neighbour indices, and the system is planar iff those cycles and
+    the closed ones number 2 - V + E.  Cycle counts are kept in a
+    per-call table keyed on the permutation tuple.  Only planar systems
+    get x's block filled, their face masks traced and their peel count
+    searched.
     """
     if len(comp) == 1:
         return 1
     nbrs = {v: sorted(adj[v]) for v in comp}
-    base: dict[int, int] = {}
-    head_bits: list[int] = []
-    for i, v in enumerate(comp):
-        base[v] = len(head_bits)
-        head_bits += [1 << i] * len(nbrs[v])
-    pos = {(u, v): base[v] + j for v in comp for j, u in enumerate(nbrs[v])}
-    blocks = []
+    orders: dict[int, list[tuple[int, ...]]] = {}
     mirror_fixed = False
     for v in comp:
         ns = nbrs[v]
-        orders = [(ns[0],) + p for p in permutations(ns[1:])]
+        orders[v] = [(ns[0],) + p for p in permutations(ns[1:])]
         if len(ns) >= 3 and not mirror_fixed:
-            orders = [o for o in orders if o[1] < o[-1]]
+            orders[v] = [o for o in orders[v] if o[1] < o[-1]]
             mirror_fixed = True
-        block = []
-        for o in orders:
-            after = {u: o[(j + 1) % len(o)] for j, u in enumerate(o)}
-            block.append(tuple(pos[(v, after[u])] for u in ns))
-        blocks.append(block)
+    x = max(comp, key=lambda v: len(orders[v]))
+    others = [v for v in comp if v != x]
+    bit = {v: 1 << i for i, v in enumerate(comp)}
+    base: dict[int, int] = {}
+    head_bits: list[int] = []
+    for v in others + [x]:
+        base[v] = len(head_bits)
+        head_bits += [bit[v]] * len(nbrs[v])
+
+    def successors(v: int, out: dict[int, int]) -> list[list[int]]:
+        """Per order of v: ``out`` of the neighbour after each of nbrs[v]."""
+        ns = nbrs[v]
+        blocks = []
+        for o in orders[v]:
+            after = dict(zip(o, o[1:] + o[:1]))
+            blocks.append([out[after[u]] for u in ns])
+        return blocks
+
+    blocks = [successors(v, {w: base[w] + nbrs[w].index(v) for w in nbrs[v]})
+              for v in others]
+    leaving = [base[w] + nbrs[w].index(x) for w in nbrs[x]]
+    x_nxt = successors(x, {w: k for k, w in enumerate(nbrs[x])})
+    lo = base[x]  # the darts entering x are lo, lo + 1, ...
     n_darts = len(head_bits)
     planar_faces = 2 - len(comp) + n_darts // 2
+    cycles: dict[tuple[int, ...], int] = {}
     best: int | None = None
     for combo in product(*blocks):
         succ = list(chain.from_iterable(combo))
-        seen = bytearray(n_darts)
-        faces = 0
-        for start in range(n_darts):
+        seen = bytearray(lo)
+        ends = []
+        for d in leaving:
+            while d < lo:
+                seen[d] = 1
+                d = succ[d]
+            ends.append(d - lo)
+        need = planar_faces
+        for start in range(lo):
             if not seen[start]:
-                faces += 1
+                need -= 1
                 d = start
                 while not seen[d]:
                     seen[d] = 1
                     d = succ[d]
-        if faces != planar_faces:
+        if not 1 <= need <= len(leaving):
             continue
-        # few systems are planar, so only they pay for the vertex masks
-        masks = []
-        seen = bytearray(n_darts)
-        for start in range(n_darts):
-            if not seen[start]:
-                mask = 0
-                d = start
-                while not seen[d]:
-                    seen[d] = 1
-                    mask |= head_bits[d]
-                    d = succ[d]
-                masks.append(mask)
-        k = _min_peels(masks, len(comp))
-        if best is None or k < best:
-            best = k
+        # itemgetter of one index returns the item, not a 1-tuple
+        pick = itemgetter(*ends) if len(ends) > 1 else tuple
+        for nxt in x_nxt:
+            perm = pick(nxt)
+            found = cycles.get(perm)
+            if found is None:
+                found = cycles[perm] = _cycle_count(perm)
+            if found != need:
+                continue
+            # few systems are planar, so only they pay for the vertex masks
+            full = succ + [leaving[k] for k in nxt]
+            masks = []
+            seen = bytearray(n_darts)
+            for start in range(n_darts):
+                if not seen[start]:
+                    mask = 0
+                    d = start
+                    while not seen[d]:
+                        seen[d] = 1
+                        mask |= head_bits[d]
+                        d = full[d]
+                    masks.append(mask)
+            k = _min_peels(masks, len(comp))
+            if best is None or k < best:
+                best = k
     if best is None:
         raise NotPlanar(
             f"no rotation system of component {comp[:4]}... achieves genus 0"
         )
     return best
+
+
+def _cycle_count(perm: tuple[int, ...]) -> int:
+    """Number of cycles of a permutation of 0..len(perm)-1."""
+    seen = 0
+    cycles = 0
+    for k in range(len(perm)):
+        if not seen >> k & 1:
+            cycles += 1
+            while not seen >> k & 1:
+                seen |= 1 << k
+                k = perm[k]
+    return cycles
 
 
 def _min_peels(face_masks: list[int], n: int) -> int:

@@ -22,7 +22,6 @@ from .embedding import (
     Dart,
     Edge,
     Embedding,
-    _components,
     _FaceBuilder,
     fan_targets,
     is_triangulated_disk,
@@ -38,17 +37,18 @@ class DiskConversionTrace:
     added_edges: tuple[tuple[int, int, str], ...]
 
 
-def _connect(b: _FaceBuilder, outer_vertices: frozenset[int]) -> list[Edge]:
-    """Bridge components across the outer region, smallest outer ids first.
+def _connect(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
+    """Bridge emb's components across the outer region, smallest outer ids first.
 
     The component holding the smallest outer vertex absorbs the others in
     the order of their smallest outer vertices; each edge joins those two
-    vertices at their first corners on their outer walks.
+    vertices at their first corners on their outer walks.  The components
+    are emb's own: b may hold edges added inside faces since it was copied
+    from emb, which join no two components.
     """
-    comp = _components(b.rot)
     first: dict[int, int] = {}
-    for v in sorted(outer_vertices):
-        first.setdefault(comp[v], v)
+    for v in sorted(emb.outer_vertices):
+        first.setdefault(emb._comp_of[v], v)
     hub, *rest = first.values()
     for v in rest:
         b.link(_outer_corner(b, hub), _outer_corner(b, v))
@@ -76,12 +76,21 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
     repeats on the walk if ``repeated_only``.  The chord (a, c) cuts the
     corner at j off into a triangle; the rest keeps the walk's outer mark.
     A wanted walk without such a position raises ``stuck(b, walk id)``.
+
+    The scan resumes instead of restarting.  Eligibility only decays
+    (adjacency grows, counts fall) and a cut changes only the corners at
+    a and c, so the positions from the minimal dart up to a's corner stay
+    ineligible: the rest is next scanned from its new dart (a, c), unless
+    its minimal dart has changed, which sends the scan back to the new
+    minimal dart.
     """
     heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
     heapq.heapify(heap)
+    resume: dict[tuple[int, Dart], Dart] = {}  # (walk id, run start) -> dart
     added: list[Edge] = []
     while heap:
-        d, i = heapq.heappop(heap)
+        start, i = heapq.heappop(heap)
+        d = resume.pop((i, start), start)
         counts = b.counts(i) if repeated_only else None
         before = b.pred(d)
         corner = b.pred(before)
@@ -95,6 +104,7 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
         for j in b.link(corner, d):
             if wanted(b, j):
                 heapq.heappush(heap, (b.first(j), j))
+        resume[(b.wid[(a, c)], start)] = (a, c)
         added.append((min(a, c), max(a, c)))
     return added
 
@@ -150,7 +160,7 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
         b = _FaceBuilder(emb)
         sat = _saturate(b, emb)
         added += [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
-        added += [(u, v, "connect") for u, v in _connect(b, emb.outer_vertices)]
+        added += [(u, v, "connect") for u, v in _connect(b, emb)]
         for stage, *cut in _CUTS:
             added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
         if added:

@@ -22,6 +22,7 @@ from onionpeel import (
     is_triangulation,
     onion_peels,
 )
+from onionpeel import oracles
 from onionpeel.embedding import _FaceBuilder, _components, _trace
 from onionpeel.oracles import (
     _abstract_components,
@@ -347,11 +348,9 @@ def test_oracle_sandwich_small(small_corpus):
             assert brute_outerplanarity(emb) <= onion_peels(emb).k, label
 
 
-def traced_component_outerplanarity(comp, adj):
-    """Reference: trace the faces of every rotation system, mirror images
-    included, and peel each planar one from every face by radial search."""
-    if len(comp) == 1:
-        return 1
+def traced_planar_systems(comp, adj):
+    """Face walks of every planar rotation system of a component with an
+    edge, mirror images included."""
     n_edges = sum(len(adj[v] & set(comp)) for v in comp) // 2
     orders = []
     for v in comp:
@@ -360,11 +359,19 @@ def traced_component_outerplanarity(comp, adj):
             orders.append((tuple(ns),))
         else:
             orders.append(tuple((ns[0],) + p for p in itertools.permutations(ns[1:])))
-    best = None
     for combo in itertools.product(*orders):
         walks, _ = _trace(dict(zip(comp, combo)))
-        if len(comp) - n_edges + len(walks) != 2:
-            continue
+        if len(comp) - n_edges + len(walks) == 2:
+            yield walks
+
+
+def traced_component_outerplanarity(comp, adj):
+    """Reference: trace the faces of every rotation system, mirror images
+    included, and peel each planar one from every face by radial search."""
+    if len(comp) == 1:
+        return 1
+    best = None
+    for walks in traced_planar_systems(comp, adj):
         face_sets = [{d[0] for d in walk} for walk in walks]
         for i in range(len(walks)):
             k = len(_radial_layers(face_sets, [i], comp))
@@ -489,3 +496,100 @@ def test_min_peels_over_faces_matches_radial_layers(k):
 def test_min_peels_reports_unreachable_vertices():
     with pytest.raises(errors.InvariantViolation):
         _min_peels([0b000111, 0b111000], 6)
+
+
+# -- the closing vertex: one trace per choice of the other vertices' orders ---
+
+
+def planar_systems_up_to_mirror(comp, adj):
+    """A vertex of degree >= 3 makes every system differ from its mirror."""
+    if len(comp) == 1:
+        return 0
+    found = sum(1 for _ in traced_planar_systems(comp, adj))
+    return found // 2 if max(len(adj[v]) for v in comp) >= 3 else found
+
+
+def renamed(adj, name):
+    return {name(v): {name(w) for w in ns} for v, ns in adj.items()}
+
+
+def relabelled(adj, seed):
+    labels = list(adj)
+    random.Random(seed).shuffle(labels)
+    return renamed(adj, dict(zip(adj, labels)).get)
+
+
+def closing_vertex_cases():
+    """Named graphs; the comments name the closing vertex x (the most
+    orders, ties to the first) before relabelling."""
+    def star(n):
+        return adjacency(n + 1, [(0, i) for i in range(1, n + 1)])
+
+    def wheel(n):
+        return adjacency(n + 1, [(0, i) for i in range(1, n + 1)]
+                         + [(i, i % n + 1) for i in range(1, n + 1)])
+
+    def cycle(n):
+        return adjacency(n, [(i, (i + 1) % n) for i in range(n)])
+
+    k4 = adjacency(4, itertools.combinations(range(4), 2))
+    path = adjacency(3, [(0, 1), (1, 2)])
+    return [
+        ("path", adjacency(5, [(i, i + 1) for i in range(4)])),  # x = 0, degree 1
+        ("edge", adjacency(2, [(0, 1)])),  # x = 0, degree 1, one dart each way
+        ("star3", star(3)),  # every vertex has one order: x = 0, mirror-fixed
+        ("star3 centre last", renamed(star(3), lambda v: 3 - v)),  # x = 0, a leaf
+        ("star4", star(4)),  # x = 0, mirror-fixed, 3 orders
+        ("star5", star(5)),  # x = 0, mirror-fixed, 12 orders
+        ("cycle3", cycle(3)),  # x = 0, degree 2
+        ("cycle6", cycle(6)),
+        ("wheel5", wheel(5)),  # x = 0, the hub, mirror-fixed, 12 orders
+        ("wheel5 hub last", renamed(wheel(5), lambda v: (v - 1) % 6)),  # x = the hub
+        ("K4", k4),  # 0 is mirror-fixed; 1, 2 and 3 tie at 2 orders: x = 1
+        ("K2,3", adjacency(5, [(a, b) for a in range(2) for b in range(2, 5)])),  # x = 1
+        ("K4 and a pendant", {**k4, 0: k4[0] | {4}, 4: {0}}),  # x = 0, mirror-fixed
+        ("disconnected", {**path, **renamed(k4, lambda v: v + 3)}),
+        ("disconnected, isolated", {**path, 3: set(), **renamed(k4, lambda v: v + 4)}),
+    ]
+
+
+def test_component_outerplanarity_matches_reference_on_closing_vertex_cases():
+    for label, adj in closing_vertex_cases():
+        for seed in range(4):
+            graph = adj if seed == 0 else relabelled(adj, seed)
+            assert_components_match_traced_reference(graph, (label, seed))
+            expected = max(outcome(traced_component_outerplanarity, c, graph)
+                           for c in _abstract_components(graph))
+            edges = [(u, v) for u in graph for v in graph[u] if u < v]
+            if len(graph) == len({v for e in edges for v in e}):
+                assert brute_outerplanarity(edges) == expected, (label, seed)
+
+
+def test_min_peels_runs_once_per_planar_system_up_to_mirror(monkeypatch):
+    calls = []
+
+    def counted(masks, n):
+        calls.append(n)
+        return _min_peels(masks, n)
+
+    monkeypatch.setattr(oracles, "_min_peels", counted)
+    graphs = [adj for _, adj in closing_vertex_cases()] + random_small_graphs(400, seed=8)
+    planar = 0
+    for adj in graphs:
+        for comp in _abstract_components(adj):
+            calls.clear()
+            outcome(_component_outerplanarity, comp, adj)
+            assert len(calls) == planar_systems_up_to_mirror(comp, adj), comp
+            planar += len(calls)
+    assert planar > 400
+
+
+def test_not_planar_text_names_the_component():
+    k5 = list(itertools.combinations(range(5), 2))
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    for edges in (k5, k33):
+        with pytest.raises(errors.NotPlanar) as caught:
+            brute_outerplanarity(edges)
+        assert str(caught.value) == (
+            "no rotation system of component [0, 1, 2, 3]... achieves genus 0"
+        )

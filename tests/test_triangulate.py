@@ -1,3 +1,4 @@
+import heapq
 import random
 from collections import Counter
 
@@ -47,7 +48,7 @@ def stage_alone(emb, stage):
     """Run one conversion stage by itself; return its result and edges."""
     b = _FaceBuilder(emb)
     if stage == "connect":
-        edges = _connect(b, emb.outer_vertices)
+        edges = _connect(b, emb)
     else:
         edges = _cut_corners(b, *next(cut for name, *cut in _CUTS if name == stage))
     return b.embedding(), edges
@@ -566,7 +567,7 @@ def test_joins_keep_materialised_counts():
         b = _FaceBuilder(emb)
         for i in b.size:
             b.counts(i)
-        _connect(b, emb.outer_vertices)
+        _connect(b, emb)
         assert check_builder(b) == len(b.size)
 
 
@@ -590,3 +591,116 @@ def test_long_face_pipeline():
     assert cert.peel_count == cert.disk_peel_count == 1
     assert cert.width <= 2
     assert set(emb.edges) <= edges and len(edges) == 2 * 4000 - 3
+
+
+# -- corner cutting: the resumable scan against the rescanning loop -----------
+
+
+def ref_cut_corners(b, wanted, repeated_only, stuck):
+    """Reference: the corner-cutting loop that rescans every popped walk
+    from its minimal dart, quadratic when walks repeat vertices."""
+    heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
+    heapq.heapify(heap)
+    added = []
+    while heap:
+        d, i = heapq.heappop(heap)
+        counts = b.counts(i) if repeated_only else None
+        before = b.pred(d)
+        corner = b.pred(before)
+        for _ in range(b.size[i]):
+            (v, c), a = d, before[0]
+            if a != c and c not in b.adj[a] and (not repeated_only or counts[v] > 1):
+                break
+            corner, before, d = before, d, b.nxt[d]
+        else:
+            raise stuck(b, i)
+        for j in b.link(corner, d):
+            if wanted(b, j):
+                heapq.heappush(heap, (b.first(j), j))
+        added.append((min(a, c), max(a, c)))
+    return added
+
+
+def random_tree(n, seed):
+    """Each vertex hangs from a uniformly random earlier one, at a random
+    position of its rotation."""
+    rng = random.Random(seed)
+    rot = {0: []}
+    for v in range(1, n):
+        p = rng.randrange(v)
+        rot[p].insert(rng.randrange(len(rot[p]) + 1), v)
+        rot[v] = [p]
+    return Embedding(rot, [(0, rot[0][0])])
+
+
+def sparse_kring(k, w, seed, keep=0.1):
+    """gen_random_kouter(k, w, seed) less each edge off a BFS tree with
+    probability 1 - keep; one outer edge is kept, and its dart names the
+    outer region."""
+    base = gen_random_kouter(k, w, seed)
+    rng = random.Random(seed)
+    outer = base.outer_faces[0].darts[0]
+    order = [min(base.vertices)]
+    tree, seen = {(min(outer), max(outer))}, set(order)
+    for x in order:
+        for y in base.rotation(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                tree.add((min(x, y), max(x, y)))
+    drop = {e for e in base.edges if e not in tree and rng.random() >= keep}
+    rot = {
+        v: [y for y in base.rotation(v) if (min(v, y), max(v, y)) not in drop]
+        for v in base.vertices
+    }
+    return Embedding(rot, [outer])
+
+
+def cutting_inputs():
+    for seed in range(30):
+        yield f"tree{seed}", random_tree(random.Random(seed).randint(3, 200), seed)
+    rng = random.Random(1846)
+    for trial in range(40):
+        k, w = rng.randint(1, 4), rng.randint(3, 12)
+        base = gen_random_kouter(k, w, rng.randint(1, 10**6))
+        yield f"deleted{trial}", delete_nonbridge_edges(
+            base, rng.randint(1, base.edge_count // 2), rng
+        )
+    for seed in range(10):
+        yield f"sparse{seed}", sparse_kring(3, 20 + 10 * seed, seed, keep=seed / 10)
+
+
+def test_cut_corners_matches_rescanning_reference(monkeypatch):
+    cases = list(cutting_inputs())
+    fast = [to_full_triangulation(emb) for _, emb in cases]
+    monkeypatch.setattr(triangulate, "_cut_corners", ref_cut_corners)
+    cuts = 0
+    for (label, emb), (tri, trace) in zip(cases, fast):
+        assert (tri, trace) == to_full_triangulation(emb), label
+        cuts += sum(s.endswith("cut") or s == "ear" for _, _, s in trace.added_edges)
+    assert cuts > 3000
+
+
+class CountingDict(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        CountingDict.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("label", ["tree", "sparse-3-ring"])
+def test_cut_corners_reads_each_successor_a_bounded_number_of_times(label, monkeypatch):
+    emb = random_tree(2000, 3) if label == "tree" else sparse_kring(3, 667, 7)
+    init = _FaceBuilder.__init__
+
+    def counting(b, source):
+        init(b, source)
+        b.nxt = CountingDict(b.nxt)
+
+    monkeypatch.setattr(_FaceBuilder, "__init__", counting)
+    monkeypatch.setattr(CountingDict, "reads", 0)
+    tri, _ = to_full_triangulation(emb)
+    darts = 2 * tri.edge_count
+    # the rescanning loop reads 169x (tree) and 27x (3-ring) the darts here
+    assert 0 < CountingDict.reads <= 6 * darts, (CountingDict.reads, darts)
