@@ -87,7 +87,7 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     face_of = disk._walk_of_dart
     outer_idx = face_of[disk.outer_darts[0]]
     # inner faces are numbered in face order, skipping the outer face
-    node_of_face = [*range(outer_idx), -1, *range(outer_idx, len(disk.faces) - 1)]
+    node_of_face = [*range(outer_idx), -1, *range(outer_idx, len(disk._walks) - 1)]
     nodes = [BDNode(i, "face", fi) for fi, i in enumerate(node_of_face) if i >= 0]
     # face ids < arc ids < leaf ids, so every arc below is already (min, max)
     arcs: list[tuple[int, int]] = []

@@ -26,18 +26,23 @@ every component lies in the outer region: one outer dart per edged
 component, all merged into a single outer region.  Isolated vertices
 carry an empty rotation and count as outer.
 
-Construction costs a few dictionary operations per dart: the rotations
-become tuples after one type check over every id (an id must be an int,
-or have ``__index__`` and not be a bool); validation makes two set
-lookups per dart; the successor map gets one entry per dart; the trace
-makes one membership test, one append and one walk-id store per dart;
-and the Euler check compares totals, counting per component only to
-name a failure.  Each walk becomes a slotted ``FaceWalk``.  The
-embedding keeps its successor and dart -> walk maps, which a
-``_FaceBuilder`` copies rather than recomputes, and builds its equality
-key only on the first ``==`` or ``hash``.  On a triangulated 8x14 k-ring
-disk (112 vertices, 209 walks), construction takes about 0.57 ms and
-``parse_epg`` about 0.87 ms (fastest of 300 calls, shared 2-core Linux
+Construction makes one structural pass, a few dictionary operations per
+dart: the rotations become tuples after one type check over every id (an
+id must be an int, or have ``__index__`` and not be a bool); the
+successor map gets one entry per dart; the trace makes one membership
+test, one append and one walk-id store per dart; and the Euler check
+compares totals, counting per component only to name a failure.  The
+trace doubles as the structure check: a successor map with one entry per
+dart and none from a vertex to itself, and a trace that finds every
+dart's successor, prove the rotations simple and symmetric, so the
+per-vertex check runs only on an input that fails the proof, to name its
+first defect.  The embedding keeps the walks as dart tuples with the ids
+of the outer walks, and its successor and dart -> walk maps, which a
+``_FaceBuilder`` copies rather than recomputes; ``faces`` builds its
+slotted ``FaceWalk`` records on first use, and the equality key is built
+on the first ``==`` or ``hash``.  On a triangulated 8x14 k-ring disk
+(112 vertices, 209 walks), construction takes about 0.39 ms and
+``parse_epg`` about 0.60 ms (fastest of 300 calls, shared 2-core Linux
 VM).
 """
 
@@ -119,19 +124,19 @@ class Embedding:
         outer_darts: Iterable[Dart],
     ):
         rot = _coerce(rotations)
-        self._validate_structure(rot)
         succ = _successors(rot)
-        walks, walk_of = _trace(rot, succ)
+        traced = _checked_trace(rot, succ)
+        if traced is None:
+            self._validate_structure(rot)  # raises the first defect it finds
+        walks, walk_of = traced
         comp_of = _components(rot)
         self._check_euler(rot, walks, comp_of)
         outer = self._resolve_outer(rot, walks, walk_of, comp_of, outer_darts)
 
         self._rot = {v: _canonical_rotation(ns) for v, ns in rot.items()}
         self._outer_darts = outer
-        is_outer = [False] * len(walks)
-        for d in outer:
-            is_outer[walk_of[d]] = True
-        self._faces = tuple(map(FaceWalk, walks, is_outer))
+        self._walks = walks
+        self._outer_ids = tuple(walk_of[d] for d in outer)  # ascending
         self._walk_of_dart = walk_of
         self._succ = succ
         self._comp_of = comp_of
@@ -246,7 +251,7 @@ class Embedding:
     def __repr__(self) -> str:
         return (
             f"Embedding({self.vertex_count} vertices, {self.edge_count} edges, "
-            f"{len(self._faces)} face walks)"
+            f"{len(self._walks)} face walks)"
         )
 
     # -- basic accessors -------------------------------------------------
@@ -293,15 +298,23 @@ class Embedding:
 
     @property
     def faces(self) -> tuple[FaceWalk, ...]:
-        return self._faces
+        """The face walks in walk order, as records built on first use."""
+        faces = self._memo.get("faces")
+        if faces is None:
+            is_outer = [False] * len(self._walks)
+            for i in self._outer_ids:
+                is_outer[i] = True
+            faces = self._memo["faces"] = tuple(map(FaceWalk, self._walks, is_outer))
+        return faces
 
     @property
     def outer_faces(self) -> tuple[FaceWalk, ...]:
-        return tuple(f for f in self._faces if f.is_outer)
+        faces = self.faces
+        return tuple(faces[i] for i in self._outer_ids)
 
     @property
     def inner_faces(self) -> tuple[FaceWalk, ...]:
-        return tuple(f for f in self._faces if not f.is_outer)
+        return tuple(f for f in self.faces if not f.is_outer)
 
     def face_index_of_dart(self, d: Dart) -> int:
         return self._walk_of_dart[d]
@@ -311,8 +324,9 @@ class Embedding:
         """Vertices on the outer region, isolated vertices included."""
         memo = self._memo.get("outer_vertices")
         if memo is None:
+            walks = self._walks
             on_walks = frozenset(
-                v for f in self.outer_faces for v in f.vertex_set
+                chain.from_iterable(map(_origin, walks[i]) for i in self._outer_ids)
             )
             isolated = frozenset(v for v, ns in self._rot.items() if not ns)
             memo = on_walks | isolated
@@ -332,7 +346,7 @@ class Embedding:
 
     @property
     def is_connected(self) -> bool:
-        return len(self.components) <= 1
+        return len(set(self._comp_of.values())) <= 1
 
     def rotations_dict(self) -> dict[int, list[int]]:
         """Mutable copy of the rotation map."""
@@ -371,6 +385,28 @@ def _trace(
                 d = succ[d]
             walks.append(tuple(walk))
     return walks, walk_of
+
+
+def _checked_trace(
+    rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart]
+) -> tuple[list[tuple[Dart, ...]], dict[Dart, int]] | None:
+    """``_trace(rot, succ)``, or None when rot is not a valid rotation system.
+
+    rot is valid (simple and symmetric) when no vertex lists itself, no
+    rotation repeats a neighbour, and every listed neighbour lists the
+    vertex back.  ``succ = _successors(rot)`` has a key (t, v) for each t
+    in the rotation at v, so the first two hold when it has no key (v, v)
+    and one key per dart, and the third when the trace, which looks up
+    the successor of every dart, finds each one.
+    """
+    if len(succ) != sum(map(len, rot.values())):
+        return None
+    if not succ.keys().isdisjoint(zip(rot, rot)):
+        return None
+    try:
+        return _trace(rot, succ)
+    except KeyError:
+        return None
 
 
 def _successors(rot: Mapping[int, Sequence[int]]) -> dict[Dart, Dart]:
@@ -424,21 +460,26 @@ def _components(rot: Mapping[int, Iterable[int]]) -> dict[int, int]:
 
 def is_triangulated_disk(emb: Embedding) -> bool:
     """Outer face a simple cycle of length >= 3, all inner faces triangles."""
-    if not emb.is_connected:
-        return False
-    outer = emb.outer_faces
-    if len(outer) != 1:
-        return False
-    if len(outer[0]) < 3 or not outer[0].is_simple:
-        return False
-    return all(len(f) == 3 for f in emb.inner_faces)
+    disk = emb._memo.get("is_disk")
+    if disk is None:
+        disk = False
+        if emb.is_connected and len(emb._outer_ids) == 1:
+            lengths = list(map(len, emb._walks))
+            outer = emb._walks[emb._outer_ids[0]]
+            disk = (
+                len(outer) >= 3
+                and len(set(map(_origin, outer))) == len(outer)
+                and lengths.count(3) == len(lengths) - (len(outer) != 3)
+            )
+        emb._memo["is_disk"] = disk
+    return disk
 
 
 def is_triangulation(emb: Embedding) -> bool:
     """Every face (outer included) a triangle; at least 3 vertices."""
     if emb.vertex_count < 3 or not emb.is_connected:
         return False
-    return all(len(f) == 3 for f in emb.faces)
+    return all(len(w) == 3 for w in emb._walks)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +511,9 @@ class _FaceBuilder:
         self.adj = {v: set(ns) for v, ns in self.rot.items()}
         self.nxt = dict(emb._succ)
         self.wid = dict(emb._walk_of_dart)
-        self.size = {i: len(f) for i, f in enumerate(emb.faces)}
-        self.outer = {i for i, f in enumerate(emb.faces) if f.is_outer}
-        self._faces = emb.faces
+        self.size = dict(enumerate(map(len, emb._walks)))
+        self.outer = set(emb._outer_ids)
+        self._walks = emb._walks
         self._heaps: dict[int, list[Dart]] = {}  # none yet: an input face
         self._counts: dict[int, Counter[int]] = {}
         self._fresh = count(len(self.size))
@@ -481,7 +522,7 @@ class _FaceBuilder:
         """The minimal dart of walk i."""
         heap = self._heaps.get(i)
         if heap is None:
-            return self._faces[i].darts[0]
+            return self._walks[i][0]
         while self.wid[heap[0]] != i:
             heapq.heappop(heap)
         return heap[0]
@@ -605,7 +646,7 @@ class _FaceBuilder:
         """Walk i's min-heap of darts, made from its input face if it has none."""
         heap = self._heaps.get(i)
         if heap is None:
-            heap = self._heaps[i] = list(self._faces[i].darts)
+            heap = self._heaps[i] = list(self._walks[i])
             heapq.heapify(heap)
         return heap
 
@@ -623,8 +664,8 @@ class _FaceBuilder:
         return Embedding(self.rot, [self.first(i) for i in self.outer])
 
 
-def fan_targets(walk: FaceWalk, anchor_pos: int, adjacency_ok) -> list[int]:
-    """Positions of fan targets on a walk, in walk order from the anchor.
+def fan_targets(walk: Sequence[Dart], anchor_pos: int, adjacency_ok) -> list[int]:
+    """Positions of fan targets on a walk's darts, in walk order from the anchor.
 
     Targets are distinct vertices other than the anchor vertex for which
     ``adjacency_ok(vertex)`` is false (the edge is missing), each anchored
@@ -632,10 +673,10 @@ def fan_targets(walk: FaceWalk, anchor_pos: int, adjacency_ok) -> list[int]:
     sorted by walk offset from the anchor, the order insertions must
     follow for the fan to stay inside the face.
     """
-    m = len(walk.darts)
-    w = walk.darts[anchor_pos][0]
+    m = len(walk)
+    w = walk[anchor_pos][0]
     first_pos: dict[int, int] = {}
-    for pos, d in enumerate(walk.darts):
+    for pos, d in enumerate(walk):
         if d[0] != w and d[0] not in first_pos:
             first_pos[d[0]] = pos
     out = [pos for v, pos in first_pos.items() if not adjacency_ok(v)]

@@ -19,14 +19,10 @@ identical bytes.
 
 from __future__ import annotations
 
-import re
-
 from .embedding import Dart, Embedding
 from .errors import FormatError
 
 HEADER = "epg 1"
-# a well-formed vertex line; any other goes through the per-token checks
-_VERTEX_LINE = re.compile(r"v\s+-?\d+\s*:\s*(?:-?\d+\s+)*(?:-?\d+)?", re.ASCII)
 
 
 def format_epg(emb: Embedding) -> str:
@@ -43,8 +39,11 @@ def parse_epg(text: str) -> Embedding:
     rotations: dict[int, list[int]] = {}
     outer: list[Dart] = []
     saw_header = False
+    comments = "#" in text
+    # on such a text ``int`` reads a token exactly as the grammar does
+    plain = text.isascii() and "+" not in text and "_" not in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if comments else raw).strip()
         if not line:
             continue
         tokens = line.replace(":", " : ").split()
@@ -56,14 +55,10 @@ def parse_epg(text: str) -> Embedding:
         if tokens[0] == "v":
             if len(tokens) < 3 or tokens[2] != ":":
                 raise FormatError(f"line {lineno}: malformed vertex line")
-            fast = _VERTEX_LINE.fullmatch(line)  # every token an EPG integer
-            v = int(tokens[1]) if fast else _int(tokens[1], lineno)
+            v = _int(tokens[1], lineno)
             if v in rotations:
                 raise FormatError(f"line {lineno}: duplicate vertex {v}")
-            if fast:
-                rotations[v] = list(map(int, tokens[3:]))
-            else:
-                rotations[v] = [_int(t, lineno) for t in tokens[3:]]
+            rotations[v] = _ints(tokens[3:], lineno, plain)
         elif tokens[0] == "outer":
             if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: malformed outer line")
@@ -81,6 +76,21 @@ def _int(token: str, lineno: int) -> int:
     if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
         return int(token)
     raise FormatError(f"line {lineno}: not an integer: {token!r}")
+
+
+def _ints(tokens: list[str], lineno: int, plain: bool) -> list[int]:
+    """The EPG integers ``tokens``, by plain ``int`` when ``plain``.
+
+    ``plain`` says the text is ASCII without "+" or "_"; then ``int``
+    takes a whitespace-free token exactly when it is ``-?[0-9]+``, and a
+    token it rejects is named by :func:`_int`.
+    """
+    if plain:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [_int(t, lineno) for t in tokens]
 
 
 def to_dot(emb: Embedding, name: str = "embedding") -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .embedding import Edge, Embedding, _FaceBuilder, fan_targets
+from .embedding import Edge, Embedding, _FaceBuilder, _origin, fan_targets
 from .errors import InvariantViolation, UnreachableVertex
 
 
@@ -123,11 +123,8 @@ def onion_peels(emb: Embedding) -> PeelDecomposition:
     memo = emb._memo.get("peels")
     if memo is not None:
         return memo
-    faces = emb.faces
     layers = _radial_layers(
-        [f.vertices for f in faces],
-        [i for i, f in enumerate(faces) if f.is_outer],
-        emb.vertices,
+        [tuple(map(_origin, w)) for w in emb._walks], emb._outer_ids, emb.vertices
     )
     result = PeelDecomposition(layers=layers)
     emb._memo["peels"] = result
@@ -156,14 +153,15 @@ def _saturate(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
     """
     index = onion_peels(emb).index_of()
     added = []
-    for f in emb.faces:
-        if f.is_outer or len(f) == 3:  # a triangle's vertices are adjacent
+    outer = set(emb._outer_ids)
+    for i, walk in enumerate(emb._walks):
+        if len(walk) == 3 or i in outer:  # a triangle's vertices are adjacent
             continue
-        verts = f.vertices
+        verts = tuple(map(_origin, walk))
         anchor_pos = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
         w = verts[anchor_pos]
-        for pos in fan_targets(f, anchor_pos, lambda v: v in b.adj[w]):
-            b.link(f.darts[anchor_pos - 1], f.darts[pos - 1])
+        for pos in fan_targets(walk, anchor_pos, lambda v: v in b.adj[w]):
+            b.link(walk[anchor_pos - 1], walk[pos - 1])
             added.append((w, verts[pos]))
     return added
 

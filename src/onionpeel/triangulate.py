@@ -23,6 +23,7 @@ from .embedding import (
     Edge,
     Embedding,
     _FaceBuilder,
+    _origin,
     fan_targets,
     is_triangulated_disk,
     is_triangulation,
@@ -190,8 +191,8 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     """
     k_in = onion_peels(emb).k
     disk, disk_trace = to_triangulated_disk(emb)
-    walk = disk.outer_faces[0]
-    cycle = walk.vertices
+    walk = disk._walks[disk._outer_ids[0]]
+    cycle = tuple(map(_origin, walk))
     outer_set = frozenset(cycle)
     candidates = sorted(
         v for v in cycle if len(set(disk.rotation(v)) & outer_set) == 2
@@ -207,9 +208,9 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
         pos_r = cycle.index(r)
         b = _FaceBuilder(disk)
         for pos in fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v)):
-            b.link(walk.darts[pos_r - 1], walk.darts[pos - 1])
+            b.link(walk[pos_r - 1], walk[pos - 1])
             added.append((min(r, cycle[pos]), max(r, cycle[pos]), "apex"))
-        result = Embedding(b.rot, [walk.darts[(pos_r + 1) % len(cycle)]])
+        result = Embedding(b.rot, [walk[(pos_r + 1) % len(cycle)]])
 
     if not is_triangulation(result):
         raise InvariantViolation("apex step did not produce a triangulation")

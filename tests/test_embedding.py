@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from onionpeel import (
     Embedding,
+    decompose_pipeline,
     errors,
+    format_epg,
     gen_cycle,
     gen_k4_minus_edge,
     gen_nested_triangles,
@@ -13,7 +15,12 @@ from onionpeel import (
     gen_wheel,
     is_triangulated_disk,
     is_triangulation,
+    onion_peels,
+    parse_epg,
+    to_full_triangulation,
+    to_triangulated_disk,
 )
+from onionpeel import embedding
 from onionpeel.embedding import _FaceBuilder, _trace
 from test_peeling import remove_vertices
 from test_triangulate import differential_inputs
@@ -235,6 +242,28 @@ def test_euler_and_walk_sum_invariants(corpus):
         c = len(emb.components)
         f = len(emb.inner_faces) + 1  # faces, the outer region counted once
         assert emb.vertex_count - emb.edge_count + f == 1 + c, label
+
+
+def test_face_records_are_built_only_on_request(monkeypatch):
+    built = []
+    record = embedding.FaceWalk
+    monkeypatch.setattr(embedding, "FaceWalk", lambda *a: built.append(a) or record(*a))
+    disk, _ = to_triangulated_disk(gen_random_kouter(8, 14, 16))
+    assert is_triangulated_disk(disk) and disk.vertex_count == 112
+    text = format_epg(disk)
+    built.clear()
+    onion_peels(parse_epg(text))
+    decompose_pipeline(parse_epg(text))
+    to_full_triangulation(gen_path(40))
+    assert built == []
+    emb = parse_epg(text)
+    faces = emb.faces
+    assert len(built) == len(faces) == len(emb._walks)
+    assert emb.faces is faces and len(built) == len(faces)
+    walks, _ = ref_trace(emb.rotations_dict())
+    assert [f.darts for f in faces] == walks
+    assert [f for f in faces if f.is_outer] == list(emb.outer_faces)
+    assert {f.darts[0] for f in emb.outer_faces} == set(emb.outer_darts)
 
 
 def test_isolated_vertices_are_outer():

@@ -204,6 +204,31 @@ def test_mutated_rotations_raise_the_reference_error(corpus):
     assert seen == set(MESSAGES)
 
 
+# the mutations that break the rotation system itself
+STRUCTURAL = (self_loop, repeated_neighbour, unknown_vertex, one_sided, swapped_entries)
+
+
+def test_stacked_structure_defects_raise_the_first_reference_error(corpus):
+    # The constructor proves the structure valid while tracing and runs the
+    # structure check only when that proof fails; with several defects the
+    # check must still name the first one in its own order.
+    rng = random.Random(16)
+    seen = set()
+    for label, emb in differential_inputs(corpus):
+        names = rng.sample(STRUCTURAL, rng.randint(2, 3))
+        rot, outer = emb.rotations_dict(), list(emb.outer_darts)
+        if not all(f(emb, rot, outer, rng) is not False for f in names):
+            continue
+        label = f"{label}:{'+'.join(f.__name__ for f in names)}"
+        expected = outcome(ref_build, rot, outer)  # structure errors come first
+        assert outcome(Embedding, rot, outer) == expected, label
+        if expected is not None:
+            cls, message = expected
+            seen.update(p for p, c in MESSAGES.items() if c is cls and p in message)
+    assert seen >= {"lists itself", "lists a neighbor twice", "lists unknown vertex",
+                    "does not list"}
+
+
 def test_euler_violation_names_the_first_failing_component():
     # two octahedra side by side; swapped entries make a component non-planar
     octahedron = {0: [1, 2, 3, 4], 1: [0, 4, 5, 2], 2: [0, 1, 5, 3],

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,27 +80,34 @@ def test_parse_errors():
     "v 0: - 2",
     "v 0: --1 2",
     "v 0: 1: 2",
+    "v 0: 1-2 2",
+    "v 0: 0x1 2",
     "v 0: 1 2\nv 0: 1 2",
 ])
-def test_vertex_line_fast_path_matches_token_checks(lines, monkeypatch):
+def test_vertex_line_fast_path_matches_token_checks(lines):
     text = f"epg 1\n{lines}\nv 1: 2 0\nv 2: 0 1\nouter 0 1\n"
 
-    def parse():
+    def parse(text):
         try:
             return parse_epg(text)
         except errors.FormatError as exc:
             return str(exc)
 
-    fast = parse()
-    monkeypatch.setattr(epg, "_VERTEX_LINE", re.compile(r"(?!)"))
-    assert parse() == fast
+    # a "+" anywhere, here in a trailing comment, sends every token
+    # through the per-token checks
+    assert parse(text) == parse(text + "# +\n")
 
 
-def test_canonical_vertex_lines_take_the_fast_path(corpus):
+def test_canonical_vertex_lines_take_the_fast_path(corpus, monkeypatch):
+    checked = []  # tokens read by the per-token checks
+    token_check = epg._int
+    monkeypatch.setattr(epg, "_int", lambda t, n: checked.append(t) or token_check(t, n))
     isolated = Embedding({-3: [-2, -1], -2: [-1, -3], -1: [-3, -2], 9: []}, [(-3, -2)])
     for label, emb in [*corpus, ("isolated", isolated)]:
-        for line in format_epg(emb).splitlines():
-            assert line[0] != "v" or epg._VERTEX_LINE.fullmatch(line), label
+        checked.clear()
+        assert parse_epg(format_epg(emb)) == emb, label
+        # only each vertex line's own id and the outer darts
+        assert len(checked) == emb.vertex_count + 2 * len(emb.outer_darts), label
 
 
 def test_dot_export_mentions_faces_and_edges():

@@ -376,7 +376,7 @@ def ref_saturate(emb):
         verts = f.vertices
         anchor = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
         w = verts[anchor]
-        for pos in fan_targets(f, anchor, lambda v: v in adjacency[w]):
+        for pos in fan_targets(f.darts, anchor, lambda v: v in adjacency[w]):
             _, v = ref_chord(rotations, f, anchor, pos)
             adjacency[w].add(v)
             adjacency[v].add(w)
@@ -468,7 +468,7 @@ def ref_full(emb):
     rotations = disk.rotations_dict()
     fan = [
         ref_chord(rotations, walk, pos_r, pos)
-        for pos in fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v))
+        for pos in fan_targets(walk.darts, pos_r, lambda v: disk.has_edge(r, v))
     ]
     added += tuple((min(u, v), max(u, v), "apex") for u, v in fan)
     return Embedding(rotations, [walk.darts[(pos_r + 1) % len(cycle)]]), added
