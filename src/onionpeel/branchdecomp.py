@@ -7,8 +7,9 @@ the dual graph, with the outer face as a leaf).  Subdividing every arc of
 T* and hanging one leaf per graph edge yields a degree-<=3 tree whose
 leaf assignment is a branch decomposition; a forest of height h-1 bounds
 its width by 2h because every cut is covered by at most two root paths
-plus one edge.  :func:`build_branch_tree` is the one builder: it computes
-every cut once and certifies that bound before it hands out the tree.
+plus one edge.  :func:`build_branch_tree` is the one builder: one pass
+computes the cuts and certifies each against that bound as it goes, and
+the tree's node and cut records are built only when first read.
 :func:`verify_tree_cotree` reaches T* by the tree-co-tree route instead.
 """
 
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Collection, Iterator, Mapping, NamedTuple, NoReturn
 
 from .embedding import Edge, Embedding, _components, is_triangulated_disk
 from .errors import (
@@ -45,13 +47,39 @@ class ArcCut(NamedTuple):
 
 @dataclass(frozen=True)
 class BranchDecomposition:
-    """Degree-<=3 tree with one leaf per graph edge, and every arc's cut."""
+    """Degree-<=3 tree with one leaf per graph edge, and every arc's cut.
 
-    nodes: tuple[BDNode, ...]  # node ids are positions
-    arcs: tuple[tuple[int, int], ...]
-    assignment: Mapping[Edge, int]
+    Node ids are positions: the face nodes, then the arc nodes, then the
+    edge-node leaves.  The tree is stored flat, as each face node's
+    inner-face index and each arc node's subdivided edge; ``nodes`` and
+    ``cuts`` are built from the stored fields when first read, and
+    equality compares the stored fields, which determine both.
+    """
+
+    arcs: tuple[tuple[int, int], ...]  # sorted, each (min, max)
+    assignment: Mapping[Edge, int]  # in leaf order
     width: int
-    cuts: tuple[ArcCut, ...]  # sorted by arc
+    faces: tuple[int, ...]  # per face node, its inner face's index
+    arc_edges: tuple[Edge, ...]  # per arc node, the edge it subdivides
+
+    @cached_property
+    def nodes(self) -> tuple[BDNode, ...]:
+        first_arc = len(self.faces)
+        return (
+            *(BDNode(i, "face", f) for i, f in enumerate(self.faces)),
+            *(BDNode(a, "arc", None, e) for a, e in enumerate(self.arc_edges, first_arc)),
+            *(BDNode(leaf, "edge", None, e) for e, leaf in self.assignment.items()),
+        )
+
+    @cached_property
+    def cuts(self) -> tuple[ArcCut, ...]:
+        """Every arc's crossing set, in arc order."""
+        arcs = self.arcs
+        n = len(self.faces) + len(self.arc_edges) + len(self.assignment)
+        cuts: list[ArcCut] = [None] * len(arcs)  # type: ignore[list-item]
+        for i, crossing in _cut_maps(n, arcs, self.assignment):
+            cuts[i] = ArcCut(arcs[i], frozenset(crossing))
+        return tuple(cuts)
 
 
 @dataclass(frozen=True)
@@ -76,9 +104,14 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     graph edge, in edge order, hangs from its arc node, or else from the
     inner face on the side of its canonical dart (the unique inner side
     for outer edges).  Face nodes keep degree <= 3 because a triangle
-    contributes at most one incidence per edge.  The tree and degree
-    checks (the tree check inside :func:`_width_and_cuts`) and
-    :func:`_certify` are bug certificates.
+    contributes at most one incidence per edge.
+
+    The degree checks, the tree checks inside :func:`_cut_maps` and the
+    certification are bug certificates.  Each cut is certified as the
+    pass yields it: a leaf arc's crossing must lie within its edge, and a
+    face arc's on the forest separator of its arc node's edge (tested by
+    :func:`_on_separator`); then the width, the largest crossing, must be
+    at most 2(h+1).
     """
     if not is_triangulated_disk(disk):
         raise NotADisk("branch tree requires a triangulated disk")
@@ -86,10 +119,13 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     parent = forest.parent
     face_of = disk._walk_of_dart
     outer_idx = face_of[disk.outer_darts[0]]
+    n_walks = len(disk._walks)
     # inner faces are numbered in face order, skipping the outer face
-    node_of_face = [*range(outer_idx), -1, *range(outer_idx, len(disk._walks) - 1)]
-    nodes = [BDNode(i, "face", fi) for fi, i in enumerate(node_of_face) if i >= 0]
+    faces = (*range(outer_idx), *range(outer_idx + 1, n_walks))
+    node_of_face = [*range(outer_idx), -1, *range(outer_idx, n_walks - 1)]
+    first_arc = len(faces)
     # face ids < arc ids < leaf ids, so every arc below is already (min, max)
+    arc_edges: list[Edge] = []
     arcs: list[tuple[int, int]] = []
     hangs: list[int] = []  # per edge, the node its leaf hangs from
     edges = disk.edges
@@ -104,36 +140,51 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
                 raise InvariantViolation(f"edge {e} has no inner side")
             hangs.append(node_of_face[side])
         else:
-            a = len(nodes)
-            nodes.append(BDNode(a, "arc", None, e))
+            a = first_arc + len(arc_edges)
+            arc_edges.append(e)
             arcs.append((node_of_face[f1], a))
             arcs.append((node_of_face[f2], a))
             hangs.append(a)
-    leaves = range(len(nodes), len(nodes) + len(edges))
-    nodes += [BDNode(leaf, "edge", None, e) for leaf, e in zip(leaves, edges)]
+    first_leaf = first_arc + len(arc_edges)
+    n = first_leaf + len(edges)
+    leaves = range(first_leaf, n)
     assignment = dict(zip(edges, leaves))
     arcs += zip(hangs, leaves)
     arcs.sort()
 
-    degree = [0] * len(nodes)
-    for a, b in arcs:
-        degree[a] += 1
-        degree[b] += 1
-    for i, d in enumerate(degree):
-        if d > 3:
-            raise DegreeOverflow(f"node {i} ({nodes[i].kind}) has degree {d}")
-        if d != 1 and i >= leaves.start:
-            raise InvariantViolation(f"edge node {i} is not a leaf")
-    width, cuts = _width_and_cuts(nodes, arcs, assignment)
-    bd = BranchDecomposition(
-        nodes=tuple(nodes),
+    degree = Counter(chain.from_iterable(arcs))
+    if max(degree.values()) > 3 or set(map(degree.__getitem__, leaves)) != {1}:
+        for i in range(n):  # name the first defect
+            d = degree[i]
+            if d > 3:
+                kind = "face" if i < first_arc else "arc" if i < first_leaf else "edge"
+                raise DegreeOverflow(f"node {i} ({kind}) has degree {d}")
+            if d != 1 and i >= first_leaf:
+                raise InvariantViolation(f"edge node {i} is not a leaf")
+    intervals = _forest_intervals(forest)
+    keys = [_separator_key(intervals, parent, u, v) for u, v in arc_edges]
+    width = 0
+    for i, crossing in _cut_maps(n, arcs, assignment):
+        if len(crossing) > width:
+            width = len(crossing)
+        b = arcs[i][1]
+        if b >= first_leaf:
+            e = edges[b - first_leaf]
+            for w in crossing:
+                if w not in e:
+                    raise BoundViolated(f"cut at leaf arc {arcs[i]} not within edge {e}")
+        elif not _on_separator(keys[b - first_arc], intervals, crossing):
+            raise BoundViolated(f"cut at arc {arcs[i]} escapes its forest separator")
+    bound = 2 * (forest.height + 1)
+    if width > bound:
+        raise BoundViolated(f"width {width} exceeds 2(h+1) = {bound}")
+    return BranchDecomposition(
         arcs=tuple(arcs),
         assignment=assignment,
         width=width,
-        cuts=cuts,
+        faces=faces,
+        arc_edges=tuple(arc_edges),
     )
-    _certify(forest, bd)
-    return bd
 
 
 def _check_tree(nodes, arcs) -> None:
@@ -192,9 +243,11 @@ def verify_tree_cotree(disk: Embedding, forest: RootedForest) -> None:
         raise InvariantViolation("co-tree arcs differ from the branch tree's arc nodes")
 
 
-def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
-    """Exact per-arc crossing sets by bottom-up subtree aggregation.
+def _cut_maps(n: int, arcs, assignment) -> Iterator[tuple[int, Collection[int]]]:
+    """Every arc's crossing set, by one bottom-up subtree aggregation.
 
+    Yields ``(i, crossing)`` for every arc ``arcs[i]`` of the tree on
+    nodes ``0..n-1`` whose leaves carry the edges of ``assignment``.
     Each subtree's map counts the edges below it of every vertex that
     crosses the arc above it.  A vertex leaves the map once all its edges
     lie below: it crosses no arc further up.  So a map holds one arc's
@@ -205,9 +258,9 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     is its edge's endpoints that have an edge elsewhere, and those
     endpoints go straight into the map of the node the leaf hangs from.
     A leaf costs O(1) and makes no dict, and the search and the pass
-    below visit only the unassigned (face and arc) nodes; leaves are
-    about 320 of the 734 nodes of an 8x14 k-ring disk.  The pass assumes
-    that every assigned node is a leaf of an unassigned node, which
+    below visit only the unassigned nodes; leaves are about 320 of the
+    734 nodes of an 8x14 k-ring disk.  The pass assumes that every
+    assigned node is a leaf of an unassigned node, which
     :func:`build_branch_tree`'s degree check ensures; arcs that break
     this go to :func:`_check_tree`.
 
@@ -217,6 +270,13 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     and the search reaches every unassigned node.  With one arc fewer
     than nodes, the search can reach them all only if the leaves hold
     just one arc each, so a repeated leaf arc needs no check of its own.
+    Every check runs before the first yield.
+
+    The leaf arcs come first, each with its crossing as a tuple of
+    endpoints.  Then every other arc comes with the live count map of the
+    subtree below it, whose keys are the crossing: the pass merges that
+    map into the one above once it resumes, so a caller reads or copies
+    it before advancing.
 
     Maps merge small into large: a node keeps its largest map (its own
     leaves' map or a child's), adds the smaller maps into it in place,
@@ -226,11 +286,10 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     sizes), at most O(E * width).  Arc nodes, whose one smaller map is
     their leaf's, pay O(1).
     """
-    n = len(nodes)
     if len(arcs) != n - 1:
         raise NotATree(f"{n} nodes but {len(arcs)} arcs")
     if not arcs:
-        return 0, ()
+        return
     total = Counter(chain.from_iterable(assignment))  # vertex -> its edge count
     leaf_edge: list[Edge | None] = [None] * n
     for e, leaf in assignment.items():
@@ -238,10 +297,9 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
     adj = [[] if e is None else None for e in leaf_edge]  # arc ids between unassigned nodes
     maps: list[dict[int, int] | None] = [None] * n  # own leaves' counts, then the subtree's
     hung = [False] * n
-    cuts: list[ArcCut] = [None] * len(arcs)  # type: ignore[list-item]
-    width = 0
-    for i, arc in enumerate(arcs):
-        a, b = arc
+    leaf_arcs: list[int] = []
+    leaf_cuts: list[tuple[int, ...]] = []
+    for i, (a, b) in enumerate(arcs):
         hang, e = a, leaf_edge[b]
         if e is None:
             hang, e = b, leaf_edge[a]
@@ -254,17 +312,16 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
         hung[a + b - hang] = True
         u, v = e
         if total[u] > 1 and total[v] > 1:
-            crossing = frozenset(e)
+            crossing = e
         else:
-            crossing = frozenset(w for w in e if total[w] > 1)
+            crossing = tuple(w for w in e if total[w] > 1)
         m = maps[hang]
         if m is None:
             m = maps[hang] = {}
         for w in crossing:
             m[w] = m.get(w, 0) + 1
-        cuts[i] = ArcCut(arc if a < b else (b, a), crossing)
-        if len(crossing) > width:
-            width = len(crossing)
+        leaf_arcs.append(i)
+        leaf_cuts.append(crossing)
     if hung.count(True) != len(assignment):  # a leaf without an arc
         _reject(n, arcs)
     root = leaf_edge.index(None)
@@ -280,6 +337,7 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
                 order.append(y)
     if len(order) != n - len(assignment):
         raise NotATree("arc set leaves the node set disconnected")
+    yield from zip(leaf_arcs, leaf_cuts)
     for x in reversed(order):
         c = maps[x] or {}
         changed = [*c]
@@ -298,12 +356,7 @@ def _width_and_cuts(nodes, arcs, assignment) -> tuple[int, tuple[ArcCut, ...]]:
                 del c[v]
         maps[x] = c
         if x != root:
-            a, b = arc = arcs[i]
-            cuts[i] = ArcCut(arc if a < b else (b, a), frozenset(c))
-            if len(c) > width:
-                width = len(c)
-    cuts.sort()
-    return width, tuple(cuts)
+            yield i, c
 
 
 def _reject(n: int, arcs) -> NoReturn:
@@ -317,58 +370,67 @@ def treewidth_bound(bw: int) -> int:
     return max(1, (3 * bw) // 2 - 1)
 
 
-def _certify(forest: RootedForest, bd: BranchDecomposition) -> None:
-    """Check width <= 2(height+1) and each of ``bd.cuts`` against its separator.
+# what a vertex outside the forest reads as: no one's ancestor, below every depth
+_OFF_FOREST = (0, 0, -2)
 
-    For an arc between a face node and an arc node, the crossing vertices
-    must lie on the root paths of the subdivided edge's endpoints (a path
-    from outer face to outer face, or a cycle through the forest); for an
-    arc at an edge-node leaf they must be endpoints of that edge.
+
+def _forest_intervals(forest: RootedForest) -> dict[int, tuple[int, int, int]]:
+    """Per forest vertex w, ``(tin, end, depth)`` from one preorder.
+
+    Each subtree takes the preorder numbers ``tin[w] .. end[w] - 1``, so
+    w is v or an ancestor of v iff ``tin[w] <= tin[v] < end[w]``.
     """
-    bound = 2 * (forest.height + 1)
-    if bd.width > bound:
-        raise BoundViolated(f"width {bd.width} exceeds 2(h+1) = {bound}")
-    separators: dict[int, set[int]] = {}
-    for cut in bd.cuts:
-        a, b = bd.nodes[cut.arc[0]], bd.nodes[cut.arc[1]]
-        if a.kind == "edge" or b.kind == "edge":
-            e = (a if a.kind == "edge" else b).edge
-            u, v = e
-            for w in cut.crossing:
-                if w != u and w != v:
-                    raise BoundViolated(
-                        f"cut at leaf arc {cut.arc} not within edge {e}"
-                    )
-            continue
-        arc_node = a if a.kind == "arc" else b
-        if arc_node.id not in separators:
-            separators[arc_node.id] = _separator(forest, *arc_node.edge)
-        if not cut.crossing <= separators[arc_node.id]:
-            raise BoundViolated(
-                f"cut at arc {cut.arc} escapes its forest separator"
-            )
+    parent = forest.parent
+    children: dict[int, list[int]] = {}
+    for v, p in parent.items():
+        children.setdefault(p, []).append(v)
+    order = []
+    stack = [*forest.roots]
+    while stack:  # a stack pops each subtree whole, so this is a preorder
+        v = stack.pop()
+        order.append(v)
+        stack += children.get(v, ())
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order):
+        p = parent.get(v)
+        if p is not None:
+            size[p] += size[v]
+    depth = forest.depth
+    return {v: (t, t + size[v], depth[v]) for t, v in enumerate(order)}
 
 
-def _separator(forest: RootedForest, v1: int, v2: int) -> set[int]:
-    """Forest vertices on the root paths of v1 and v2.
+def _separator_key(intervals, parent, v1: int, v2: int) -> tuple[int, int, int]:
+    """``(tin[v1], tin[v2], d)`` naming the forest separator of edge v1-v2.
 
-    The deeper endpoint climbs by ``forest.depth`` until the two climbs
-    meet, so with one root the paths are cut at the lowest common
-    ancestor: the separator is the cycle closed by the edge v1-v2.  With
-    two roots both climbs end at their roots.
+    The separator is the root paths of v1 and v2 down from depth d: with
+    one root, d is the depth of their lowest common ancestor, and the
+    separator is the cycle the edge closes; across two trees d is -1 and
+    both paths are whole.  v1 climbs until it is an ancestor of v2; it
+    climbs past its root only when the two lie in different trees.
     """
-    parent, depth = forest.parent, forest.depth
-    sep = {v1, v2}
-    while v1 != v2:
-        if v1 in parent and (v2 not in parent or depth[v1] >= depth[v2]):
-            v1 = parent[v1]
-            sep.add(v1)
-        elif v2 in parent:
-            v2 = parent[v2]
-            sep.add(v2)
-        else:
-            break
-    return sep
+    t1, t2 = intervals[v1][0], intervals[v2][0]
+    w = v1
+    s, t, d = intervals[w]
+    while not s <= t2 < t:
+        w = parent.get(w)
+        if w is None:
+            return t1, t2, -1
+        s, t, d = intervals[w]
+    return t1, t2, d
+
+
+def _on_separator(key: tuple[int, int, int], intervals, crossing) -> bool:
+    """Whether every vertex of ``crossing`` lies on the separator ``key`` names.
+
+    w lies on it iff w is an ancestor of v1 or of v2 (or one of them) at
+    depth at least d: O(1) per vertex, and no separator is built.
+    """
+    t1, t2, d = key
+    for w in crossing:
+        s, t, dw = intervals.get(w, _OFF_FOREST)
+        if dw < d or not (s <= t1 < t or s <= t2 < t):
+            return False
+    return True
 
 
 def decompose_pipeline(emb: Embedding) -> WidthCertificate:

@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
     text = _read_text(args.json)
     try:
         artifact = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
         raise FormatError(f"artifact is not JSON: {exc}") from None
     kind = _artifact_kind(artifact)
     _check_shape(kind, artifact)
@@ -316,7 +316,10 @@ def _edge_key(key: str) -> Edge | None:
     m = re.fullmatch(r"(-?[0-9]+)-(-?[0-9]+)", key)
     if m is None:
         return None
-    u, v = int(m[1]), int(m[2])
+    try:
+        u, v = int(m[1]), int(m[2])
+    except ValueError:  # beyond Python's limit on digits
+        return None
     return (u, v) if key == f"{u}-{v}" else None
 
 

@@ -72,10 +72,15 @@ def parse_epg(text: str) -> Embedding:
 
 def _int(token: str, lineno: int) -> int:
     # EPG integers are ASCII -?[0-9]+; ``int`` alone would also take "1_0",
-    # "+0" and non-ASCII digits
+    # "+0" and non-ASCII digits; it rejects tokens over Python's 4,300-digit
+    # limit, which are no EPG integers here either
     if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
-        return int(token)
-    raise FormatError(f"line {lineno}: not an integer: {token!r}")
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    shown = token if len(token) <= 40 else f"{token[:20]}...({len(token)} characters)"
+    raise FormatError(f"line {lineno}: not an integer: {shown!r}")
 
 
 def _ints(tokens: list[str], lineno: int, plain: bool) -> list[int]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import onionpeel
 
 PUBLIC = [
@@ -22,3 +24,19 @@ def test_public_names_are_pinned():
     assert sorted(onionpeel.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(onionpeel, name) is not None, name
+
+
+def test_branch_tree_attributes_are_pinned():
+    # the tree is stored flat; nodes and cuts are built on first read
+    fields = [f.name for f in dataclasses.fields(onionpeel.BranchDecomposition)]
+    assert fields == ["arcs", "assignment", "width", "faces", "arc_edges"]
+    assert [f.name for f in dataclasses.fields(onionpeel.WidthCertificate)][-1] == "tree"
+    cert = onionpeel.decompose_pipeline(onionpeel.gen_wheel(3))
+    bd = cert.tree
+    assert isinstance(bd, onionpeel.BranchDecomposition)
+    assert all(isinstance(n, onionpeel.BDNode) for n in bd.nodes)
+    assert all(isinstance(c, onionpeel.ArcCut) for c in bd.cuts)
+    assert [c.arc for c in bd.cuts] == list(bd.arcs)
+    assert len(bd.nodes) == len(bd.arcs) + 1 == len(bd.faces) + len(bd.arc_edges) + 6
+    assert sorted(bd.assignment) == list(onionpeel.gen_wheel(3).edges)
+    assert bd.width == cert.width

@@ -1,5 +1,5 @@
-import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,13 +18,14 @@ from onionpeel import (
     gen_random_kouter,
     gen_wheel,
     onion_peels,
+    parse_epg,
     to_triangulated_disk,
     treewidth_bound,
     validate_forest,
     verify_tree_cotree,
 )
 from onionpeel import branchdecomp
-from onionpeel.branchdecomp import ArcCut, _certify, _width_and_cuts
+from onionpeel.branchdecomp import ArcCut, BDNode, _cut_maps
 from test_cli import run_cli
 
 
@@ -171,6 +172,17 @@ def unpruned_width_and_cuts(nodes, arcs, assignment):
     return width, tuple(cuts)
 
 
+def width_and_cuts(n, arcs, assignment):
+    """The width and the cuts sorted by arc, from one run of the pass."""
+    width = 0
+    cuts = []
+    for i, crossing in _cut_maps(n, arcs, assignment):
+        width = max(width, len(crossing))
+        a, b = arcs[i]
+        cuts.append(ArcCut((min(a, b), max(a, b)), frozenset(crossing)))
+    return width, tuple(sorted(cuts))
+
+
 def test_width_and_cuts_match_unpruned_aggregation(corpus):
     extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))] + deep_disks()
     for label, emb in corpus + extra:
@@ -203,7 +215,7 @@ def test_width_pass_merges_small_maps_into_large():
             for (u, v), leaf in bd.assignment.items()
         }
         CountedVertex.hashes = 0
-        width, _ = _width_and_cuts(bd.nodes, bd.arcs, assignment)
+        width, _ = width_and_cuts(len(bd.nodes), bd.arcs, assignment)
         assert width == bd.width == 2 * depth
         per_edge.append(CountedVertex.hashes / len(assignment))
     assert per_edge[1] < 1.25 * per_edge[0], per_edge
@@ -254,16 +266,21 @@ def test_certify_and_bounds_corpus(corpus):
         assert cert.disk_peel_count == onion_peels(disk).k, label
 
 
-def test_width_pass_runs_once_per_pipeline(monkeypatch):
+def count_passes(monkeypatch):
+    """A list that gains an entry per run of the width pass."""
     calls = []
-    width_and_cuts = branchdecomp._width_and_cuts
 
     def counting(*args):
         calls.append(1)
-        return width_and_cuts(*args)
+        return _cut_maps(*args)
 
+    monkeypatch.setattr(branchdecomp, "_cut_maps", counting)
+    return calls
+
+
+def test_width_pass_runs_once_per_pipeline(monkeypatch):
+    calls = count_passes(monkeypatch)
     emb = gen_random_kouter(4, 7, 3)
-    monkeypatch.setattr(branchdecomp, "_width_and_cuts", counting)
     decompose_pipeline(emb)
     assert len(calls) == 1
     calls.clear()
@@ -271,26 +288,62 @@ def test_width_pass_runs_once_per_pipeline(monkeypatch):
     assert len(calls) == 1
 
 
-def test_certify_rejects_a_crossing_vertex_off_its_separator():
+def tampered(monkeypatch, target, extra):
+    """Make the width pass hand out arc ``target``'s crossing plus vertex ``extra``."""
+    def cut_maps_plus(*args):
+        for i, crossing in _cut_maps(*args):
+            yield i, [*crossing, extra] if i == target else crossing
+
+    monkeypatch.setattr(branchdecomp, "_cut_maps", cut_maps_plus)
+
+
+def test_records_are_built_on_demand(monkeypatch):
+    # the pipeline reads no node or cut record: it builds none, and a tree
+    # builds each kind once, on first read
+    built = Counter()
+
+    def counting(record):
+        def make(*args, **kwargs):
+            built[record.__name__] += 1
+            return record(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(branchdecomp, "BDNode", counting(BDNode))
+    monkeypatch.setattr(branchdecomp, "ArcCut", counting(ArcCut))
+    calls = count_passes(monkeypatch)
+    disk, _ = to_triangulated_disk(gen_random_kouter(8, 14, 5))
+    cert = decompose_pipeline(parse_epg(format_epg(disk)))
+    assert built == {} and len(calls) == 1
+    bd = cert.tree
+    cuts = bd.cuts  # one more pass
+    assert built == {"ArcCut": len(bd.arcs)} and len(calls) == 2
+    nodes = bd.nodes
+    once = {"ArcCut": len(bd.arcs), "BDNode": len(bd.arcs) + 1}
+    assert built == once
+    assert bd.cuts is cuts and bd.nodes is nodes
+    assert built == once and len(calls) == 2
+    assert (bd.width, cuts) == unpruned_width_and_cuts(nodes, bd.arcs, bd.assignment)
+
+
+def test_certify_rejects_a_crossing_vertex_off_its_separator(monkeypatch):
     disk, forest = disk_and_forest(gen_nested_triangles(4))
     bd = build_branch_tree(disk, forest)
-    _certify(forest, bd)
-    cuts = bd.cuts
     kind = {n.id: n for n in bd.nodes}
-    tampered = 0
-    for i, cut in enumerate(cuts):
-        ends = [kind[x] for x in cut.arc]
+    count = 0
+    for i, arc in enumerate(bd.arcs):
+        ends = [kind[x] for x in arc]
         arc_node = next((n for n in ends if n.kind == "arc"), None)
         if arc_node is None or any(n.kind == "edge" for n in ends):
             continue
         v1, v2 = arc_node.edge
         paths = set(forest.root_path(v1)) | set(forest.root_path(v2))
         off = min(set(disk.vertices) - paths)
-        bad = cuts[:i] + (ArcCut(cut.arc, cut.crossing | {off}),) + cuts[i + 1:]
-        with pytest.raises(errors.BoundViolated):
-            _certify(forest, dataclasses.replace(bd, cuts=bad))
-        tampered += 1
-    assert tampered == 2 * sum(1 for n in bd.nodes if n.kind == "arc")
+        tampered(monkeypatch, i, off)
+        with pytest.raises(errors.BoundViolated) as exc:
+            build_branch_tree(disk, forest)
+        assert str(exc.value) == f"cut at arc {arc} escapes its forest separator"
+        count += 1
+    assert count == 2 * sum(1 for n in bd.nodes if n.kind == "arc")
 
 
 def test_tree_cotree_second_route(small_corpus):
@@ -305,17 +358,17 @@ def test_width_pass_certifies_the_tree():
     n = len(bd.nodes)
     short = bd.arcs[1:]
     with pytest.raises(errors.NotATree) as exc:
-        _width_and_cuts(bd.nodes, short, bd.assignment)
+        width_and_cuts(n, short, bd.assignment)
     assert str(exc.value) == f"{n} nodes but {n - 2} arcs"
     split = bd.arcs[1:] + bd.arcs[1:2]  # the right count, one node cut off
     with pytest.raises(errors.NotATree) as exc:
-        _width_and_cuts(bd.nodes, split, bd.assignment)
+        width_and_cuts(n, split, bd.assignment)
     assert str(exc.value) == "arc set leaves the node set disconnected"
     for arcs in (short, split):
         with pytest.raises(errors.NotATree) as ref:
             branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
         with pytest.raises(errors.NotATree) as exc:
-            _width_and_cuts(bd.nodes, arcs, bd.assignment)
+            next(_cut_maps(n, arcs, bd.assignment))  # before the first cut
         assert str(exc.value) == str(ref.value)
 
 
@@ -334,26 +387,28 @@ def ref_separator(forest, v1, v2):
 
 
 def test_separator_matches_the_root_path_route(corpus):
+    # the interval test against the root paths, per arc node and vertex
     checked = 0
     for label, emb in [*corpus, *deep_disks()]:
         disk, bfs = disk_and_forest(emb)
+        stranger = max(disk.vertices) + 1
         for forest in (bfs, depth_first_forest(disk)):
-            bd = build_branch_tree(disk, forest)
-            for node in bd.nodes:
-                if node.kind == "arc":
-                    v1, v2 = node.edge
-                    for a, b in ((v1, v2), (v2, v1)):
-                        sep = branchdecomp._separator(forest, a, b)
-                        assert sep == ref_separator(forest, a, b), label
+            intervals = branchdecomp._forest_intervals(forest)
+            for v1, v2 in build_branch_tree(disk, forest).arc_edges:
+                for a, b in ((v1, v2), (v2, v1)):
+                    sep = ref_separator(forest, a, b)
+                    key = branchdecomp._separator_key(intervals, forest.parent, a, b)
+                    for w in disk.vertices:
+                        on = branchdecomp._on_separator(key, intervals, (w,))
+                        assert on == (w in sep), (label, a, b, w)
                         checked += 1
-    assert checked > 10000
+                    assert branchdecomp._on_separator(key, intervals, sep)
+                    assert not branchdecomp._on_separator(key, intervals, (stranger,))
+    assert checked > 100000
 
 
 def test_width_of_single_leaf_decomposition():
-    from onionpeel import BDNode
-
-    nodes = (BDNode(id=0, kind="edge", edge=(0, 1)),)
-    assert _width_and_cuts(nodes, (), {(0, 1): 0}) == (0, ())
+    assert width_and_cuts(1, (), {(0, 1): 0}) == (0, ())
 
 
 def test_treewidth_bound_values():
@@ -418,24 +473,23 @@ def test_pipeline_certifies_the_forest_lemma(monkeypatch):
         assert code == 1 and "BoundViolated: forest height" in err
 
 
-def test_certify_rejects_a_vertex_off_a_leaf_edge():
+def test_certify_rejects_a_vertex_off_a_leaf_edge(monkeypatch):
     disk, forest = disk_and_forest(gen_nested_triangles(4))
     bd = build_branch_tree(disk, forest)
-    cuts = bd.cuts
     leaf_of = {leaf: e for e, leaf in bd.assignment.items()}
-    tampered = 0
-    for i, cut in enumerate(cuts):
-        leaf = next((x for x in cut.arc if x in leaf_of), None)
+    count = 0
+    for i, arc in enumerate(bd.arcs):
+        leaf = next((x for x in arc if x in leaf_of), None)
         if leaf is None:
             continue
         e = leaf_of[leaf]
         off = min(set(disk.vertices) - set(e))
-        bad = cuts[:i] + (ArcCut(cut.arc, cut.crossing | {off}),) + cuts[i + 1:]
+        tampered(monkeypatch, i, off)
         with pytest.raises(errors.BoundViolated) as exc:
-            _certify(forest, dataclasses.replace(bd, cuts=bad))
-        assert str(exc.value) == f"cut at leaf arc {cut.arc} not within edge {e}"
-        tampered += 1
-    assert tampered == disk.edge_count
+            build_branch_tree(disk, forest)
+        assert str(exc.value) == f"cut at leaf arc {arc} not within edge {e}"
+        count += 1
+    assert count == disk.edge_count
 
 
 def leaf_defects(bd):
@@ -464,7 +518,7 @@ def test_width_pass_rejects_leaf_defects_with_the_tree_check_text():
             branchdecomp._check_tree(ids, arcs)
         for order in (arcs, arcs[::-1]):
             with pytest.raises(errors.NotATree) as exc:
-                _width_and_cuts(bd.nodes, order, bd.assignment)
+                next(_cut_maps(len(ids), order, bd.assignment))
             assert str(exc.value) == str(ref.value), label
 
 
@@ -477,12 +531,10 @@ def test_width_pass_needs_leaves_hung_from_unassigned_nodes():
     arcs = [arc for arc in bd.arcs if l2 not in arc] + [(l1, l2)]
     branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
     with pytest.raises(errors.InvariantViolation, match="does not hang from"):
-        _width_and_cuts(bd.nodes, arcs, bd.assignment)
+        next(_cut_maps(len(bd.nodes), arcs, bd.assignment))
 
 
 def test_records_are_immutable_named_tuples():
-    from onionpeel import BDNode
-
     assert BDNode._fields == ("id", "kind", "face", "edge")
     assert BDNode._field_defaults == {"face": None, "edge": None}
     assert ArcCut._fields == ("arc", "crossing")
@@ -503,8 +555,6 @@ def random_branch_tree(edges, rng):
 
     The arcs come shuffled, each with its ends in random order.
     """
-    from onionpeel import BDNode
-
     nodes = [BDNode(i, "edge", None, e) for i, e in enumerate(edges)]
     arcs = []
     tops = list(range(len(edges)))
@@ -530,4 +580,4 @@ def test_width_pass_matches_unpruned_aggregation_on_random_trees():
         if len(nodes) == 1:
             continue
         want = unpruned_width_and_cuts(nodes, arcs, assignment)
-        assert _width_and_cuts(nodes, arcs, assignment) == want, edges
+        assert width_and_cuts(len(nodes), arcs, assignment) == want, edges

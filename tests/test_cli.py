@@ -185,10 +185,19 @@ def test_bd_and_pipeline_share_one_tree(corpus):
 
 
 def test_bd_certifies_its_tree(monkeypatch):
-    # a tree whose cuts escape their forest separators is not handed out
-    monkeypatch.setattr(branchdecomp, "_separator", lambda forest, v1, v2: set())
+    # a tree whose cuts escape their forest separators is not handed out:
+    # every face arc's crossing is widened to all the vertices
+    cut_maps = branchdecomp._cut_maps
+
+    def escaping(n, arcs, assignment):
+        everyone = {w for e in assignment for w in e}
+        for i, crossing in cut_maps(n, arcs, assignment):
+            yield i, crossing if isinstance(crossing, tuple) else everyone
+
+    monkeypatch.setattr(branchdecomp, "_cut_maps", escaping)
     code, _, err = run_cli(["bd"], stdin_text=format_epg(gen_wheel(3)))
     assert code == 1 and "BoundViolated" in err
+    assert "escapes its forest separator" in err
 
 
 def test_malformed_epg_names_error():
@@ -299,6 +308,27 @@ def test_verify_rejects_malformed_artifacts(tmp_path):
         artifact.write_text(json.dumps(bad))
         code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
         assert code == 1 and "FormatError" in err, (bad, err)
+
+
+def test_integers_over_the_digit_limit_are_format_errors(tmp_path):
+    # Python's int() refuses strings over 4,300 digits with a bare ValueError
+    huge = "1" * 5000
+    code, out, err = run_cli(["peel"], stdin_text=f"epg 1\nv {huge}:\n")
+    assert code == 1 and out == ""
+    assert "FormatError: line 2: not an integer: '11111111111111111111...(5000 characters)'" in err
+    assert "Traceback" not in err
+    epg_path = tmp_path / "g.epg"
+    epg_path.write_text(format_epg(gen_cycle(4)))
+    artifact = tmp_path / "huge.json"
+    bd_key = {"nodes": [{"id": 0, "kind": "edge", "edge": [0, 1]}], "arcs": [],
+              "assignment": {f"{huge}-1": 0}, "width": 0, "bounds": {"2h": 2, "tw": 1}}
+    for text, message in (
+        (f'{{"k": {huge}, "layers": []}}', "FormatError: artifact is not JSON: "),
+        (json.dumps(bd_key), "FormatError: bd artifact: malformed 'assignment'"),
+    ):
+        artifact.write_text(text)
+        code, _, err = run_cli(["verify", "--in", str(epg_path), "--json", str(artifact)])
+        assert code == 1 and message in err and "Traceback" not in err, err
 
 
 def test_verify_accepts_bd_with_negative_vertex_ids(tmp_path):
