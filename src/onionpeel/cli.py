@@ -13,16 +13,14 @@ import argparse
 import functools
 import hashlib
 import json
-import re
 import sys
 import time
-from bisect import bisect_left
-from collections import Counter
 
-from .branchdecomp import decompose_pipeline, treewidth_bound
-from .embedding import Edge, Embedding
+from .branchdecomp import decompose_pipeline
+from .checkers import artifact_kind, check_shape, require, verify_bd
+from .embedding import Embedding
 from .epg import format_epg, parse_epg, to_dot
-from .errors import BadParameter, FormatError, InvariantViolation, OnionPeelError
+from .errors import BadParameter, FormatError, OnionPeelError
 from .generators import (
     gen_counterexample,
     gen_cycle,
@@ -233,170 +231,20 @@ def _cmd_verify(args) -> int:
         artifact = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
         raise FormatError(f"artifact is not JSON: {exc}") from None
-    kind = _artifact_kind(artifact)
-    _check_shape(kind, artifact)
+    kind = artifact_kind(artifact)
+    assignment = check_shape(kind, artifact)
     if kind == "oracle":
         # the oracle and its theorem-1 k come from the artifact
         args = argparse.Namespace(**vars(args), which=artifact["oracle"], k=artifact.get("k"))
     emb = _read_input(args)
     if kind in _REPORTS:
-        _require(artifact == _REPORTS[kind](emb, args), f"{kind} artifact: rerun differs")
+        require(artifact == _REPORTS[kind](emb, args), f"{kind} artifact: rerun differs")
+    elif kind == "trace":
+        _verify_conversion(emb, artifact, args)
     else:
-        {"trace": _verify_conversion, "bd": _verify_bd}[kind](emb, artifact, args)
+        verify_bd(emb, artifact, assignment)
     print(f"verified: {kind} artifact is consistent", file=sys.stderr)
     return 0
-
-
-def _artifact_kind(artifact) -> str:
-    if not isinstance(artifact, dict):
-        raise FormatError("artifact must be a JSON object")
-    if "oracle" in artifact:
-        return "oracle"
-    if "layers" in artifact:
-        return "peel"
-    if "parents" in artifact:
-        return "forest"
-    if "added" in artifact:
-        return "trace"
-    if "assignment" in artifact:
-        return "bd"
-    if "bd_width" in artifact:
-        return "pipeline"
-    raise FormatError("unrecognized artifact type")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_ints(x, length: int | None = None) -> bool:
-    return (
-        isinstance(x, list)
-        and all(_is_int(t) for t in x)
-        and (length is None or len(x) == length)
-    )
-
-
-def _is_pair(x) -> bool:
-    return _is_ints(x, 2)
-
-
-def _list_of(pred):
-    return lambda x: isinstance(x, list) and all(pred(t) for t in x)
-
-
-def _is_stage(x) -> bool:
-    return (
-        isinstance(x, list) and len(x) == 3
-        and _is_int(x[0]) and _is_int(x[1]) and isinstance(x[2], str)
-    )
-
-
-# a bd node's keys by kind: face nodes name an inner face, the others an edge
-_BD_NODE_KEYS = {
-    "face": {"id", "kind", "face"},
-    "arc": {"id", "kind", "edge"},
-    "edge": {"id", "kind", "edge"},
-}
-
-
-def _is_bd_node(x) -> bool:
-    return (
-        isinstance(x, dict)
-        and isinstance(x.get("kind"), str)
-        and x["kind"] in _BD_NODE_KEYS
-        and set(x) == _BD_NODE_KEYS[x["kind"]]
-        and _is_int(x["id"])
-        and (_is_int(x["face"]) if "face" in x else _is_pair(x["edge"]))
-    )
-
-
-def _edge_key(key: str) -> Edge | None:
-    """The edge a bd assignment key names, or None unless it reads ``f"{u}-{v}"``."""
-    m = re.fullmatch(r"(-?[0-9]+)-(-?[0-9]+)", key)
-    if m is None:
-        return None
-    try:
-        u, v = int(m[1]), int(m[2])
-    except ValueError:  # beyond Python's limit on digits
-        return None
-    return (u, v) if key == f"{u}-{v}" else None
-
-
-def _is_assignment(x) -> bool:
-    return isinstance(x, dict) and all(
-        _edge_key(key) is not None and _is_int(leaf) for key, leaf in x.items()
-    )
-
-
-# per artifact kind (and per oracle), the keys its checker reads and their shapes
-_SHAPES = {
-    "peel": {"k": _is_int, "layers": _list_of(_is_ints)},
-    "forest": {
-        "height": _is_int,
-        "roots": _is_ints,
-        "parents": _list_of(_is_pair),
-        "depth": _list_of(_is_pair),
-    },
-    "trace": {"added": _list_of(_is_stage), "k_in": _is_int, "k_out": _is_int},
-    "bd": {
-        "nodes": lambda x: _list_of(_is_bd_node)(x) and len(x) > 0,
-        "arcs": _list_of(_is_pair),
-        "assignment": _is_assignment,
-        "width": _is_int,
-        "bounds": lambda x: (
-            isinstance(x, dict)
-            and set(x) == {"2h", "tw"}
-            and all(map(_is_int, x.values()))
-        ),
-    },
-    "pipeline": {
-        "command": lambda x: isinstance(x, str),
-        "input_digest": lambda x: isinstance(x, str),
-        **{key: _is_int for key in
-           ("k_in", "k_out", "forest_height", "bd_width", "tw_bound")},
-    },
-    "bw": {"branchwidth": _is_int},
-    "outerplanarity": {"k": _is_int},
-    "theorem1": {
-        "k": _is_int,
-        "min_outerplanarity": _is_int,
-        "passed": lambda x: isinstance(x, bool),
-    },
-}
-
-
-def _check_shape(kind: str, artifact: dict) -> None:
-    """Reject an artifact its checker cannot read, before any check runs.
-
-    A bd artifact, which is not compared whole, must also hold no key its
-    checker does not read.
-    """
-    if kind == "oracle":
-        kind = artifact["oracle"]
-        if kind not in ("bw", "outerplanarity", "theorem1"):
-            raise FormatError(f"oracle artifact: unknown oracle {kind!r}")
-    for key, ok in _SHAPES[kind].items():
-        if key not in artifact:
-            raise FormatError(f"{kind} artifact: missing key {key!r}")
-        if not ok(artifact[key]):
-            raise FormatError(f"{kind} artifact: malformed {key!r}")
-    if kind == "bd":
-        unknown = sorted(set(artifact) - set(_SHAPES["bd"]))
-        if unknown:
-            raise FormatError(f"bd artifact: unknown key {unknown[0]!r}")
-        ids = {n["id"] for n in artifact["nodes"]}
-        if len(ids) != len(artifact["nodes"]):
-            raise FormatError("bd artifact: repeated node id")
-        ends = {x for arc in artifact["arcs"] for x in arc}
-        ends.update(artifact["assignment"].values())
-        if not ends <= ids:
-            raise FormatError("bd artifact: arc or leaf names an unknown node")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InvariantViolation(message)
 
 
 def _verify_conversion(emb, artifact, args) -> None:
@@ -405,122 +253,15 @@ def _verify_conversion(emb, artifact, args) -> None:
         stage == "apex" for _, _, stage in artifact["added"]
     )
     out, trace = to_full_triangulation(emb) if full else to_triangulated_disk(emb)
-    _require(
+    require(
         artifact == _trace_json(trace, emb, out),
         "conversion artifact: rerun differs",
     )
     if args.out:
-        _require(
+        require(
             parse_epg(_read_text(args.out)) == out,
             "conversion artifact: output embedding differs",
         )
-
-
-def _verify_bd(emb, artifact, args) -> None:
-    """Independent re-check of a claimed branch decomposition.
-
-    Validates the tree shape, the assignment and every node's label
-    directly (edge nodes are exactly the assigned leaves and carry their
-    edge; face nodes name distinct inner faces of the disk; each arc node
-    joins exactly the two faces its edge separates) and recomputes
-    every cut from the leaf-bipartition definition, without using the
-    library's construction or its bottom-up width aggregation.  One DFS
-    checks connectivity and gives the preorder the cuts are read from.
-    The stated bounds are re-derived: ``tw`` from the width, ``2h`` from
-    the disk's rooted forest.
-    """
-    disk, _ = to_triangulated_disk(emb)
-    nodes = {n["id"]: n for n in artifact["nodes"]}
-    arcs = [tuple(a) for a in artifact["arcs"]]
-    adj: dict[int, list[int]] = {i: [] for i in nodes}
-    for a, b in arcs:
-        adj[a].append(b)
-        adj[b].append(a)
-    _require(len(arcs) == len(nodes) - 1, "bd artifact: arc count")
-    order, parent = _preorder(adj, min(nodes))
-    _require(len(order) == len(nodes), "bd artifact: tree disconnected")
-    _require(all(len(adj[i]) <= 3 for i in nodes), "bd artifact: degree > 3")
-    assignment = {_edge_key(key): leaf for key, leaf in artifact["assignment"].items()}
-    _require(
-        sorted(assignment) == list(disk.edges), "bd artifact: edges mismatch"
-    )
-    _require(
-        len(set(assignment.values())) == len(assignment),
-        "bd artifact: assignment not injective",
-    )
-    for (u, v), leaf in assignment.items():
-        _require(len(adj[leaf]) == 1, "bd artifact: assigned node not a leaf")
-        _require(nodes[leaf]["kind"] == "edge", "bd artifact: leaf kind")
-        _require(nodes[leaf]["edge"] == [u, v], "bd artifact: leaf edge mismatch")
-    _require(
-        sum(n["kind"] == "edge" for n in nodes.values()) == len(assignment),
-        "bd artifact: unassigned edge node",
-    )
-    faces = [n["face"] for n in nodes.values() if n["kind"] == "face"]
-    outer = disk.face_index_of_dart(disk.outer_darts[0])
-    _require(
-        len(set(faces)) == len(faces)
-        and all(0 <= f < len(disk.faces) and f != outer for f in faces),
-        "bd artifact: face nodes are not distinct inner faces",
-    )
-    for i, n in nodes.items():
-        if n["kind"] == "arc":
-            u, v = n["edge"]
-            sides = sorted(nodes[j]["face"] for j in adj[i] if nodes[j]["kind"] == "face")
-            _require(
-                disk.has_edge(u, v)
-                and sides == sorted(disk.face_index_of_dart(d) for d in ((u, v), (v, u))),
-                "bd artifact: arc edge does not separate the arc's two faces",
-            )
-    width = max(_arc_cuts(order, parent, arcs, assignment), default=0)
-    _require(width == artifact["width"], "bd artifact: width mismatch")
-    _require(
-        artifact["bounds"]["tw"] == treewidth_bound(width),
-        "bd artifact: tw bound mismatch",
-    )
-    _require(
-        artifact["bounds"]["2h"] == 2 * (build_rooted_forest(disk).height + 1),
-        "bd artifact: 2h bound mismatch",
-    )
-
-
-def _preorder(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict]:
-    """The nodes reachable from ``root`` in DFS preorder, and their parents."""
-    parent = {root: None}
-    order = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                stack.append(y)
-    return order, parent
-
-
-def _arc_cuts(order, parent, arcs, assignment) -> list[int]:
-    """Per arc of a tree, how many vertices have an edge on each side.
-
-    The side below an arc is a subtree, one contiguous run of the preorder,
-    so its leaves are one run of the leaves sorted by preorder position; a
-    vertex crosses the arc iff that run holds some but not all of its edges.
-    """
-    pre = {x: i for i, x in enumerate(order)}
-    size = dict.fromkeys(order, 1)
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-    slots = sorted((pre[leaf], e) for e, leaf in assignment.items())
-    starts = [p for p, _ in slots]
-    degree = Counter(w for e in assignment for w in e)
-    cuts = []
-    for a, b in arcs:
-        below = a if parent[a] == b else b
-        lo = bisect_left(starts, pre[below])
-        hi = bisect_left(starts, pre[below] + size[below])
-        side = Counter(w for _, e in slots[lo:hi] for w in e)
-        cuts.append(sum(1 for w, n in side.items() if n < degree[w]))
-    return cuts
 
 
 # -- argument parsing --------------------------------------------------------

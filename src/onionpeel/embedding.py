@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Mapping, Sequence
@@ -494,9 +493,10 @@ class _FaceBuilder:
     corners, and validate once at the end with :meth:`embedding`.  It is
     a pointer half-edge structure (the DCEL of de Berg et al.,
     *Computational Geometry*, ch. 2): besides the rotations and adjacency
-    sets it holds each dart's successor ``nxt`` under the face rule, each
-    dart's walk id ``wid``, each walk's length ``size``, and ``outer``,
-    the ids of the outer walks; no walk is stored as a dart sequence.
+    sets it holds each dart's successor ``nxt`` under the face rule (and
+    its inverse, from the first :meth:`pred` on), each dart's walk id
+    ``wid``, each walk's length ``size``, and ``outer``, the ids of the
+    outer walks; no walk is stored as a dart sequence.
     A walk's minimal dart comes from a lazy-deletion min-heap, and its
     vertex-occurrence counts are computed on first request and then kept
     up to date.
@@ -515,7 +515,8 @@ class _FaceBuilder:
         self.outer = set(emb._outer_ids)
         self._walks = emb._walks
         self._heaps: dict[int, list[Dart]] = {}  # none yet: an input face
-        self._counts: dict[int, Counter[int]] = {}
+        self._counts: dict[int, dict[int, int]] = {}
+        self._prv: dict[Dart, Dart] | None = None  # none until a pred
         self._fresh = count(len(self.size))
 
     def first(self, i: int) -> Dart:
@@ -538,15 +539,16 @@ class _FaceBuilder:
 
     def pred(self, d: Dart) -> Dart:
         """The dart before d on its walk."""
-        v, c = d
-        rot = self.rot[v]
-        return (rot[rot.index(c) - 1], v)
+        if self._prv is None:
+            self._prv = {s: d for d, s in self.nxt.items()}
+        return self._prv[d]
 
-    def counts(self, i: int) -> Counter[int]:
+    def counts(self, i: int) -> dict[int, int]:
         """Vertex -> occurrences on walk i."""
-        if i not in self._counts:
-            self._counts[i] = Counter(d[0] for d in self.darts(self.first(i)))
-        return self._counts[i]
+        c = self._counts.get(i)
+        if c is None:
+            c = self._counts[i] = _origin_counts(self.darts(self.first(i)))
+        return c
 
     def is_simple(self, i: int) -> bool:
         """True when no vertex repeats on walk i."""
@@ -567,16 +569,21 @@ class _FaceBuilder:
         :meth:`_join`.
         """
         (t_u, u), (t_v, v) = corner_u, corner_v
-        nxt, wid = self.nxt, self.wid
+        nxt, prv, wid = self.nxt, self._prv, self.wid
         w, w_v = wid.get(corner_u), wid.get(corner_v)
         for t, x, y in ((t_u, u, v), (t_v, v, u)):
             rot = self.rot[x]
             if t is None:
                 rot.append(y)
                 nxt[(y, x)] = (x, y)
+                if prv is not None:
+                    prv[(x, y)] = (y, x)
             else:
                 rot.insert(rot.index(t) + 1, y)
-                nxt[(y, x)], nxt[(t, x)] = nxt[(t, x)], (x, y)
+                s = nxt[(t, x)]
+                nxt[(y, x)], nxt[(t, x)] = s, (x, y)
+                if prv is not None:
+                    prv[s], prv[(x, y)] = (y, x), (t, x)
             self.adj[x].add(y)
         if w is None or w != w_v:
             return (self._join(u, v, w, w_v),)
@@ -595,12 +602,14 @@ class _FaceBuilder:
         heapq.heappush(self._heap(w), long)
         c = self._counts.get(w)
         if c is not None:
-            part = Counter(d[0] for d in darts)
-            c.update((u, v))
-            c.subtract(part)
-            for x in part:
-                if not c[x]:
+            part = _origin_counts(darts)
+            c[u] += 1
+            c[v] += 1
+            for x, k in part.items():
+                if c[x] == k:
                     del c[x]
+                else:
+                    c[x] -= k
             if n > 3:
                 self._counts[f] = part
         self._relabel(darts, f, outer)
@@ -638,8 +647,10 @@ class _FaceBuilder:
         heap = self._heap(keep)
         for d in darts:
             heapq.heappush(heap, d)
-        if keep in self._counts:
-            self._counts[keep].update(d[0] for d in darts)
+        c = self._counts.get(keep)
+        if c is not None:
+            for x, _ in darts:
+                c[x] = c.get(x, 0) + 1
         return keep
 
     def _heap(self, i: int) -> list[Dart]:
@@ -662,6 +673,14 @@ class _FaceBuilder:
     def embedding(self) -> Embedding:
         """Validate the current state as an embedding."""
         return Embedding(self.rot, [self.first(i) for i in self.outer])
+
+
+def _origin_counts(darts: Iterable[Dart]) -> dict[int, int]:
+    """Vertex -> how many of ``darts`` leave it."""
+    c: dict[int, int] = {}
+    for x, _ in darts:
+        c[x] = c.get(x, 0) + 1
+    return c
 
 
 def fan_targets(walk: Sequence[Dart], anchor_pos: int, adjacency_ok) -> list[int]:

@@ -4,6 +4,8 @@ import json
 import random
 import sys
 import time
+from bisect import bisect_left
+from collections import Counter
 
 from onionpeel import (
     Embedding,
@@ -18,7 +20,9 @@ from onionpeel import (
     gen_wheel,
     treewidth_bound,
 )
-from onionpeel.cli import _arc_cuts, _preorder, cli_main
+from onionpeel import checkers
+from onionpeel.checkers import preorder
+from onionpeel.cli import cli_main
 
 
 def run_cli(argv, stdin_text=""):
@@ -472,39 +476,70 @@ def ref_arc_cuts(artifact):
     }
     cuts = []
     for a, b in artifact["arcs"]:
-        side = {a}
+        side = {a, b}  # b's side is cut off: in a tree, only the arc reaches it
         stack = [a]
         while stack:
             x = stack.pop()
             for y in adj[x]:
-                if {x, y} == {a, b} or y in side:
-                    continue
-                side.add(y)
-                stack.append(y)
+                if y not in side:
+                    side.add(y)
+                    stack.append(y)
+        side.remove(b)
         side_edges = {e for e, leaf in assignment.items() if leaf in side}
         other_edges = set(assignment) - side_edges
-        crossing = {
-            w
-            for u, v in side_edges
-            for w in (u, v)
-            if any(w in e for e in other_edges)
-        }
+        crossing = {w for e in side_edges for w in e} & {w for e in other_edges for w in e}
         cuts.append(len(crossing))
     return cuts
 
 
-def arc_cuts(artifact):
-    """The cuts ``verify`` computes for a bd artifact, per arc."""
+def bisect_arc_cuts(order, parent, arcs, assignment) -> list[int]:
+    """Per arc of a tree, how many vertices have an edge on each side.
+
+    The side below an arc is a subtree, one contiguous run of the preorder,
+    so its leaves are one run of the leaves sorted by preorder position; a
+    vertex crosses the arc iff that run holds some but not all of its edges.
+    One ``Counter`` per arc over every leaf below it: O(E x tree depth).
+    """
+    pre = {x: i for i, x in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    slots = sorted((pre[leaf], e) for e, leaf in assignment.items())
+    starts = [p for p, _ in slots]
+    degree = Counter(w for e in assignment for w in e)
+    cuts = []
+    for a, b in arcs:
+        below = a if parent[a] == b else b
+        lo = bisect_left(starts, pre[below])
+        hi = bisect_left(starts, pre[below] + size[below])
+        side = Counter(w for _, e in slots[lo:hi] for w in e)
+        cuts.append(sum(1 for w, n in side.items() if n < degree[w]))
+    return cuts
+
+
+def tree_of(artifact):
+    """A bd artifact's preorder, parents, arcs and edge -> leaf map, as
+    ``verify`` reads them before it counts the cuts."""
     adj = {n["id"]: [] for n in artifact["nodes"]}
     for a, b in artifact["arcs"]:
         adj[a].append(b)
         adj[b].append(a)
-    order, parent = _preorder(adj, min(adj))
+    order, parent = preorder(adj, min(adj))
     assignment = {
         tuple(int(t) for t in key.split("-")): leaf
         for key, leaf in artifact["assignment"].items()
     }
-    return _arc_cuts(order, parent, [tuple(a) for a in artifact["arcs"]], assignment)
+    return order, parent, [tuple(a) for a in artifact["arcs"]], assignment
+
+
+def ref_bisect_arc_cuts(artifact):
+    """``bisect_arc_cuts`` on a bd artifact, per arc."""
+    return bisect_arc_cuts(*tree_of(artifact))
+
+
+def arc_cuts(artifact):
+    """The cuts ``verify`` computes for a bd artifact, per arc."""
+    return checkers.arc_cuts(*tree_of(artifact))
 
 
 def with_assignment(bd, assignment):

@@ -523,6 +523,8 @@ def check_builder(b):
     assert len(emb.faces) == len(b.size)
     for v, ns in b.rot.items():
         assert b.adj[v] == set(ns)
+    if b._prv is not None:  # kept the inverse of the successors since the first pred
+        assert b._prv == {s: d for d, s in b.nxt.items()}
     for i, darts in darts_of.items():
         walk = successor_walk(b.nxt, darts[0])
         face = emb.faces[emb.face_index_of_dart(darts[0])]
