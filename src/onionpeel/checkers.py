@@ -26,6 +26,7 @@ thousands of nodes deep.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .branchdecomp import treewidth_bound
 from .embedding import Edge, Embedding
@@ -68,10 +69,6 @@ def _is_ints(x) -> bool:
     return isinstance(x, list) and all(map(_is_int, x))
 
 
-def _is_pair(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _is_int(x[1])
-
-
 def _list_of(pred):
     return lambda x: isinstance(x, list) and all(map(pred, x))
 
@@ -83,23 +80,40 @@ def _is_stage(x) -> bool:
     )
 
 
-# a bd node's keys by kind: face nodes name an inner face, the others an edge
-_BD_NODE_KEYS = {
-    "face": {"id", "kind", "face"},
-    "arc": {"id", "kind", "edge"},
-    "edge": {"id", "kind", "edge"},
-}
+def _all_of(cls, vs) -> bool:
+    """Whether every value is a ``cls`` and not a bool; tests each distinct type once."""
+    return all(issubclass(t, cls) and t is not bool for t in set(map(type, vs)))
 
 
-def _is_bd_node(x) -> bool:
+def _is_pairs(x) -> bool:
+    """Whether x is a list of int pairs, each a two-item list."""
     return (
-        isinstance(x, dict)
-        and isinstance(x.get("kind"), str)
-        and x["kind"] in _BD_NODE_KEYS
-        and set(x) == _BD_NODE_KEYS[x["kind"]]
-        and _is_int(x["id"])
-        and (_is_int(x["face"]) if "face" in x else _is_pair(x["edge"]))
+        isinstance(x, list)
+        and _all_of(list, x)
+        and set(map(len, x)) <= {2}
+        and _all_of(int, chain.from_iterable(x))
     )
+
+
+# a bd node's third key by kind: face nodes name an inner face, the others an edge
+_BD_NODE_VALUE = {"face": "face", "arc": "edge", "edge": "edge"}
+
+
+def _is_bd_nodes(x) -> bool:
+    """Whether x is a non-empty list of dicts, each of exactly the keys
+    ``id``, ``kind`` and its kind's third key, with an int id and face or
+    an int-pair edge.  The ints are gathered and tested together; three
+    keys found in a dict of three are all its keys."""
+    if not isinstance(x, list) or not x:
+        return False
+    ints, edges = [], []
+    for n in x:
+        kind = n.get("kind") if isinstance(n, dict) and len(n) == 3 else None
+        if not isinstance(kind, str) or kind not in _BD_NODE_VALUE:
+            return False
+        ints.append(n.get("id"))
+        (ints if kind == "face" else edges).append(n.get(_BD_NODE_VALUE[kind]))
+    return _all_of(int, ints) and _is_pairs(edges)
 
 
 _EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")
@@ -138,13 +152,13 @@ _SHAPES = {
     "forest": {
         "height": _is_int,
         "roots": _is_ints,
-        "parents": _list_of(_is_pair),
-        "depth": _list_of(_is_pair),
+        "parents": _is_pairs,
+        "depth": _is_pairs,
     },
     "trace": {"added": _list_of(_is_stage), "k_in": _is_int, "k_out": _is_int},
     "bd": {
-        "nodes": lambda x: _list_of(_is_bd_node)(x) and len(x) > 0,
-        "arcs": _list_of(_is_pair),
+        "nodes": _is_bd_nodes,
+        "arcs": _is_pairs,
         "assignment": _edge_assignment,
         "width": _is_int,
         "bounds": lambda x: (
@@ -195,7 +209,7 @@ def check_shape(kind: str, artifact: dict) -> dict[Edge, int] | None:
     ids = {n["id"] for n in artifact["nodes"]}
     if len(ids) != len(artifact["nodes"]):
         raise FormatError("bd artifact: repeated node id")
-    ends = {x for arc in artifact["arcs"] for x in arc}
+    ends = set(chain.from_iterable(artifact["arcs"]))
     ends.update(read["assignment"].values())
     if not ends <= ids:
         raise FormatError("bd artifact: arc or leaf names an unknown node")

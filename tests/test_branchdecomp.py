@@ -25,7 +25,7 @@ from onionpeel import (
     verify_tree_cotree,
 )
 from onionpeel import branchdecomp
-from onionpeel.branchdecomp import ArcCut, BDNode, _cut_maps
+from onionpeel.branchdecomp import ArcCut, BDNode, _cut_pass
 from test_cli import run_cli
 
 
@@ -172,24 +172,60 @@ def unpruned_width_and_cuts(nodes, arcs, assignment):
     return width, tuple(cuts)
 
 
-def width_and_cuts(n, arcs, assignment):
+def compact(bd):
+    """``bd``'s tree in the cut pass's form, read off its sorted arcs: the
+    face count, each arc node's two faces, each leaf's node, the edges."""
+    first_arc = len(bd.faces)
+    first_leaf = first_arc + len(bd.arc_edges)
+    faces_of = {a: [] for a in range(first_arc, first_leaf)}
+    hang = {}
+    for a, b in bd.arcs:
+        if b >= first_leaf:
+            hang[b] = a
+        else:
+            faces_of[b].append(a)
+    ends = [f for a in sorted(faces_of) for f in faces_of[a]]
+    return first_arc, ends, [hang[leaf] for leaf in sorted(hang)], list(bd.assignment)
+
+
+def expand(n_faces, ends, hangs, edges):
+    """The nodes, arcs and assignment that a compact form stands for."""
+    first_leaf = n_faces + len(ends) // 2
+    arcs = [(f, n_faces + j // 2) for j, f in enumerate(ends)]
+    arcs += [(x, leaf) for leaf, x in enumerate(hangs, first_leaf)]
+    n = first_leaf + len(edges)
+    nodes = [BDNode(i, "face" if i < n_faces else "arc" if i < first_leaf else "edge")
+             for i in range(n)]
+    return nodes, arcs, dict(zip(edges, range(first_leaf, n)))
+
+
+def is_tree(nodes, arcs) -> bool:
+    try:
+        branchdecomp._check_tree([x.id for x in nodes], arcs)
+    except errors.NotATree:
+        return False
+    return True
+
+
+def width_and_cuts(n_faces, ends, hangs, edges):
     """The width and the cuts sorted by arc, from one run of the pass."""
-    width = 0
-    cuts = []
-    for i, crossing in _cut_maps(n, arcs, assignment):
-        width = max(width, len(crossing))
-        a, b = arcs[i]
-        cuts.append(ArcCut((min(a, b), max(a, b)), frozenset(crossing)))
-    return width, tuple(sorted(cuts))
+    crossing = {}
+    width = _cut_pass(n_faces, ends, hangs, edges, cuts=crossing)
+    return width, tuple(sorted(ArcCut(arc, c) for arc, c in crossing.items()))
 
 
 def test_width_and_cuts_match_unpruned_aggregation(corpus):
+    # three seeded relabelings of every input, under both forests
+    rng = random.Random(19)
     extra = [("path240", gen_path(240)), ("cycle400", gen_cycle(400))] + deep_disks()
     for label, emb in corpus + extra:
-        disk, forest = disk_and_forest(emb)
-        bd = build_branch_tree(disk, forest)
-        args = (bd.nodes, bd.arcs, bd.assignment)
-        assert (bd.width, bd.cuts) == unpruned_width_and_cuts(*args), label
+        for emb in [emb] + [relabel(emb, rng) for _ in range(3)]:
+            disk, bfs = disk_and_forest(emb)
+            for forest in (bfs, depth_first_forest(disk)):
+                bd = build_branch_tree(disk, forest)
+                args = (bd.nodes, bd.arcs, bd.assignment)
+                assert (bd.width, bd.cuts) == unpruned_width_and_cuts(*args), label
+                assert width_and_cuts(*compact(bd)) == (bd.width, bd.cuts), label
 
 
 class CountedVertex(int):
@@ -210,14 +246,12 @@ def test_width_pass_merges_small_maps_into_large():
     for depth in (9, 72):
         disk, forest = disk_and_forest(gen_nested_triangles(depth))
         bd = build_branch_tree(disk, forest)
-        assignment = {
-            (CountedVertex(u), CountedVertex(v)): leaf
-            for (u, v), leaf in bd.assignment.items()
-        }
+        n_faces, ends, hangs, edges = compact(bd)
+        edges = [(CountedVertex(u), CountedVertex(v)) for u, v in edges]
         CountedVertex.hashes = 0
-        width, _ = width_and_cuts(len(bd.nodes), bd.arcs, assignment)
+        width = _cut_pass(n_faces, ends, hangs, edges)
         assert width == bd.width == 2 * depth
-        per_edge.append(CountedVertex.hashes / len(assignment))
+        per_edge.append(CountedVertex.hashes / len(edges))
     assert per_edge[1] < 1.25 * per_edge[0], per_edge
 
 
@@ -254,6 +288,24 @@ def test_width_two_ways_agree(small_corpus):
             assert by_arc[(min(a, b), max(a, b))] == crossing, label
 
 
+def test_branch_tree_takes_linear_line_events():
+    # the build and its certified pass run a bounded number of lines per
+    # tree node and per crossing vertex: 52,090 on nested36 (739 nodes,
+    # 11,519 crossing vertices) and 31,455 on an 8x14 k-ring disk (734
+    # and 3,308); the route before the compact pass, which sorted every
+    # arc and rebuilt the tree from that list, ran 83,386 and 50,285,
+    # over 12 per unit on the k-ring disk
+    from test_checkers import line_events
+
+    helpers = [getattr(branchdecomp, name) for name in (
+        "_cut_pass", "_on_edge", "_on_separator", "_separator_key", "_forest_intervals")]
+    for emb in (gen_nested_triangles(36), deep_disks()[0][1]):
+        disk, forest = disk_and_forest(emb)
+        bd, steps = line_events(build_branch_tree, disk, forest, also=helpers)
+        size = len(bd.nodes) + sum(len(c.crossing) for c in bd.cuts)
+        assert steps <= 9 * size, (steps, size)
+
+
 def test_certify_and_bounds_corpus(corpus):
     for label, emb in corpus:
         disk, forest = disk_and_forest(emb)
@@ -270,11 +322,11 @@ def count_passes(monkeypatch):
     """A list that gains an entry per run of the width pass."""
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return _cut_maps(*args)
+        return _cut_pass(*args, **kwargs)
 
-    monkeypatch.setattr(branchdecomp, "_cut_maps", counting)
+    monkeypatch.setattr(branchdecomp, "_cut_pass", counting)
     return calls
 
 
@@ -288,13 +340,49 @@ def test_width_pass_runs_once_per_pipeline(monkeypatch):
     assert len(calls) == 1
 
 
-def tampered(monkeypatch, target, extra):
-    """Make the width pass hand out arc ``target``'s crossing plus vertex ``extra``."""
-    def cut_maps_plus(*args):
-        for i, crossing in _cut_maps(*args):
-            yield i, [*crossing, extra] if i == target else crossing
+def tampered(monkeypatch, check, target, extra):
+    """Make the ``target``-th call of the certificate ``check`` (an attribute
+    of branchdecomp) test its crossing plus vertex ``extra``."""
+    real = getattr(branchdecomp, check)
+    calls = []
 
-    monkeypatch.setattr(branchdecomp, "_cut_maps", cut_maps_plus)
+    def plus(*args):
+        *head, crossing = args
+        calls.append(1)
+        return real(*head, [*crossing, extra] if len(calls) - 1 == target else crossing)
+
+    monkeypatch.setattr(branchdecomp, check, plus)
+
+
+def certificate_calls(monkeypatch, check, run):
+    """The first argument of every call that ``run()`` makes of ``check``."""
+    real = getattr(branchdecomp, check)
+    firsts = []
+
+    def recording(first, *args):
+        firsts.append(first)
+        return real(first, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(branchdecomp, check, recording)
+        run()
+    return firsts
+
+
+def face_depths(bd):
+    """Each face node's distance from face node 0 in the dual tree."""
+    faces_of = {}
+    for f, a in bd.arcs:
+        if f < len(bd.faces) and a < len(bd.faces) + len(bd.arc_edges):
+            faces_of.setdefault(a, []).append(f)
+    depth = {0: 0}
+    todo = [0]
+    for f in todo:
+        for g in (g for fs in faces_of.values() if f in fs for g in fs):
+            if g not in depth:
+                depth[g] = depth[f] + 1
+                todo.append(g)
+    return depth
 
 
 def test_records_are_built_on_demand(monkeypatch):
@@ -326,24 +414,47 @@ def test_records_are_built_on_demand(monkeypatch):
 
 
 def test_certify_rejects_a_crossing_vertex_off_its_separator(monkeypatch):
+    # every arc node tests its lower face arc's crossing, then its leaf's
+    # endpoints on its upper face arc, against its edge's separator: an
+    # off-separator vertex injected into either names that face arc
     disk, forest = disk_and_forest(gen_nested_triangles(4))
     bd = build_branch_tree(disk, forest)
-    kind = {n.id: n for n in bd.nodes}
-    count = 0
-    for i, arc in enumerate(bd.arcs):
-        ends = [kind[x] for x in arc]
-        arc_node = next((n for n in ends if n.kind == "arc"), None)
-        if arc_node is None or any(n.kind == "edge" for n in ends):
-            continue
-        v1, v2 = arc_node.edge
+    first_arc = len(bd.faces)
+    intervals = branchdecomp._forest_intervals(forest)
+    arc_node_of = {
+        branchdecomp._separator_key(intervals, forest.parent, *e): a
+        for a, e in enumerate(bd.arc_edges, first_arc)
+    }
+    keys = certificate_calls(monkeypatch, "_on_separator", lambda: build_branch_tree(disk, forest))
+    assert Counter(map(arc_node_of.get, keys)) == dict.fromkeys(arc_node_of.values(), 2)
+    depth = face_depths(bd)
+    named = {}
+    for target, key in enumerate(keys):
+        a = arc_node_of[key]
+        v1, v2 = bd.arc_edges[a - first_arc]
         paths = set(forest.root_path(v1)) | set(forest.root_path(v2))
         off = min(set(disk.vertices) - paths)
-        tampered(monkeypatch, i, off)
-        with pytest.raises(errors.BoundViolated) as exc:
-            build_branch_tree(disk, forest)
-        assert str(exc.value) == f"cut at arc {arc} escapes its forest separator"
-        count += 1
-    assert count == 2 * sum(1 for n in bd.nodes if n.kind == "arc")
+        with monkeypatch.context() as m:
+            tampered(m, "_on_separator", target, off)
+            with pytest.raises(errors.BoundViolated) as exc:
+                build_branch_tree(disk, forest)
+        named.setdefault(a, []).append(str(exc.value))
+    for a, texts in named.items():
+        lower, upper = sorted((f for f, b in bd.arcs if b == a), key=depth.get, reverse=True)
+        assert texts == [
+            f"cut at arc {(lower, a)} escapes its forest separator",
+            f"cut at arc {(upper, a)} escapes its forest separator",
+        ]
+    assert len(named) == len(bd.arc_edges)
+
+
+def test_certify_rejects_a_width_over_the_forest_bound(monkeypatch):
+    disk, forest = disk_and_forest(gen_nested_triangles(4))
+    bound = 2 * (forest.height + 1)
+    monkeypatch.setattr(branchdecomp, "_cut_pass", lambda *args: bound + 1)
+    with pytest.raises(errors.BoundViolated) as exc:
+        build_branch_tree(disk, forest)
+    assert str(exc.value) == f"width {bound + 1} exceeds 2(h+1) = {bound}"
 
 
 def test_tree_cotree_second_route(small_corpus):
@@ -353,22 +464,35 @@ def test_tree_cotree_second_route(small_corpus):
 
 
 def test_width_pass_certifies_the_tree():
+    # the tree defects that the compact form can hold: too few arc nodes,
+    # and the right count with a face cut off
     disk, forest = disk_and_forest(gen_wheel(5))
     bd = build_branch_tree(disk, forest)
-    n = len(bd.nodes)
-    short = bd.arcs[1:]
+    n_faces, ends, hangs, edges = compact(bd)
+    last = n_faces + len(ends) // 2 - 1  # the last arc node, with its leaf
+    j = hangs.index(last)
+    short = (n_faces, ends[:-2], hangs[:j] + hangs[j + 1:], edges[:j] + edges[j + 1:])
+    n = len(bd.nodes) - 2
     with pytest.raises(errors.NotATree) as exc:
-        width_and_cuts(n, short, bd.assignment)
+        width_and_cuts(*short)
     assert str(exc.value) == f"{n} nodes but {n - 2} arcs"
-    split = bd.arcs[1:] + bd.arcs[1:2]  # the right count, one node cut off
+    degree = Counter(ends) + Counter(hangs)
+    moved = (  # one arc node's end moved to another face with room
+        (n_faces, ends[:j] + [g] + ends[j + 1:], hangs, edges)
+        for j, f in enumerate(ends)
+        for g in range(n_faces)
+        if g not in (f, ends[j ^ 1]) and degree[g] < 3
+    )
+    split = next(form for form in moved if not is_tree(*expand(*form)[:2]))
     with pytest.raises(errors.NotATree) as exc:
-        width_and_cuts(n, split, bd.assignment)
+        width_and_cuts(*split)
     assert str(exc.value) == "arc set leaves the node set disconnected"
-    for arcs in (short, split):
+    for form in (short, split):
+        nodes, arcs, _ = expand(*form)
         with pytest.raises(errors.NotATree) as ref:
-            branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
+            branchdecomp._check_tree([x.id for x in nodes], arcs)
         with pytest.raises(errors.NotATree) as exc:
-            next(_cut_maps(n, arcs, bd.assignment))  # before the first cut
+            width_and_cuts(*form)
         assert str(exc.value) == str(ref.value)
 
 
@@ -408,7 +532,8 @@ def test_separator_matches_the_root_path_route(corpus):
 
 
 def test_width_of_single_leaf_decomposition():
-    assert width_and_cuts(1, (), {(0, 1): 0}) == (0, ())
+    # one face node with one leaf: a pendant edge crosses nothing
+    assert width_and_cuts(1, [], [0], [(0, 1)]) == (0, (ArcCut((0, 1), frozenset()),))
 
 
 def test_treewidth_bound_values():
@@ -476,62 +601,70 @@ def test_pipeline_certifies_the_forest_lemma(monkeypatch):
 def test_certify_rejects_a_vertex_off_a_leaf_edge(monkeypatch):
     disk, forest = disk_and_forest(gen_nested_triangles(4))
     bd = build_branch_tree(disk, forest)
-    leaf_of = {leaf: e for e, leaf in bd.assignment.items()}
-    count = 0
-    for i, arc in enumerate(bd.arcs):
-        leaf = next((x for x in arc if x in leaf_of), None)
-        if leaf is None:
-            continue
-        e = leaf_of[leaf]
+    hang = {leaf: x for x, leaf in bd.arcs if leaf in bd.assignment.values()}
+    calls = certificate_calls(monkeypatch, "_on_edge", lambda: build_branch_tree(disk, forest))
+    assert calls == list(disk.edges)
+    for target, e in enumerate(calls):
+        leaf = bd.assignment[e]
         off = min(set(disk.vertices) - set(e))
-        tampered(monkeypatch, i, off)
-        with pytest.raises(errors.BoundViolated) as exc:
-            build_branch_tree(disk, forest)
-        assert str(exc.value) == f"cut at leaf arc {arc} not within edge {e}"
-        count += 1
-    assert count == disk.edge_count
+        with monkeypatch.context() as m:
+            tampered(m, "_on_edge", target, off)
+            with pytest.raises(errors.BoundViolated) as exc:
+                build_branch_tree(disk, forest)
+        assert str(exc.value) == f"cut at leaf arc {(hang[leaf], leaf)} not within edge {e}"
 
 
-def leaf_defects(bd):
-    """Arc sets of the right or wrong size that are not trees, each by its leaf arcs."""
-    leaves = set(bd.assignment.values())
-    leaf_arcs = [arc for arc in bd.arcs if leaves & set(arc)]
-    inner_arcs = [arc for arc in bd.arcs if not leaves & set(arc)]
-    drop_leaf = [arc for arc in bd.arcs if arc != leaf_arcs[0]]
-    drop_inner = [arc for arc in bd.arcs if arc != inner_arcs[0]]
-    l1, l2 = sorted(leaves - set(leaf_arcs[0]))[:2]
+def degree_defect(nodes, arcs) -> str:
+    """The build's text for the first node of too high a degree or the
+    first edge node that is not a leaf, by node order."""
+    degree = Counter(x for arc in arcs for x in arc)
+    for x in nodes:
+        if degree[x.id] > 3:
+            return f"node {x.id} ({x.kind}) has degree {degree[x.id]}"
+        if x.kind == "edge" and degree[x.id] != 1:
+            return f"edge node {x.id} is not a leaf"
+    return ""
+
+
+def leaf_defects(n_faces, ends, hangs):
+    """Leaves hung where the compact form allows no leaf, each as new hangs."""
+    first_leaf = n_faces + len(ends) // 2
+    full_face = next(f for f in range(n_faces) if ends.count(f) + hangs.count(f) == 3)
+    face_leaf = next(i for i, x in enumerate(hangs) if x < n_faces and x != full_face)
+    arc_leaf = next(i for i, x in enumerate(hangs) if x >= n_faces)
+    other_arc = next(x for x in hangs if x >= n_faces and x != hangs[arc_leaf])
+
+    def moved(i, x):
+        return hangs[:i] + [x] + hangs[i + 1:]
+
     return {
-        "leaf arc twice, for an inner arc": drop_inner + [leaf_arcs[0]],
-        "leaf arc twice, for another leaf's": drop_leaf + [leaf_arcs[1]],
-        "leaf joined to a leaf, for another leaf's arc": drop_leaf + [(l1, l2)],
-        "leaf arc dropped": drop_leaf,
-        "leaf arc dropped, inner arc twice": drop_leaf + [inner_arcs[0]],
+        "leaf moved to a full face": moved(face_leaf, full_face),
+        "leaf moved to another arc node": moved(arc_leaf, other_arc),
+        "leaf hung from another leaf": moved(face_leaf, first_leaf + arc_leaf),
+        "leaf hung from itself": moved(face_leaf, first_leaf + face_leaf),
     }
 
 
-def test_width_pass_rejects_leaf_defects_with_the_tree_check_text():
+def test_width_pass_rejects_leaf_defects_with_the_degree_check_text():
     disk, forest = disk_and_forest(gen_wheel(5))
-    bd = build_branch_tree(disk, forest)
-    ids = [x.id for x in bd.nodes]
-    for label, arcs in leaf_defects(bd).items():
-        with pytest.raises(errors.NotATree) as ref:
-            branchdecomp._check_tree(ids, arcs)
-        for order in (arcs, arcs[::-1]):
-            with pytest.raises(errors.NotATree) as exc:
-                next(_cut_maps(len(ids), order, bd.assignment))
-            assert str(exc.value) == str(ref.value), label
+    n_faces, ends, hangs, edges = compact(build_branch_tree(disk, forest))
+    for label, bad in leaf_defects(n_faces, ends, hangs).items():
+        nodes, arcs, _ = expand(n_faces, ends, bad, edges)
+        with pytest.raises((errors.DegreeOverflow, errors.InvariantViolation)) as exc:
+            width_and_cuts(n_faces, ends, bad, edges)
+        assert str(exc.value) == degree_defect(nodes, arcs) != "", label
 
 
 def test_width_pass_needs_leaves_hung_from_unassigned_nodes():
     # moving a leaf to hang from another leaf still leaves a tree, but not
     # one the pass handles: it names the broken assumption, not a non-tree
     disk, forest = disk_and_forest(gen_wheel(5))
-    bd = build_branch_tree(disk, forest)
-    l1, l2 = sorted(bd.assignment.values())[:2]
-    arcs = [arc for arc in bd.arcs if l2 not in arc] + [(l1, l2)]
-    branchdecomp._check_tree([x.id for x in bd.nodes], arcs)
-    with pytest.raises(errors.InvariantViolation, match="does not hang from"):
-        next(_cut_maps(len(bd.nodes), arcs, bd.assignment))
+    n_faces, ends, hangs, edges = compact(build_branch_tree(disk, forest))
+    first_leaf = n_faces + len(ends) // 2
+    bad = hangs[:-1] + [first_leaf]  # the last leaf hangs from the first
+    assert is_tree(*expand(n_faces, ends, bad, edges)[:2])
+    with pytest.raises(errors.InvariantViolation, match=f"edge node {first_leaf} is not a leaf"):
+        width_and_cuts(n_faces, ends, bad, edges)
 
 
 def test_records_are_immutable_named_tuples():
@@ -550,34 +683,39 @@ def test_records_are_immutable_named_tuples():
             setattr(record, name, None)
 
 
-def random_branch_tree(edges, rng):
-    """Leaves 0..E-1 carry the edges; inner nodes join two random subtrees.
+def random_compact_tree(edges, rng):
+    """A random tree in the cut pass's form whose leaves carry ``edges``.
 
-    The arcs come shuffled, each with its ends in random order.
+    Face nodes of random ids join, through arc nodes in random order, into
+    a random tree of degree <= 3; each leaf takes a random free place on a
+    face or an arc node, so some faces and arc nodes carry no leaf.
     """
-    nodes = [BDNode(i, "edge", None, e) for i, e in enumerate(edges)]
-    arcs = []
-    tops = list(range(len(edges)))
-    while len(tops) > 1:
-        x = len(nodes)
-        nodes.append(BDNode(x, "arc"))
-        for _ in range(2):
-            arc = (tops.pop(rng.randrange(len(tops))), x)
-            arcs.append(arc if rng.random() < 0.5 else arc[::-1])
-        tops.append(x)
-    rng.shuffle(arcs)
-    return nodes, arcs, {e: i for i, e in enumerate(edges)}
+    n_faces = rng.randrange(len(edges) // 2, len(edges) + 2) or 1
+    faces = rng.sample(range(n_faces), n_faces)
+    room = dict.fromkeys(faces, 3)
+    pairs = []
+    for i, f in enumerate(faces[1:], 1):
+        g = rng.choice([g for g in faces[:i] if room[g]])
+        room[f] -= 1
+        room[g] -= 1
+        pairs.append([f, g] if rng.random() < 0.5 else [g, f])
+    rng.shuffle(pairs)
+    ends = [f for pair in pairs for f in pair]
+    places = [*range(n_faces, n_faces + len(pairs))]
+    places += [f for f in faces for _ in range(room[f])]
+    rng.shuffle(places)
+    return n_faces, ends, places[: len(edges)], edges
 
 
 def test_width_pass_matches_unpruned_aggregation_on_random_trees():
-    # arbitrary graphs, pendant vertices included, on shuffled binary trees
+    # arbitrary graphs, pendant vertices included, on random compact trees
     rng = random.Random(7)
-    for _ in range(200):
+    for _ in range(300):
         n = rng.randrange(2, 12)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(n))}
-        nodes, arcs, assignment = random_branch_tree(sorted(edges), rng)
-        if len(nodes) == 1:
-            continue
-        want = unpruned_width_and_cuts(nodes, arcs, assignment)
-        assert width_and_cuts(len(nodes), arcs, assignment) == want, edges
+        edges = sorted(edges)
+        rng.shuffle(edges)
+        form = random_compact_tree(edges, rng)
+        want = unpruned_width_and_cuts(*expand(*form))
+        assert width_and_cuts(*form) == want, form

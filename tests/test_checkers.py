@@ -61,10 +61,11 @@ def test_arc_cuts_match_both_references(small_corpus):
     assert arc_cuts(big) == ref_bisect_arc_cuts(big)
 
 
-def line_events(fn, *args):
-    """``fn(*args)``, and how many line events fn's code, and the code
-    nested in it (its comprehensions, generators and inner functions), raised."""
-    codes, todo = set(), [fn.__code__]
+def line_events(fn, *args, also=()):
+    """``fn(*args)``, and how many line events fn's code and the code of
+    the functions ``also``, and the code nested in them (their
+    comprehensions, generators and inner functions), raised."""
+    codes, todo = set(), [f.__code__ for f in (fn, *also)]
     while todo:
         code = todo.pop()
         codes.add(code)

@@ -190,16 +190,16 @@ def test_bd_and_pipeline_share_one_tree(corpus):
 
 def test_bd_certifies_its_tree(monkeypatch):
     # a tree whose cuts escape their forest separators is not handed out:
-    # every face arc's crossing is widened to all the vertices
-    cut_maps = branchdecomp._cut_maps
+    # every separator test is widened to all the vertices
+    on_separator = branchdecomp._on_separator
+    emb = gen_wheel(3)
+    everyone = emb.vertices
 
-    def escaping(n, arcs, assignment):
-        everyone = {w for e in assignment for w in e}
-        for i, crossing in cut_maps(n, arcs, assignment):
-            yield i, crossing if isinstance(crossing, tuple) else everyone
+    def escaping(key, intervals, crossing):
+        return on_separator(key, intervals, everyone)
 
-    monkeypatch.setattr(branchdecomp, "_cut_maps", escaping)
-    code, _, err = run_cli(["bd"], stdin_text=format_epg(gen_wheel(3)))
+    monkeypatch.setattr(branchdecomp, "_on_separator", escaping)
+    code, _, err = run_cli(["bd"], stdin_text=format_epg(emb))
     assert code == 1 and "BoundViolated" in err
     assert "escapes its forest separator" in err
 
