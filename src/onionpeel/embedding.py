@@ -18,11 +18,11 @@ consistency.
 Embeddings are immutable values; derived data (face walks, components) is
 computed once and cached on the instance.  Every added edge goes through
 one internal primitive, the corner link of a mutable half-edge face
-builder, so a run of insertions validates only once.  A link costs the
-endpoint degrees plus the shorter of the two walks it splits a face into,
-or joins into one; building an embedding is linear up to sorting each
-rotation.  An embedding of several components is accepted only when
-every component lies in the outer region: one outer dart per edged
+builder, so a run of insertions validates only once.  A link rewires
+four successors and relabels the shorter of the two walks it splits a
+face into, or joins into one; building an embedding is linear up to
+sorting each rotation.  An embedding of several components is accepted
+only when every component lies in the outer region: one outer dart per edged
 component, all merged into a single outer region.  Isolated vertices
 carry an empty rotation and count as outer.
 
@@ -492,11 +492,13 @@ class _FaceBuilder:
     The one edge-insertion primitive: callers copy an embedding in, link
     corners, and validate once at the end with :meth:`embedding`.  It is
     a pointer half-edge structure (the DCEL of de Berg et al.,
-    *Computational Geometry*, ch. 2): besides the rotations and adjacency
-    sets it holds each dart's successor ``nxt`` under the face rule (and
-    its inverse, from the first :meth:`pred` on), each dart's walk id
-    ``wid``, each walk's length ``size``, and ``outer``, the ids of the
-    outer walks; no walk is stored as a dart sequence.
+    *Computational Geometry*, ch. 2).  Each dart's successor ``nxt`` under
+    the face rule is the one record of rotation and adjacency: (a, c) is
+    an edge when it is a key, and :meth:`rotations` reads the rotations
+    off it from ``nbr``, one neighbour per vertex (None if isolated).  It
+    also holds the inverse of ``nxt`` from the first :meth:`pred` on, each
+    dart's walk id ``wid``, each walk's length ``size``, and ``outer``,
+    the ids of the outer walks; no walk is stored as a dart sequence.
     A walk's minimal dart comes from a lazy-deletion min-heap, and its
     vertex-occurrence counts are computed on first request and then kept
     up to date.
@@ -507,8 +509,7 @@ class _FaceBuilder:
     """
 
     def __init__(self, emb: Embedding):
-        self.rot = emb.rotations_dict()
-        self.adj = {v: set(ns) for v, ns in self.rot.items()}
+        self.nbr = {v: ns[0] if ns else None for v, ns in emb._rot.items()}
         self.nxt = dict(emb._succ)
         self.wid = dict(emb._walk_of_dart)
         self.size = dict(enumerate(map(len, emb._walks)))
@@ -572,33 +573,32 @@ class _FaceBuilder:
         nxt, prv, wid = self.nxt, self._prv, self.wid
         w, w_v = wid.get(corner_u), wid.get(corner_v)
         for t, x, y in ((t_u, u, v), (t_v, v, u)):
-            rot = self.rot[x]
             if t is None:
-                rot.append(y)
+                self.nbr[x] = y
                 nxt[(y, x)] = (x, y)
                 if prv is not None:
                     prv[(x, y)] = (y, x)
             else:
-                rot.insert(rot.index(t) + 1, y)
                 s = nxt[(t, x)]
                 nxt[(y, x)], nxt[(t, x)] = s, (x, y)
                 if prv is not None:
                     prv[s], prv[(x, y)] = (y, x), (t, x)
-            self.adj[x].add(y)
         if w is None or w != w_v:
             return (self._join(u, v, w, w_v),)
         f = next(self._fresh)
-        p, q, n = nxt[(u, v)], nxt[(v, u)], 1
+        side_u, side_v = [(u, v)], [(v, u)]
+        p, q = nxt[(u, v)], nxt[(v, u)]
         while p != (u, v) and q != (v, u):
-            p, q, n = nxt[p], nxt[q], n + 1
+            side_u.append(p)
+            side_v.append(q)
+            p, q = nxt[p], nxt[q]
         first_short = p == (u, v)
-        short, long = ((u, v), (v, u)) if first_short else ((v, u), (u, v))
+        darts, long = (side_u, (v, u)) if first_short else (side_v, (u, v))
         outer = first_short and w in self.outer
         if outer:
             self.outer.remove(w)
-        darts = self.darts(short)
         wid[long] = w
-        self.size[w] += 2 - n
+        self.size[w] += 2 - len(darts)
         heapq.heappush(self._heap(w), long)
         c = self._counts.get(w)
         if c is not None:
@@ -610,7 +610,7 @@ class _FaceBuilder:
                     del c[x]
                 else:
                     c[x] -= k
-            if n > 3:
+            if len(darts) > 3:
                 self._counts[f] = part
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
@@ -670,9 +670,36 @@ class _FaceBuilder:
         if outer:
             self.outer.add(f)
 
+    def fan(self, walk: Sequence[Dart], pos: int) -> list[int]:
+        """Link the corner of ``walk[pos]``'s origin w across the walk.
+
+        The targets are the walk's vertices other than w and not adjacent
+        to it, each at its first occurrence; they are linked, and returned,
+        in walk order from w, so each spoke stays inside the part of the
+        face that holds the targets still to come.
+        """
+        w = walk[pos][0]
+        first: dict[int, int] = {}
+        for j, (x, _) in enumerate(walk):
+            first.setdefault(x, j)
+        targets = [j for x, j in first.items() if x != w and (w, x) not in self.nxt]
+        targets.sort(key=lambda j: (j - pos) % len(walk))
+        for j in targets:
+            self.link(walk[pos - 1], walk[j - 1])
+        return [walk[j][0] for j in targets]
+
+    def rotations(self) -> dict[int, list[int]]:
+        """The rotation at every vertex, read off the successor map."""
+        rot = {}
+        for x, y in self.nbr.items():
+            ns = rot[x] = [] if y is None else [y]
+            while ns and (y := self.nxt[(y, x)][1]) != ns[0]:
+                ns.append(y)
+        return rot
+
     def embedding(self) -> Embedding:
         """Validate the current state as an embedding."""
-        return Embedding(self.rot, [self.first(i) for i in self.outer])
+        return Embedding(self.rotations(), [self.first(i) for i in self.outer])
 
 
 def _origin_counts(darts: Iterable[Dart]) -> dict[int, int]:
@@ -681,24 +708,3 @@ def _origin_counts(darts: Iterable[Dart]) -> dict[int, int]:
     for x, _ in darts:
         c[x] = c.get(x, 0) + 1
     return c
-
-
-def fan_targets(walk: Sequence[Dart], anchor_pos: int, adjacency_ok) -> list[int]:
-    """Positions of fan targets on a walk's darts, in walk order from the anchor.
-
-    Targets are distinct vertices other than the anchor vertex for which
-    ``adjacency_ok(vertex)`` is false (the edge is missing), each anchored
-    at its first occurrence on the walk.  The returned positions are
-    sorted by walk offset from the anchor, the order insertions must
-    follow for the fan to stay inside the face.
-    """
-    m = len(walk)
-    w = walk[anchor_pos][0]
-    first_pos: dict[int, int] = {}
-    for pos, d in enumerate(walk):
-        if d[0] != w and d[0] not in first_pos:
-            first_pos[d[0]] = pos
-    out = [pos for v, pos in first_pos.items() if not adjacency_ok(v)]
-    out.sort(key=lambda pos: (pos - anchor_pos) % m)
-    return out
-

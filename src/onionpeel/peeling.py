@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .embedding import Edge, Embedding, _FaceBuilder, _origin, fan_targets
+from .embedding import Edge, Embedding, _FaceBuilder, _origin
 from .errors import InvariantViolation, UnreachableVertex
 
 
@@ -147,9 +147,8 @@ def saturate_inward_neighbors(emb: Embedding) -> Embedding:
 def _saturate(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
     """Fan the inner faces of ``emb`` inside its builder ``b``.
 
-    Returns the added edges in insertion order.  Each fan links the same
-    anchor corner to targets in walk order, so every spoke stays inside
-    the part of the face that still holds the remaining targets.
+    Returns the added edges in insertion order, one :meth:`_FaceBuilder.fan`
+    per inner face that is not a triangle.
     """
     index = onion_peels(emb).index_of()
     added = []
@@ -159,10 +158,7 @@ def _saturate(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
             continue
         verts = tuple(map(_origin, walk))
         anchor_pos = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
-        w = verts[anchor_pos]
-        for pos in fan_targets(walk, anchor_pos, lambda v: v in b.adj[w]):
-            b.link(walk[anchor_pos - 1], walk[pos - 1])
-            added.append((w, verts[pos]))
+        added += [(verts[anchor_pos], v) for v in b.fan(walk, anchor_pos)]
     return added
 
 

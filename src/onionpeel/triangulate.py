@@ -24,7 +24,6 @@ from .embedding import (
     Embedding,
     _FaceBuilder,
     _origin,
-    fan_targets,
     is_triangulated_disk,
     is_triangulation,
 )
@@ -44,23 +43,24 @@ def _connect(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
     The component holding the smallest outer vertex absorbs the others in
     the order of their smallest outer vertices; each edge joins those two
     vertices at their first corners on their outer walks.  The components
-    are emb's own: b may hold edges added inside faces since it was copied
-    from emb, which join no two components.
+    and their outer walk ids are emb's own: b may hold edges added inside
+    faces since it was copied from emb, which join no two components and
+    touch no outer walk.  The hub's walk id follows each join.
     """
     first: dict[int, int] = {}
     for v in sorted(emb.outer_vertices):
         first.setdefault(emb._comp_of[v], v)
-    hub, *rest = first.values()
-    for v in rest:
-        b.link(_outer_corner(b, hub), _outer_corner(b, v))
-    return [(hub, v) for v in rest]
+    walk_of = {emb._comp_of[emb._walks[i][0][0]]: i for i in emb._outer_ids}
+    (hub, i), *rest = ((v, walk_of.get(c)) for c, v in first.items())
+    for v, j in rest:
+        (i,) = b.link(_outer_corner(b, hub, i), _outer_corner(b, v, j))
+    return [(hub, v) for v, _ in rest]
 
 
-def _outer_corner(b: _FaceBuilder, x: int) -> Dart:
-    """The corner of x's first occurrence on its component's outer walk."""
-    if not b.rot[x]:
+def _outer_corner(b: _FaceBuilder, x: int, i: int | None) -> Dart:
+    """The corner of x's first occurrence on its outer walk i (None: isolated)."""
+    if i is None:
         return (None, x)
-    i = next(i for i in (b.wid[(x, y)] for y in b.rot[x]) if i in b.outer)
     d = b.first(i)
     corner = b.pred(d)
     while d[0] != x:
@@ -97,7 +97,7 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
         corner = b.pred(before)
         for _ in range(b.size[i]):
             (v, c), a = d, before[0]
-            if a != c and c not in b.adj[a] and (not repeated_only or counts[v] > 1):
+            if a != c and (a, c) not in b.nxt and (not repeated_only or counts[v] > 1):
                 break
             corner, before, d = before, d, b.nxt[d]
         else:
@@ -207,10 +207,8 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     else:
         pos_r = cycle.index(r)
         b = _FaceBuilder(disk)
-        for pos in fan_targets(walk, pos_r, lambda v: disk.has_edge(r, v)):
-            b.link(walk[pos_r - 1], walk[pos - 1])
-            added.append((min(r, cycle[pos]), max(r, cycle[pos]), "apex"))
-        result = Embedding(b.rot, [walk[(pos_r + 1) % len(cycle)]])
+        added += [(min(r, v), max(r, v), "apex") for v in b.fan(walk, pos_r)]
+        result = Embedding(b.rotations(), [walk[(pos_r + 1) % len(cycle)]])
 
     if not is_triangulation(result):
         raise InvariantViolation("apex step did not produce a triangulation")

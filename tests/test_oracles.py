@@ -64,11 +64,11 @@ def enumerate_face_triangulations(disk, face):
             x, y = c[i], c[j]
             # the one walk through both ends; its corners there take the chord
             walk = next(
-                w for w in (successor_walk(b.nxt, (x, n)) for n in b.rot[x])
+                w for w in (successor_walk(b.nxt, (x, n)) for n in b.rotations()[x])
                 if any(d[0] == y for d in w)
             )
             b.link(*[walk[p - 1] for p, d in enumerate(walk) if d[0] in (x, y)])
-        tri = Embedding(b.rot, disk.outer_darts)
+        tri = Embedding(b.rotations(), disk.outer_darts)
         assert is_triangulation(tri)
         yield tri
 

@@ -25,7 +25,7 @@ from onionpeel import (
     validate_forest,
 )
 from onionpeel import triangulate
-from onionpeel.embedding import _FaceBuilder, fan_targets
+from onionpeel.embedding import _FaceBuilder, _successors
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
 from test_oracles import successor_walk
 from test_peeling import delete_nonbridge_edges, side_by_side
@@ -366,6 +366,26 @@ def ref_chord(rotations, walk, pos_u, pos_v):
     return (u, v)
 
 
+def fan_order(walk, anchor_pos, adjacent):
+    """Positions of fan targets on a walk's darts, in walk order from the anchor.
+
+    Targets are distinct vertices other than the anchor vertex for which
+    ``adjacent(vertex)`` is false (the edge is missing), each anchored
+    at its first occurrence on the walk.  The returned positions are
+    sorted by walk offset from the anchor, the order insertions must
+    follow for the fan to stay inside the face.
+    """
+    m = len(walk)
+    w = walk[anchor_pos][0]
+    first_pos = {}
+    for pos, d in enumerate(walk):
+        if d[0] != w and d[0] not in first_pos:
+            first_pos[d[0]] = pos
+    out = [pos for v, pos in first_pos.items() if not adjacent(v)]
+    out.sort(key=lambda pos: (pos - anchor_pos) % m)
+    return out
+
+
 def ref_saturate(emb):
     index = onion_peels(emb).index_of()
     rotations = emb.rotations_dict()
@@ -376,7 +396,7 @@ def ref_saturate(emb):
         verts = f.vertices
         anchor = min(range(len(verts)), key=lambda p: (index[verts[p]], verts[p]))
         w = verts[anchor]
-        for pos in fan_targets(f.darts, anchor, lambda v: v in adjacency[w]):
+        for pos in fan_order(f.darts, anchor, lambda v: v in adjacency[w]):
             _, v = ref_chord(rotations, f, anchor, pos)
             adjacency[w].add(v)
             adjacency[v].add(w)
@@ -468,7 +488,7 @@ def ref_full(emb):
     rotations = disk.rotations_dict()
     fan = [
         ref_chord(rotations, walk, pos_r, pos)
-        for pos in fan_targets(walk.darts, pos_r, lambda v: disk.has_edge(r, v))
+        for pos in fan_order(walk.darts, pos_r, lambda v: disk.has_edge(r, v))
     ]
     added += tuple((min(u, v), max(u, v), "apex") for u, v in fan)
     return Embedding(rotations, [walk.darts[(pos_r + 1) % len(cycle)]]), added
@@ -519,10 +539,12 @@ def check_builder(b):
     for d, i in b.wid.items():
         darts_of.setdefault(i, []).append(d)
     assert set(darts_of) == set(b.size)
-    emb = Embedding(b.rot, [darts_of[i][0] for i in b.outer])
+    rot = b.rotations()
+    emb = Embedding(rot, [darts_of[i][0] for i in b.outer])
     assert len(emb.faces) == len(b.size)
-    for v, ns in b.rot.items():
-        assert b.adj[v] == set(ns)
+    # the rotations read off the successors give back exactly those successors
+    assert _successors(rot) == b.nxt
+    assert all((b.nbr[v] is None) == (not ns) for v, ns in rot.items())
     if b._prv is not None:  # kept the inverse of the successors since the first pred
         assert b._prv == {s: d for d, s in b.nxt.items()}
     for i, darts in darts_of.items():
@@ -557,7 +579,12 @@ def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
         return ids
 
     monkeypatch.setattr(_FaceBuilder, "link", checked)
-    inputs = [*differential_inputs(corpus), ("path60", gen_path(60))]
+    inputs = [
+        *differential_inputs(corpus),
+        ("path60", gen_path(60)),
+        ("isolated30", many_components("isolated", 30)),
+        ("triangles10", many_components("triangles", 10)),
+    ]
     for label, emb in inputs:
         check_builder(_FaceBuilder(emb))
         to_full_triangulation(emb)
@@ -611,7 +638,7 @@ def ref_cut_corners(b, wanted, repeated_only, stuck):
         corner = b.pred(before)
         for _ in range(b.size[i]):
             (v, c), a = d, before[0]
-            if a != c and c not in b.adj[a] and (not repeated_only or counts[v] > 1):
+            if a != c and (a, c) not in b.nxt and (not repeated_only or counts[v] > 1):
                 break
             corner, before, d = before, d, b.nxt[d]
         else:
@@ -691,9 +718,13 @@ class CountingDict(dict):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("label", ["tree", "sparse-3-ring"])
+@pytest.mark.parametrize("label", ["tree", "sparse-3-ring", "hub"])
 def test_cut_corners_reads_each_successor_a_bounded_number_of_times(label, monkeypatch):
-    emb = random_tree(2000, 3) if label == "tree" else sparse_kring(3, 667, 7)
+    emb = {
+        "tree": lambda: random_tree(2000, 3),
+        "sparse-3-ring": lambda: sparse_kring(3, 667, 7),
+        "hub": lambda: many_components("isolated", 4000),
+    }[label]()
     init = _FaceBuilder.__init__
 
     def counting(b, source):
