@@ -116,32 +116,36 @@ def _is_bd_nodes(x) -> bool:
     return _all_of(int, ints) and _is_pairs(edges)
 
 
-_EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")
-
-
-def _edge_key(key: str) -> Edge | None:
-    """The edge a bd assignment key names, or None unless it reads ``f"{u}-{v}"``."""
-    m = _EDGE_KEY.fullmatch(key)
-    if m is None:
-        return None
-    try:
-        u, v = int(m[1]), int(m[2])
-    except ValueError:  # beyond Python's limit on digits
-        return None
-    return (u, v) if key == f"{u}-{v}" else None
+# where bd assignment keys, joined one per line, split into integers: at
+# each line break and each "-" after a digit, which is not a minus sign
+_KEY_SPLIT = re.compile(r"\n|(?<=[0-9])-")
 
 
 def _edge_assignment(x) -> dict[Edge, int] | bool:
-    """A bd assignment's leaf per edge, each key parsed once; False if malformed."""
-    if not isinstance(x, dict):
+    """A bd assignment's leaf per edge, or False if malformed.
+
+    Each key must read ``f"{u}-{v}"`` for integers u and v.  The keys are
+    split and parsed all at once, at every "-" if there is one per key (no
+    id is negative); writing the edges back the same way must then give
+    the same text and line count, which rejects every other key.
+    """
+    if not isinstance(x, dict) or not _all_of(int, x.values()):
         return False
-    assignment = {}
-    for key, leaf in x.items():
-        edge = _edge_key(key)
-        if edge is None or not _is_int(leaf):
-            return False
-        assignment[edge] = leaf
-    return assignment
+    if not x:
+        return {}
+    text = "\n".join(x)
+    if text.count("-") == len(x):
+        parts = text.replace("\n", "-").split("-")
+    else:
+        parts = _KEY_SPLIT.split(text)
+    try:
+        ends = list(map(int, parts))
+    except ValueError:  # not an integer, or beyond Python's limit on digits
+        return False
+    edges = list(zip(ends[::2], ends[1::2]))
+    if len(ends) != 2 * len(x) or "\n".join([f"{u}-{v}" for u, v in edges]) != text:
+        return False
+    return dict(zip(edges, x.values()))
 
 
 # per artifact kind (and per oracle), the keys its checker reads and their

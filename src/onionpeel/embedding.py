@@ -26,23 +26,25 @@ only when every component lies in the outer region: one outer dart per edged
 component, all merged into a single outer region.  Isolated vertices
 carry an empty rotation and count as outer.
 
-Construction makes one structural pass, a few dictionary operations per
-dart: the rotations become tuples after one type check over every id (an
-id must be an int, or have ``__index__`` and not be a bool); the
-successor map gets one entry per dart; the trace makes one membership
-test, one append and one walk-id store per dart; and the Euler check
+Construction is one structural pass over a successor map, a few
+dictionary operations per dart.  Plain rotations are type-checked (an id
+must be an int, or have ``__index__`` and not be a bool) and give the map;
+``parse_epg`` hands int tuples, which skip the type check, and the face
+builder hands over its map with the rotations read off it, which two
+C-level passes prove to be that map.  The trace makes one membership
+test, one append and one walk-id store per dart, and doubles as the
+structure check: a map with one entry per dart and none from a vertex to
+itself, and a trace that finds every dart's successor, prove the
+rotations simple and symmetric, so the per-vertex check runs only to
+name the first defect of an input that fails the proof.  The Euler check
 compares totals, counting per component only to name a failure.  The
-trace doubles as the structure check: a successor map with one entry per
-dart and none from a vertex to itself, and a trace that finds every
-dart's successor, prove the rotations simple and symmetric, so the
-per-vertex check runs only on an input that fails the proof, to name its
-first defect.  The embedding keeps the walks as dart tuples with the ids
-of the outer walks, and its successor and dart -> walk maps, which a
-``_FaceBuilder`` copies rather than recomputes; ``faces`` builds its
-slotted ``FaceWalk`` records on first use, and the equality key is built
-on the first ``==`` or ``hash``.  On a triangulated 8x14 k-ring disk
-(112 vertices, 209 walks), construction takes about 0.39 ms and
-``parse_epg`` about 0.60 ms (fastest of 300 calls, shared 2-core Linux
+embedding keeps the rotations as given, the walks as dart tuples with
+the outer walks' ids, and its successor and dart -> walk maps, which a
+``_FaceBuilder`` copies rather than recomputes; the canonical rotations
+(``rotation``, ``rotations_dict``, ``==``, ``hash``) and the ``faces``
+records are built on first use.  On a triangulated 8x14 k-ring disk
+(112 vertices, 209 walks), construction takes about 0.40 ms and
+``parse_epg`` about 0.56 ms (fastest of 300 calls, shared 2-core Linux
 VM).
 """
 
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, Mapping, Sequence
@@ -58,6 +61,7 @@ from .errors import (
     AsymmetricAdjacency,
     BadParameter,
     EulerViolation,
+    InvariantViolation,
     NestedComponent,
     ParallelEdge,
     SelfLoop,
@@ -65,8 +69,10 @@ from .errors import (
 
 Dart = tuple[int, int]
 Edge = tuple[int, int]
+Traced = tuple[list[tuple[Dart, ...]], dict[Dart, int]]  # walks, and dart -> walk id
 
 _origin = operator.itemgetter(0)
+_head = operator.itemgetter(1)
 
 
 def edge_of(dart: Dart) -> Edge:
@@ -108,22 +114,16 @@ class FaceWalk:
 
 
 def _canonical_rotation(rot: tuple[int, ...]) -> tuple[int, ...]:
-    if not rot:
-        return rot
-    i = rot.index(min(rot))
+    i = rot.index(min(rot)) if rot else 0
     return rot[i:] + rot[:i] if i else rot
 
 
 class Embedding:
     """Validated, canonical, immutable rotation-system embedding."""
 
-    def __init__(
-        self,
-        rotations: Mapping[int, Sequence[int]],
-        outer_darts: Iterable[Dart],
-    ):
-        rot = _coerce(rotations)
-        succ = _successors(rot)
+    def __init__(self, rotations: Mapping[int, Sequence[int]], outer_darts: Iterable[Dart]):
+        rot = rotations if type(rotations) is _Rotations else _coerce(rotations)
+        succ = _successors(rot) if rot.succ is None else rot.succ
         traced = _checked_trace(rot, succ)
         if traced is None:
             self._validate_structure(rot)  # raises the first defect it finds
@@ -132,7 +132,7 @@ class Embedding:
         self._check_euler(rot, walks, comp_of)
         outer = self._resolve_outer(rot, walks, walk_of, comp_of, outer_darts)
 
-        self._rot = {v: _canonical_rotation(ns) for v, ns in rot.items()}
+        self._rotations = rot  # as given: each rotation starts anywhere
         self._outer_darts = outer
         self._walks = walks
         self._outer_ids = tuple(walk_of[d] for d in outer)  # ascending
@@ -144,7 +144,7 @@ class Embedding:
     # -- construction-time checks -------------------------------------
 
     @staticmethod
-    def _validate_structure(rot: dict[int, tuple[int, ...]]) -> None:
+    def _validate_structure(rot: _Rotations) -> None:
         adj = {v: set(ns) for v, ns in rot.items()}
         for v, ns in rot.items():
             if v in adj[v]:
@@ -153,20 +153,12 @@ class Embedding:
                 raise ParallelEdge(f"vertex {v} lists a neighbor twice")
             for w in ns:
                 if w not in rot:
-                    raise AsymmetricAdjacency(
-                        f"{v} lists unknown vertex {w}"
-                    )
+                    raise AsymmetricAdjacency(f"{v} lists unknown vertex {w}")
                 if v not in adj[w]:
-                    raise AsymmetricAdjacency(
-                        f"{v} lists {w} but {w} does not list {v}"
-                    )
+                    raise AsymmetricAdjacency(f"{v} lists {w} but {w} does not list {v}")
 
     @staticmethod
-    def _check_euler(
-        rot: dict[int, tuple[int, ...]],
-        walks: list[tuple[Dart, ...]],
-        comp_of: dict[int, int],
-    ) -> None:
+    def _check_euler(rot: _Rotations, walks: list[tuple[Dart, ...]], comp_of: dict[int, int]):
         # Each edged component has V-E+F = 2 - 2g <= 2 (g its genus), so
         # the totals reach 2 per edged component only when each one does;
         # the per-component count below runs only to name the failure.
@@ -175,34 +167,21 @@ class Embedding:
         edged = len(set(comp_of.values())) - isolated
         if len(rot) - isolated - sum(degrees) // 2 + len(walks) == 2 * edged:
             return
-        n_verts: dict[int, int] = {}
-        n_darts: dict[int, int] = {}
-        n_walks: dict[int, int] = {}
+        n_verts, n_darts = Counter(), Counter()
         for v, ns in rot.items():
-            c = comp_of[v]
-            n_verts[c] = n_verts.get(c, 0) + 1
-            n_darts[c] = n_darts.get(c, 0) + len(ns)
-        for w in walks:
-            c = comp_of[w[0][0]]
-            n_walks[c] = n_walks.get(c, 0) + 1
+            n_verts[comp_of[v]] += 1
+            n_darts[comp_of[v]] += len(ns)
+        n_walks = Counter(comp_of[w[0][0]] for w in walks)
         for c, dv in n_darts.items():
-            if dv == 0:
-                continue
-            v, e, f = n_verts[c], dv // 2, n_walks.get(c, 0)
-            if v - e + f != 2:
+            v, e, f = n_verts[c], dv // 2, n_walks[c]
+            if dv and v - e + f != 2:
                 raise EulerViolation(
                     f"component of vertex {c}: V-E+F = {v}-{e}+{f} != 2 "
                     "(not a sphere embedding)"
                 )
 
     @staticmethod
-    def _resolve_outer(
-        rot: dict[int, tuple[int, ...]],
-        walks: list[tuple[Dart, ...]],
-        walk_of: dict[Dart, int],
-        comp_of: dict[int, int],
-        outer_darts: Iterable[Dart],
-    ) -> tuple[Dart, ...]:
+    def _resolve_outer(rot, walks, walk_of, comp_of, outer_darts) -> tuple[Dart, ...]:
         chosen: dict[int, int] = {}  # component -> walk index
         for d in outer_darts:
             try:
@@ -216,20 +195,25 @@ class Embedding:
             w = walk_of[d]
             if c in chosen and chosen[c] != w:
                 raise NestedComponent(
-                    f"component of vertex {d[0]} has two distinct outer "
-                    "face designations"
+                    f"component of vertex {d[0]} has two distinct outer face designations"
                 )
             chosen[c] = w
         edged = {comp_of[v] for v, ns in rot.items() if ns}
         missing = edged - set(chosen)
         if missing:
             v = min(missing)
-            raise NestedComponent(
-                f"component of vertex {v} has no outer face designation"
-            )
+            raise NestedComponent(f"component of vertex {v} has no outer face designation")
         return tuple(sorted(walks[w][0] for w in chosen.values()))
 
     # -- value semantics ------------------------------------------------
+
+    @property
+    def _rot(self) -> dict[int, tuple[int, ...]]:
+        """The rotations, each from its smallest neighbour, built on first use."""
+        rot, given = self._memo.get("rot"), self._rotations
+        if rot is None:
+            rot = self._memo["rot"] = dict(zip(given, map(_canonical_rotation, given.values())))
+        return rot
 
     @property
     def _key(self) -> tuple:
@@ -248,44 +232,40 @@ class Embedding:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return (
-            f"Embedding({self.vertex_count} vertices, {self.edge_count} edges, "
-            f"{len(self._walks)} face walks)"
-        )
+        n, m, f = self.vertex_count, self.edge_count, len(self._walks)
+        return f"Embedding({n} vertices, {m} edges, {f} face walks)"
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rot))
+        return tuple(sorted(self._rotations))
 
     @property
     def vertex_count(self) -> int:
-        return len(self._rot)
+        return len(self._rotations)
 
     def rotation(self, v: int) -> tuple[int, ...]:
         """Cyclic neighbor order at v (canonical start)."""
         return self._rot[v]
 
     def degree(self, v: int) -> int:
-        return len(self._rot[v])
+        return len(self._rotations[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._rot and v in self._rot[u]
+        return (u, v) in self._succ
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         memo = self._memo.get("edges")
         if memo is None:
-            memo = tuple(
-                sorted((v, w) for v, ns in self._rot.items() for w in ns if v < w)
-            )
-            self._memo["edges"] = memo
+            pairs = ((v, w) for v, ns in self._rotations.items() for w in ns if v < w)
+            memo = self._memo["edges"] = tuple(sorted(pairs))
         return memo
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._rot.values()) // 2
+        return len(self._succ) // 2
 
     @property
     def darts(self) -> tuple[Dart, ...]:
@@ -323,13 +303,9 @@ class Embedding:
         """Vertices on the outer region, isolated vertices included."""
         memo = self._memo.get("outer_vertices")
         if memo is None:
-            walks = self._walks
-            on_walks = frozenset(
-                chain.from_iterable(map(_origin, walks[i]) for i in self._outer_ids)
-            )
-            isolated = frozenset(v for v, ns in self._rot.items() if not ns)
-            memo = on_walks | isolated
-            self._memo["outer_vertices"] = memo
+            on_walks = chain.from_iterable(map(_origin, self._walks[i]) for i in self._outer_ids)
+            isolated = (v for v, ns in self._rotations.items() if not ns)
+            memo = self._memo["outer_vertices"] = frozenset(chain(on_walks, isolated))
         return memo
 
     @property
@@ -339,8 +315,7 @@ class Embedding:
             groups: dict[int, set[int]] = {}
             for v, c in self._comp_of.items():
                 groups.setdefault(c, set()).add(v)
-            memo = tuple(frozenset(groups[c]) for c in sorted(groups))
-            self._memo["components"] = memo
+            memo = self._memo["components"] = tuple(frozenset(groups[c]) for c in sorted(groups))
         return memo
 
     @property
@@ -352,15 +327,10 @@ class Embedding:
         return {v: list(ns) for v, ns in self._rot.items()}
 
 
-# ---------------------------------------------------------------------------
-# Face tracing
-# ---------------------------------------------------------------------------
+# -- Face tracing -------------------------------------------------------------
 
 
-def _trace(
-    rot: Mapping[int, Sequence[int]],
-    succ: Mapping[Dart, Dart] | None = None,
-) -> tuple[list[tuple[Dart, ...]], dict[Dart, int]]:
+def _trace(rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart] | None = None) -> Traced:
     """Partition all darts into face walks under the successor rule.
 
     Walks follow one successor map, ``_successors(rot)`` unless given.
@@ -386,17 +356,16 @@ def _trace(
     return walks, walk_of
 
 
-def _checked_trace(
-    rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart]
-) -> tuple[list[tuple[Dart, ...]], dict[Dart, int]] | None:
+def _checked_trace(rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart]) -> Traced | None:
     """``_trace(rot, succ)``, or None when rot is not a valid rotation system.
 
     rot is valid (simple and symmetric) when no vertex lists itself, no
     rotation repeats a neighbour, and every listed neighbour lists the
-    vertex back.  ``succ = _successors(rot)`` has a key (t, v) for each t
-    in the rotation at v, so the first two hold when it has no key (v, v)
-    and one key per dart, and the third when the trace, which looks up
-    the successor of every dart, finds each one.
+    vertex back.  ``succ = _successors(rot)``, built by the constructor or
+    handed in and proven so by :func:`_read_rotations`, has a key (t, v)
+    for each t in the rotation at v, so the first two hold when it has no
+    key (v, v) and one key per dart, and the third when the trace, which
+    looks up the successor of every dart, finds each one.
     """
     if len(succ) != sum(map(len, rot.values())):
         return None
@@ -420,11 +389,48 @@ def _successors(rot: Mapping[int, Sequence[int]]) -> dict[Dart, Dart]:
     return succ
 
 
-def _coerce(rotations: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, ...]]:
+class _Rotations(dict):
+    """A rotation map of int tuples, which ``Embedding`` takes without
+    ``_coerce``; ``succ`` is the successor map it was read off, proven
+    to be its ``_successors`` by :func:`_read_rotations`, or None."""
+
+    succ: dict[Dart, Dart] | None = None
+
+
+def _coerce(rotations: Mapping[int, Sequence[int]]) -> _Rotations:
     """The rotation map with tuple rotations; every id must be an integer."""
-    rot = {v: tuple(ns) for v, ns in rotations.items()}
+    rot = _Rotations((v, tuple(ns)) for v, ns in rotations.items())
     if {*map(type, rot), *map(type, chain.from_iterable(rot.values()))} - {int}:
-        rot = {_vertex_id(v): tuple(map(_vertex_id, ns)) for v, ns in rot.items()}
+        rot = _Rotations((_vertex_id(v), tuple(map(_vertex_id, ns))) for v, ns in rot.items())
+    return rot
+
+
+def _read_rotations(nbr: Mapping[int, int | None], succ: dict[Dart, Dart]) -> _Rotations:
+    """The rotations read off a successor map, carrying it once proven.
+
+    The rotation at x runs from ``nbr[x]`` (None: isolated) by ``s =
+    succ[(t, x)][1]`` until it closes; a missing dart, or more steps than
+    vertices, raises.  A closed chain repeats no neighbour, as each step
+    depends only on the last, so succ is ``_successors(rot)`` if it has
+    one key per dart read and every value starts where its key ends.
+    """
+    rot = _Rotations()
+    cap = len(nbr)
+    try:
+        for x, y in nbr.items():
+            ns = [] if y is None else [y]
+            while ns and (y := succ[(y, x)][1]) != ns[0]:
+                ns.append(y)
+                if len(ns) > cap:
+                    raise InvariantViolation(f"successors at vertex {x} do not close")
+            rot[x] = tuple(ns)
+    except KeyError:
+        raise InvariantViolation(f"no successor of dart ({y}, {x})") from None
+    if len(succ) != sum(map(len, rot.values())) or not all(
+        map(operator.eq, map(_head, succ), map(_origin, succ.values()))
+    ):
+        raise InvariantViolation("successor map does not match its rotations")
+    rot.succ = succ
     return rot
 
 
@@ -441,20 +447,16 @@ def _components(rot: Mapping[int, Iterable[int]]) -> dict[int, int]:
     for v in sorted(rot):
         if v in comp:
             continue
-        stack = [v]
-        comp[v] = v
-        while stack:
-            x = stack.pop()
-            for w in rot[x]:
-                if w not in comp:
-                    comp[w] = v
-                    stack.append(w)
+        seen = frontier = {v}
+        while frontier:  # one breadth-first level per step, in C
+            frontier = set(chain.from_iterable(map(rot.__getitem__, frontier)))
+            frontier -= seen
+            seen |= frontier
+        comp.update(dict.fromkeys(seen, v))
     return comp
 
 
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
+# -- Public operations --------------------------------------------------------
 
 
 def is_triangulated_disk(emb: Embedding) -> bool:
@@ -481,27 +483,25 @@ def is_triangulation(emb: Embedding) -> bool:
     return all(len(w) == 3 for w in emb._walks)
 
 
-# ---------------------------------------------------------------------------
-# Edge insertion (used by peeling, triangulation and the oracles)
-# ---------------------------------------------------------------------------
+# -- Edge insertion (used by peeling, triangulation and the oracles) ----------
 
 
 class _FaceBuilder:
     """Mutable copy of an embedding that grows by one edge at a time.
 
     The one edge-insertion primitive: callers copy an embedding in, link
-    corners, and validate once at the end with :meth:`embedding`.  It is
-    a pointer half-edge structure (the DCEL of de Berg et al.,
-    *Computational Geometry*, ch. 2).  Each dart's successor ``nxt`` under
-    the face rule is the one record of rotation and adjacency: (a, c) is
-    an edge when it is a key, and :meth:`rotations` reads the rotations
-    off it from ``nbr``, one neighbour per vertex (None if isolated).  It
-    also holds the inverse of ``nxt`` from the first :meth:`pred` on, each
-    dart's walk id ``wid``, each walk's length ``size``, and ``outer``,
-    the ids of the outer walks; no walk is stored as a dart sequence.
-    A walk's minimal dart comes from a lazy-deletion min-heap, and its
-    vertex-occurrence counts are computed on first request and then kept
-    up to date.
+    corners, and validate once at the end with :meth:`embedding`, which
+    hands ``nxt`` to the embedding.  It is a pointer half-edge structure
+    (the DCEL of de Berg et al., *Computational Geometry*, ch. 2).  Each
+    dart's successor ``nxt`` under the face rule is the one record of
+    rotation and adjacency: (a, c) is an edge when it is a key, and
+    :meth:`rotations` reads the rotations off it from ``nbr``, one
+    neighbour per vertex (None if isolated).  It also holds the inverse
+    of ``nxt`` from the first :meth:`pred` on, each dart's walk id
+    ``wid``, each walk's length ``size``, and ``outer``, the ids of the
+    outer walks; no walk is stored as a dart sequence.  A walk's minimal
+    dart comes from a lazy-deletion min-heap, and its vertex-occurrence
+    counts are computed on first request and then kept up to date.
 
     A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
     the walk leaves x on ``(x, s)`` with s the successor of t in the
@@ -509,7 +509,7 @@ class _FaceBuilder:
     """
 
     def __init__(self, emb: Embedding):
-        self.nbr = {v: ns[0] if ns else None for v, ns in emb._rot.items()}
+        self.nbr = {v: ns[0] if ns else None for v, ns in emb._rotations.items()}
         self.nxt = dict(emb._succ)
         self.wid = dict(emb._walk_of_dart)
         self.size = dict(enumerate(map(len, emb._walks)))
@@ -688,18 +688,16 @@ class _FaceBuilder:
             self.link(walk[pos - 1], walk[j - 1])
         return [walk[j][0] for j in targets]
 
-    def rotations(self) -> dict[int, list[int]]:
-        """The rotation at every vertex, read off the successor map."""
-        rot = {}
-        for x, y in self.nbr.items():
-            ns = rot[x] = [] if y is None else [y]
-            while ns and (y := self.nxt[(y, x)][1]) != ns[0]:
-                ns.append(y)
-        return rot
+    def rotations(self) -> _Rotations:
+        """The rotation at every vertex, read off ``nxt``, which the result carries."""
+        return _read_rotations(self.nbr, self.nxt)
 
-    def embedding(self) -> Embedding:
-        """Validate the current state as an embedding."""
-        return Embedding(self.rotations(), [self.first(i) for i in self.outer])
+    def embedding(self, outer_darts: Iterable[Dart] | None = None) -> Embedding:
+        """Validate the current state as an embedding, outer at the outer
+        walks' minimal darts unless given.  It keeps ``nxt``: link no more."""
+        if outer_darts is None:
+            outer_darts = [self.first(i) for i in self.outer]
+        return Embedding(self.rotations(), outer_darts)
 
 
 def _origin_counts(darts: Iterable[Dart]) -> dict[int, int]:

@@ -19,7 +19,7 @@ identical bytes.
 
 from __future__ import annotations
 
-from .embedding import Dart, Embedding
+from .embedding import Dart, Embedding, _Rotations
 from .errors import FormatError
 
 HEADER = "epg 1"
@@ -36,7 +36,7 @@ def format_epg(emb: Embedding) -> str:
 
 
 def parse_epg(text: str) -> Embedding:
-    rotations: dict[int, list[int]] = {}
+    rotations = _Rotations()  # int tuples: the constructor skips its type pass
     outer: list[Dart] = []
     saw_header = False
     comments = "#" in text
@@ -83,7 +83,7 @@ def _int(token: str, lineno: int) -> int:
     raise FormatError(f"line {lineno}: not an integer: {shown!r}")
 
 
-def _ints(tokens: list[str], lineno: int, plain: bool) -> list[int]:
+def _ints(tokens: list[str], lineno: int, plain: bool) -> tuple[int, ...]:
     """The EPG integers ``tokens``, by plain ``int`` when ``plain``.
 
     ``plain`` says the text is ASCII without "+" or "_"; then ``int``
@@ -92,10 +92,10 @@ def _ints(tokens: list[str], lineno: int, plain: bool) -> list[int]:
     """
     if plain:
         try:
-            return list(map(int, tokens))
+            return tuple(map(int, tokens))
         except ValueError:
             pass
-    return [_int(t, lineno) for t in tokens]
+    return tuple(_int(t, lineno) for t in tokens)
 
 
 def to_dot(emb: Embedding, name: str = "embedding") -> str:

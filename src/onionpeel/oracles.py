@@ -65,7 +65,7 @@ def _edge_list(graph) -> list[Edge]:
 
 def _adjacency(graph) -> dict[int, set[int]]:
     if isinstance(graph, Embedding):
-        return {v: set(graph.rotation(v)) for v in graph.vertices}
+        return {v: set(graph._rotations[v]) for v in graph.vertices}
     adj: dict[int, set[int]] = {}
     for u, v in _edge_list(graph):
         adj.setdefault(u, set()).add(v)

@@ -178,7 +178,7 @@ def build_rooted_forest(emb: Embedding) -> RootedForest:
         d += 1
         candidates: dict[int, int] = {}
         for u in level:
-            for v in emb.rotation(u):
+            for v in emb._rotations[u]:
                 if v in depth:
                     continue
                 if v not in candidates or u < candidates[v]:

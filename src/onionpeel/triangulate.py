@@ -195,7 +195,7 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     cycle = tuple(map(_origin, walk))
     outer_set = frozenset(cycle)
     candidates = sorted(
-        v for v in cycle if len(set(disk.rotation(v)) & outer_set) == 2
+        v for v in cycle if len(outer_set.intersection(disk._rotations[v])) == 2
     )
     if not candidates:
         raise InvariantViolation("no outer vertex with two outer neighbors")
@@ -208,7 +208,7 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
         pos_r = cycle.index(r)
         b = _FaceBuilder(disk)
         added += [(min(r, v), max(r, v), "apex") for v in b.fan(walk, pos_r)]
-        result = Embedding(b.rotations(), [walk[(pos_r + 1) % len(cycle)]])
+        result = b.embedding([walk[(pos_r + 1) % len(cycle)]])
 
     if not is_triangulation(result):
         raise InvariantViolation("apex step did not produce a triangulation")

@@ -1,13 +1,16 @@
-"""The bd checker's cut count against its two references.
+"""The bd checker's cut count and assignment parse against their references.
 
 ``checkers.arc_cuts`` counts the cuts as subtree sums over lowest common
 ancestors.  It must agree, arc for arc, with the per-arc search of
 ``ref_arc_cuts`` and with ``bisect_arc_cuts``, the routine ``verify``
 used before, and take near-linear steps where the latter does not.
+``checkers._edge_assignment`` parses all assignment keys in one pass and
+must accept and reject exactly as the per-key parse ``verify`` used before.
 """
 
 import json
 import random
+import re
 import sys
 import types
 
@@ -97,3 +100,53 @@ def test_arc_cuts_take_near_linear_steps():
     assert steps <= 20 * size
     ref, ref_steps = line_events(bisect_arc_cuts, *tree)
     assert ref == cuts and ref_steps > 20 * size
+
+
+_REF_EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")
+
+
+def ref_edge_assignment(x):
+    """Reference: one fullmatch, two ``int`` parses and one f-string per key."""
+    if not isinstance(x, dict):
+        return False
+    assignment = {}
+    for key, leaf in x.items():
+        m = _REF_EDGE_KEY.fullmatch(key)
+        try:
+            edge = (int(m[1]), int(m[2])) if m else None
+        except ValueError:  # beyond Python's limit on digits
+            edge = None
+        if edge is None or key != f"{edge[0]}-{edge[1]}":
+            return False
+        if not isinstance(leaf, int) or isinstance(leaf, bool):
+            return False
+        assignment[edge] = leaf
+    return assignment
+
+
+ODD_KEYS = [
+    "-1-2", "1--2", "-1--2", "01-2", "1-02", "-0-1", "1--0", "1-2\n3-4", "\n1-2", "1-2\n",
+    "", "-", "1-", "-1", "1-2-3", "+1-2", "1_0-2", " 1-2", "1-2 ", "1\r-2", "\u0661-2",
+    "1" * 5000 + "-2", "3-" + "4" * 4300, "12-34", "1-2",
+]
+
+
+def test_edge_assignment_matches_the_per_key_parse():
+    rng = random.Random(21)
+    good = list(bd_artifact(gen_random_kouter(2, 6, 3))["assignment"].items())
+    leaves = [7, -3, True, 1.0, "1", None]
+    cases = [None, [], {}, dict(good)]
+    for _ in range(3000):
+        data = dict(rng.sample(good, rng.randint(0, 6)))
+        for _ in range(rng.randint(0, 2)):
+            data[rng.choice(ODD_KEYS)] = rng.choice(leaves)
+        if data and rng.random() < 0.2:
+            data[rng.choice(list(data))] = rng.choice(leaves)
+        cases.append(data)
+    accepted = 0
+    for data in cases:
+        expected = ref_edge_assignment(data)
+        got = checkers._edge_assignment(data)
+        assert got == expected and (got is False) == (expected is False), data
+        accepted += expected is not False
+    assert 300 < accepted < len(cases) - 300

@@ -11,19 +11,34 @@ import random
 
 import pytest
 
-from onionpeel import Embedding, gen_cycle, to_full_triangulation
+from onionpeel import (
+    Embedding,
+    decompose_pipeline,
+    format_epg,
+    gen_cycle,
+    gen_random_kouter,
+    onion_peels,
+    parse_epg,
+    to_full_triangulation,
+    to_triangulated_disk,
+)
+from onionpeel import embedding
 from onionpeel.embedding import _FaceBuilder, _components, _successors
 from onionpeel.errors import (
     AsymmetricAdjacency,
     BadParameter,
     EulerViolation,
+    InvariantViolation,
     NestedComponent,
     OnionPeelError,
     ParallelEdge,
     SelfLoop,
 )
+from onionpeel.peeling import _saturate
+from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from test_branchdecomp import deep_disks
 from test_embedding import TRIANGLE, ref_trace
-from test_triangulate import differential_inputs
+from test_triangulate import assert_same_embedding, differential_inputs, many_components
 
 
 def ref_validate_structure(rot):
@@ -332,3 +347,108 @@ def test_conversion_leaves_its_input_unchanged(corpus):
         assert emb._succ == _successors(emb._rot), label
         assert to_full_triangulation(emb)[0] == full, label
         assert _FaceBuilder(emb).nxt == emb._succ, label
+
+
+# -- the face builder's successor map, handed to the constructor ---------------
+
+
+def handed_and_reference(b, outer=None):
+    """The builder's own build, which traces ``b.nxt``, and the reference
+    build from plain rotation lists, with the builder's outer darts."""
+    outer = [b.first(i) for i in b.outer] if outer is None else outer
+    ref = Embedding({v: list(ns) for v, ns in b.rotations().items()}, outer)
+    return b.embedding(outer), ref
+
+
+def test_handed_successor_map_builds_the_reference_after_every_stage(corpus):
+    inputs = [
+        *corpus,
+        *deep_disks(),
+        ("isolated30", many_components("isolated", 30)),
+        ("triangles10", many_components("triangles", 10)),
+    ]
+    for label, emb in inputs:
+        if emb.vertex_count < 3:
+            continue
+        b = _FaceBuilder(emb)
+        stages = [lambda: _saturate(b, emb), lambda: _connect(b, emb)]
+        stages += [lambda cut=cut: _cut_corners(b, *cut) for _, *cut in _CUTS]
+        for i, stage in enumerate(stages):
+            stage()
+            # each build is dropped before the next stage links b again
+            assert_same_embedding(*handed_and_reference(b), (label, i))
+        disk = to_triangulated_disk(emb)[0]
+        walk = disk.outer_faces[0].darts
+        if len(walk) > 3:  # the apex step: fan the first vertex, outer dart after it
+            b = _FaceBuilder(disk)
+            b.fan(walk, 0)
+            assert_same_embedding(*handed_and_reference(b, [walk[1]]), (label, "apex"))
+
+
+def corrupted_builders():
+    """(defect, expected error, builder) with one defect in the successor map."""
+    emb = gen_random_kouter(2, 5, 3)
+    x = max(emb.vertices, key=emb.degree)
+    for defect, error in [
+        ("foreign origin", InvariantViolation),
+        ("split rotation", InvariantViolation),
+        ("missing dart", InvariantViolation),
+        ("missing reverse dart", AsymmetricAdjacency),
+        ("shared successor", InvariantViolation),
+    ]:
+        b = _FaceBuilder(emb)
+        a = b.nbr[x]
+        ns = b.rotations()[x]  # from a, so ns[0] == a
+        nxt = b.nxt
+        if defect == "foreign origin":
+            nxt[(a, x)] = (a, ns[1])
+        elif defect == "split rotation":  # a -> ns[1] -> a, and the rest
+            nxt[(ns[1], x)], nxt[(ns[-1], x)] = (x, a), (x, ns[2])
+        elif defect == "missing dart":
+            del nxt[(ns[1], x)]
+        elif defect == "missing reverse dart":  # x skips ns[1], which lists x
+            nxt[(a, x)] = nxt.pop((ns[1], x))
+        else:  # the dart before a takes a's successor: no cycle closes at a
+            nxt[(ns[-1], x)] = nxt[(a, x)]
+        yield defect, error, b
+
+
+def test_corrupted_successor_maps_raise_named_errors():
+    seen = set()
+    for defect, error, b in corrupted_builders():
+        with pytest.raises(error):
+            b.embedding()
+        seen.add(defect)
+    assert len(seen) == 5
+
+
+def test_builder_builds_derive_no_successor_map_and_no_canonical_rotations(corpus, monkeypatch):
+    calls = []
+    for name in ("_successors", "_coerce"):
+        real = getattr(embedding, name)
+        monkeypatch.setattr(embedding, name, lambda *a, real=real, name=name: (
+            calls.append(name), real(*a))[1])
+    texts = [format_epg(emb) for _, emb in corpus[::5]]
+    for text in texts:
+        emb = parse_epg(text)  # int tuples: no type pass
+        onion_peels(emb)
+        assert "rot" not in emb._memo
+        disk, _ = to_triangulated_disk(emb)
+        decompose_pipeline(emb)
+        assert "rot" not in emb._memo and "rot" not in disk._memo
+        to_full_triangulation(emb)
+    assert calls.count("_coerce") == 0
+    # the first builds of each input, by parse_epg, derive their own map
+    assert calls.count("_successors") == len(texts)
+
+
+def test_has_edge_agrees_with_a_rotation_scan(corpus):
+    pairs = 0
+    for label, emb in corpus:
+        rot = emb.rotations_dict()
+        ids = [*rot, min(rot) - 1, max(rot) + 1]
+        for u in ids:
+            for v in ids:
+                assert emb.has_edge(u, v) == (u in rot and v in rot[u]), (label, u, v)
+                pairs += 1
+    assert pairs > 40000

@@ -530,6 +530,12 @@ def test_conversion_matches_per_edge_rebuild(corpus):
 # -- the face builder's pointer structure, checked after every link -----------
 
 
+def assert_same_embedding(got, ref, label=None):
+    """Equal values, with the same walks, successors, components and outer ids."""
+    assert got == ref and got.faces == ref.faces and got._succ == ref._succ, label
+    assert (got._comp_of, got._outer_ids) == (ref._comp_of, ref._outer_ids), label
+
+
 def check_builder(b):
     """Each walk id traces exactly one face of the rebuilt embedding.
 
@@ -540,7 +546,11 @@ def check_builder(b):
         darts_of.setdefault(i, []).append(d)
     assert set(darts_of) == set(b.size)
     rot = b.rotations()
-    emb = Embedding(rot, [darts_of[i][0] for i in b.outer])
+    outer = [darts_of[i][0] for i in b.outer]
+    emb = Embedding(dict(rot), outer)  # plain rotations: _coerce and _successors
+    # the read-off carries b.nxt, which the constructor traces in place of
+    # its own map; the value is the same (and is dropped before the next link)
+    assert_same_embedding(Embedding(rot, outer), emb)
     assert len(emb.faces) == len(b.size)
     # the rotations read off the successors give back exactly those successors
     assert _successors(rot) == b.nxt
@@ -725,13 +735,22 @@ def test_cut_corners_reads_each_successor_a_bounded_number_of_times(label, monke
         "sparse-3-ring": lambda: sparse_kring(3, 667, 7),
         "hub": lambda: many_components("isolated", 4000),
     }[label]()
-    init = _FaceBuilder.__init__
+    init, embedding = _FaceBuilder.__init__, _FaceBuilder.embedding
 
     def counting(b, source):
         init(b, source)
         b.nxt = CountingDict(b.nxt)
 
+    def uncounted(b, *args):
+        # the validated build reads b.nxt too, but that is the embedding's work
+        reads = CountingDict.reads
+        try:
+            return embedding(b, *args)
+        finally:
+            CountingDict.reads = reads
+
     monkeypatch.setattr(_FaceBuilder, "__init__", counting)
+    monkeypatch.setattr(_FaceBuilder, "embedding", uncounted)
     monkeypatch.setattr(CountingDict, "reads", 0)
     tri, _ = to_full_triangulation(emb)
     darts = 2 * tri.edge_count
