@@ -9,10 +9,11 @@ leaf assignment is a branch decomposition; a forest of height h-1 bounds
 its width by 2h because every cut is covered by at most two root paths
 plus one edge.  :func:`build_branch_tree` is the one builder.  Its edge
 loop leaves the tree in a compact form, face nodes joined through arc
-nodes, and :func:`_cut_pass`, the one cut routine, computes and
-certifies every cut in one bottom-up pass over the face nodes; it runs
-once more, uncertified, when ``bd.cuts`` is first read.  The tree's node
-and cut records are built only when first read.
+nodes, and the tree stores that form as it is.  :func:`_cut_pass`, the
+one cut routine, computes and certifies every cut in one bottom-up pass
+over the face nodes; it runs once more on the stored form, uncertified,
+when ``bd.cuts`` is first read.  The sorted arcs, the leaf assignment
+and the node and cut records are built only when first read.
 :func:`verify_tree_cotree` reaches T* by the tree-co-tree route instead.
 """
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
-from typing import Collection, Mapping, NamedTuple
+from itertools import chain, count
+from typing import Collection, NamedTuple
 
 from .embedding import Edge, Embedding, _components, is_triangulated_disk
 from .errors import (
@@ -54,36 +54,51 @@ class BranchDecomposition:
     """Degree-<=3 tree with one leaf per graph edge, and every arc's cut.
 
     Node ids are positions: the face nodes, then the arc nodes, then the
-    edge-node leaves.  The tree is stored flat, as each face node's
-    inner-face index and each arc node's subdivided edge; ``nodes`` and
-    ``cuts`` are built from the stored fields when first read, and
-    equality compares the stored fields, which determine both.
+    edge-node leaves.  The tree is stored in the compact form that the
+    builder's edge loop makes and :func:`_cut_pass` reads: each face
+    node's inner-face index, each arc node's edge and two face nodes, and
+    each leaf's node and edge.  ``arcs``, ``assignment``, ``nodes`` and
+    ``cuts`` are built from the stored fields when first read; equality
+    and hashing use the stored fields, which determine all four.
     """
 
-    arcs: tuple[tuple[int, int], ...]  # sorted, each (min, max)
-    assignment: Mapping[Edge, int]  # in leaf order
     width: int
     faces: tuple[int, ...]  # per face node, its inner face's index
     arc_edges: tuple[Edge, ...]  # per arc node, the edge it subdivides
+    ends: tuple[int, ...]  # per arc node, its two face nodes
+    hangs: tuple[int, ...]  # per leaf, the node it hangs from
+    edges: tuple[Edge, ...]  # per leaf, its edge, in edge order
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every arc, sorted; face ids < arc ids < leaf ids, so each is (min, max)."""
+        first_arc = len(self.faces)
+        arcs = [(f, first_arc + j // 2) for j, f in enumerate(self.ends)]
+        arcs += zip(self.hangs, count(first_arc + len(self.arc_edges)))
+        arcs.sort()
+        return tuple(arcs)
+
+    @cached_property
+    def assignment(self) -> dict[Edge, int]:
+        """Each edge's leaf, in leaf order."""
+        return dict(zip(self.edges, count(len(self.faces) + len(self.arc_edges))))
 
     @cached_property
     def nodes(self) -> tuple[BDNode, ...]:
         first_arc = len(self.faces)
+        first_leaf = first_arc + len(self.arc_edges)
         return (
             *(BDNode(i, "face", f) for i, f in enumerate(self.faces)),
             *(BDNode(a, "arc", None, e) for a, e in enumerate(self.arc_edges, first_arc)),
-            *(BDNode(leaf, "edge", None, e) for e, leaf in self.assignment.items()),
+            *(BDNode(leaf, "edge", None, e) for leaf, e in enumerate(self.edges, first_leaf)),
         )
 
     @cached_property
     def cuts(self) -> tuple[ArcCut, ...]:
         """Every arc's crossing set, in arc order, from one more cut pass."""
-        # by higher end: each arc node's two faces, then each leaf's node
-        lower = [a for a, _ in sorted(self.arcs, key=itemgetter(1))]
-        k = 2 * len(self.arc_edges)
         crossing: dict[tuple[int, int], frozenset[int]] = {}
-        _cut_pass(len(self.faces), lower[:k], lower[k:], [*self.assignment], cuts=crossing)
-        return tuple(ArcCut(arc, crossing[arc]) for arc in self.arcs)
+        _cut_pass(len(self.faces), self.ends, self.hangs, self.edges, cuts=crossing)
+        return tuple(ArcCut(arc, c) for arc, c in sorted(crossing.items()))
 
 
 @dataclass(frozen=True)
@@ -116,11 +131,12 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     leaf arc's crossing must lie within its edge and a face arc's on the
     forest separator of its arc node's edge (:func:`_on_separator`, O(1)
     per vertex after one O(V) preorder of the forest); then the width
-    must be at most 2(h+1).  All are bug certificates.  The sorted
-    ``arcs`` and the ``assignment`` are built after the pass.  On an 8x14
-    k-ring disk and on nested triangles 36 deep this takes 1.30 and 1.69
-    ms, where sorting every arc first and rebuilding the tree from that
-    list took 2.0 and 2.6 ms (fastest of 900 calls, shared 2-core VM).
+    must be at most 2(h+1).  All are bug certificates.  The tree keeps
+    the compact form; its sorted ``arcs`` and its ``assignment`` are
+    built only when read.  On an 8x14 k-ring disk and on relabelled
+    nested triangles 36 deep this takes 0.98-1.03 ms, where also sorting
+    every arc and mapping every leaf took 1.17-1.25 ms (fastest of 400
+    calls, shared 2-core VM).
     """
     if not is_triangulated_disk(disk):
         raise NotADisk("branch tree requires a triangulated disk")
@@ -157,19 +173,7 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     bound = 2 * (forest.height + 1)
     if width > bound:
         raise BoundViolated(f"width {width} exceeds 2(h+1) = {bound}")
-    # face ids < arc ids < leaf ids, so every arc is (min, max)
-    first_leaf = first_arc + len(arc_edges)
-    leaves = range(first_leaf, first_leaf + len(edges))
-    arcs = [(f, first_arc + j // 2) for j, f in enumerate(ends)]
-    arcs += zip(hangs, leaves)
-    arcs.sort()
-    return BranchDecomposition(
-        arcs=tuple(arcs),
-        assignment=dict(zip(edges, leaves)),
-        width=width,
-        faces=faces,
-        arc_edges=tuple(arc_edges),
-    )
+    return BranchDecomposition(width, faces, tuple(arc_edges), tuple(ends), tuple(hangs), edges)
 
 
 def _check_tree(nodes, arcs) -> None:
@@ -213,15 +217,11 @@ def verify_tree_cotree(disk: Embedding, forest: RootedForest) -> None:
             f"outer face has co-tree degree {outer_degree}, expected a leaf"
         )
     bd = build_branch_tree(disk, forest)
-    faces_of: dict[int, list[int]] = {}  # arc node -> the faces it joins
-    for pair in bd.arcs:
-        x, y = (bd.nodes[i] for i in pair)
-        if x.kind == "face" and y.kind == "arc":
-            faces_of.setdefault(y.id, []).append(x.face)
+    joined = [bd.faces[x] for x in bd.ends]  # per arc node, the two faces it joins
     pruned = {
         (min(a, b), max(a, b)) for a, b in co_arcs if outer_idx not in (a, b)
     }
-    built = {(min(fs), max(fs)) for fs in faces_of.values()}
+    built = {(min(fs), max(fs)) for fs in zip(joined[::2], joined[1::2])}
     if pruned != built:
         raise InvariantViolation("co-tree arcs differ from the branch tree's arc nodes")
 

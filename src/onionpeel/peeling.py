@@ -23,7 +23,7 @@ value, which is immutable, so caches never go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .embedding import Edge, Embedding, _FaceBuilder, _origin
 from .errors import InvariantViolation, UnreachableVertex
@@ -70,64 +70,38 @@ class RootedForest:
         )
 
 
-def _radial_layers(
-    face_sets: Sequence[Collection[int]],
-    start: Iterable[int],
-    vertices: Collection[int],
-) -> tuple[frozenset[int], ...]:
-    """Peel layers by one BFS over the vertex-face incidence graph.
+def onion_peels(emb: Embedding) -> PeelDecomposition:
+    """Peel layers of a fixed embedding, by one radial BFS.
 
-    ``face_sets[i]`` holds the vertices of face walk i (repeats allowed)
-    and ``start`` holds the indices of the walks forming the outer region.
-    Vertices on no walk are isolated and count as outer.  Layer i holds
-    the vertices at radial distance 2i-1 from the start walks.  Runs in
-    O(V + total face length); a vertex left unreached raises a bug
+    The search runs over the embedding's own walk map: the faces of a
+    vertex v are the walks of its darts (v, w), and a face's vertices are
+    its darts' origins.  It starts from every outer walk at once, so each
+    component of a disconnected embedding peels from its own outer walk,
+    exactly as iterated removal of the outer-region vertices would;
+    isolated vertices count as outer.  Layer i holds the vertices at
+    radial distance 2i-1 from the outer walks.  Cost is O(V + E),
+    independent of the peel count; a vertex left unreached raises a bug
     certificate.
     """
-    incident: dict[int, list[int]] = {}
-    for fi, fs in enumerate(face_sets):
-        for v in fs:
-            incident.setdefault(v, []).append(fi)
-    reached = set(start)
-    layer = {v for v in vertices if v not in incident}
-    for fi in reached:
-        layer.update(face_sets[fi])
+    memo = emb._memo.get("peels")
+    if memo is not None:
+        return memo
+    rot, walk_of, walks = emb._rotations, emb._walk_of_dart, emb._walks
+    reached = set(emb._outer_ids)
+    layer = {v for v, ns in rot.items() if not ns}
+    layer.update(d[0] for i in reached for d in walks[i])
     placed: set[int] = set()
     layers = []
     while layer:
         layers.append(frozenset(layer))
         placed |= layer
-        nxt: set[int] = set()
-        for v in layer:
-            for fi in incident.get(v, ()):
-                if fi not in reached:
-                    reached.add(fi)
-                    nxt.update(face_sets[fi])
-        layer = nxt - placed
-    if len(placed) != len(vertices):
-        missing = sorted(set(vertices) - placed)
-        raise InvariantViolation(
-            f"radial search never reached vertices {missing[:5]}"
-        )
-    return tuple(layers)
-
-
-def onion_peels(emb: Embedding) -> PeelDecomposition:
-    """Peel layers of a fixed embedding, by one radial BFS.
-
-    The search starts from every outer walk at once, so each component of
-    a disconnected embedding peels from its own outer walk, exactly as
-    iterated removal of the outer-region vertices would.  Cost is
-    O(V + total face length), independent of the peel count.
-    """
-    memo = emb._memo.get("peels")
-    if memo is not None:
-        return memo
-    layers = _radial_layers(
-        [tuple(map(_origin, w)) for w in emb._walks], emb._outer_ids, emb.vertices
-    )
-    result = PeelDecomposition(layers=layers)
-    emb._memo["peels"] = result
+        new = {walk_of[v, w] for v in layer for w in rot[v]} - reached
+        reached |= new
+        layer = {d[0] for i in new for d in walks[i]} - placed
+    if len(placed) != len(rot):
+        missing = sorted(rot.keys() - placed)
+        raise InvariantViolation(f"radial search never reached vertices {missing[:5]}")
+    result = emb._memo["peels"] = PeelDecomposition(layers=tuple(layers))
     return result
 
 

@@ -27,9 +27,10 @@ def test_public_names_are_pinned():
 
 
 def test_branch_tree_attributes_are_pinned():
-    # the tree is stored flat; nodes and cuts are built on first read
+    # the tree is stored in compact form; arcs, assignment, nodes and cuts
+    # are built on first read
     fields = [f.name for f in dataclasses.fields(onionpeel.BranchDecomposition)]
-    assert fields == ["arcs", "assignment", "width", "faces", "arc_edges"]
+    assert fields == ["width", "faces", "arc_edges", "ends", "hangs", "edges"]
     assert [f.name for f in dataclasses.fields(onionpeel.WidthCertificate)][-1] == "tree"
     cert = onionpeel.decompose_pipeline(onionpeel.gen_wheel(3))
     bd = cert.tree

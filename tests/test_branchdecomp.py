@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -411,6 +412,71 @@ def test_records_are_built_on_demand(monkeypatch):
     assert bd.cuts is cuts and bd.nodes is nodes
     assert built == once and len(calls) == 2
     assert (bd.width, cuts) == unpruned_width_and_cuts(nodes, bd.arcs, bd.assignment)
+
+
+def eager_arcs_and_assignment(bd):
+    """The sorted arcs and the edge -> leaf map, built as the builder once
+    built them at the end of every call, from the edge loop's lists."""
+    first_arc = len(bd.faces)
+    first_leaf = first_arc + len(bd.arc_edges)
+    leaves = range(first_leaf, first_leaf + len(bd.edges))
+    arcs = [(f, first_arc + j // 2) for j, f in enumerate(bd.ends)]
+    arcs += zip(bd.hangs, leaves)
+    arcs.sort()
+    return tuple(arcs), dict(zip(bd.edges, leaves))
+
+
+def test_arcs_and_assignment_equal_the_eager_construction(corpus):
+    # deep_disks() holds two relabelled nested-36 disks
+    for label, emb in [*corpus, *deep_disks()]:
+        disk, forest = disk_and_forest(emb)
+        bd = build_branch_tree(disk, forest)
+        arcs, assignment = eager_arcs_and_assignment(bd)
+        assert bd.arcs == arcs and bd.assignment == assignment, label
+        assert list(bd.assignment.items()) == list(assignment.items()), label
+        # read back off the arcs, each arc node's faces come in id order
+        n_faces, ends, hangs, edges = compact(bd)
+        pairs = zip(bd.ends[::2], bd.ends[1::2])
+        assert ends == [f for pair in pairs for f in sorted(pair)], label
+        assert (n_faces, hangs, edges) == (len(bd.faces), [*bd.hangs], [*bd.edges]), label
+
+
+def test_arcs_and_assignment_are_built_on_first_read(monkeypatch):
+    # the pipeline reads only the width: it sorts no arc and maps no leaf
+    built = Counter()
+    for name in ("arcs", "assignment"):
+        real = getattr(branchdecomp.BranchDecomposition, name).func
+
+        def make(bd, name=name, real=real):
+            built[name] += 1
+            return real(bd)
+
+        prop = cached_property(make)
+        prop.__set_name__(branchdecomp.BranchDecomposition, name)
+        monkeypatch.setattr(branchdecomp.BranchDecomposition, name, prop)
+    disk, _ = to_triangulated_disk(gen_random_kouter(8, 14, 5))
+    cert = decompose_pipeline(parse_epg(format_epg(disk)))
+    assert built == {}
+    bd = cert.tree
+    arcs = bd.arcs
+    assert built == {"arcs": 1}
+    assignment = bd.assignment
+    assert built == {"arcs": 1, "assignment": 1}
+    assert bd.arcs is arcs and bd.assignment is assignment
+    bd.nodes, bd.cuts
+    assert built == {"arcs": 1, "assignment": 1}
+    assert (arcs, assignment) == eager_arcs_and_assignment(bd)
+
+
+def test_branch_trees_hash_and_compare_by_value():
+    disk, forest = disk_and_forest(gen_random_kouter(4, 7, 3))
+    a = build_branch_tree(disk, forest)
+    b = decompose_pipeline(parse_epg(format_epg(disk))).tree
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(decompose_pipeline(gen_random_kouter(4, 7, 3)).tree)
+    other = build_branch_tree(*disk_and_forest(gen_random_kouter(4, 7, 4)))
+    assert other != a
+    assert len({a, b, other}) == 2
 
 
 def test_certify_rejects_a_crossing_vertex_off_its_separator(monkeypatch):

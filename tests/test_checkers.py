@@ -15,12 +15,15 @@ import sys
 import types
 
 from onionpeel import (
+    Embedding,
     format_epg,
     gen_counterexample,
     gen_cycle,
     gen_nested_triangles,
+    gen_path,
     gen_random_kouter,
     gen_wheel,
+    to_triangulated_disk,
 )
 from onionpeel import checkers
 from test_branchdecomp import deep_disks
@@ -100,6 +103,48 @@ def test_arc_cuts_take_near_linear_steps():
     assert steps <= 20 * size
     ref, ref_steps = line_events(bisect_arc_cuts, *tree)
     assert ref == cuts and ref_steps > 20 * size
+
+
+class CountingSuccessors(dict):
+    """A successor map that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, dart):
+        CountingSuccessors.tests += 1
+        return super().__contains__(dart)
+
+
+def test_verify_bd_tests_each_arc_edge_once_against_the_successor_map(monkeypatch):
+    # the triangulated path joins every vertex to one hub; a scan of the
+    # hub's rotation per arc node made verify quadratic
+    emb = gen_path(2000)
+    artifact = bd_artifact(emb)
+    assignment = checkers.check_shape("bd", artifact)
+    disks = []
+
+    def counted_disk(e):
+        disk, trace = to_triangulated_disk(e)
+        disk._succ = CountingSuccessors(disk._succ)
+        disks.append(disk)
+        return disk, trace
+
+    calls = []
+    has_edge = Embedding.has_edge
+
+    def counted_has_edge(self, u, v):
+        calls.append((u, v))
+        return has_edge(self, u, v)
+
+    monkeypatch.setattr(checkers, "to_triangulated_disk", counted_disk)
+    monkeypatch.setattr(Embedding, "has_edge", counted_has_edge)
+    monkeypatch.setattr(CountingSuccessors, "tests", 0)
+    checkers.verify_bd(emb, artifact, assignment)
+    [disk] = disks
+    assert max(map(disk.degree, disk.vertices)) == 1999
+    arc_nodes = sum(n["kind"] == "arc" for n in artifact["nodes"])
+    assert arc_nodes > 1000
+    assert len(calls) == arc_nodes == CountingSuccessors.tests
 
 
 _REF_EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")

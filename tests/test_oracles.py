@@ -33,7 +33,41 @@ from onionpeel.oracles import (
     _min_peels,
     _triangulation_masks,
 )
-from onionpeel.peeling import _radial_layers
+
+
+def radial_layers(face_sets, start, vertices):
+    """Reference peel layers by one BFS over the vertex-face incidence graph.
+
+    ``face_sets[i]`` holds the vertices of face walk i (repeats allowed)
+    and ``start`` holds the indices of the walks forming the outer region.
+    Vertices on no walk are isolated and count as outer.  Layer i holds
+    the vertices at radial distance 2i-1 from the start walks; a vertex
+    left unreached raises ``InvariantViolation``.
+    """
+    incident = {}
+    for fi, fs in enumerate(face_sets):
+        for v in fs:
+            incident.setdefault(v, []).append(fi)
+    reached = set(start)
+    layer = {v for v in vertices if v not in incident}
+    for fi in reached:
+        layer.update(face_sets[fi])
+    placed = set()
+    layers = []
+    while layer:
+        layers.append(frozenset(layer))
+        placed |= layer
+        nxt = set()
+        for v in layer:
+            for fi in incident.get(v, ()):
+                if fi not in reached:
+                    reached.add(fi)
+                    nxt.update(face_sets[fi])
+        layer = nxt - placed
+    if len(placed) != len(vertices):
+        missing = sorted(set(vertices) - placed)
+        raise errors.InvariantViolation(f"radial search never reached vertices {missing[:5]}")
+    return tuple(layers)
 
 
 def enumerate_face_triangulations(disk, face):
@@ -374,7 +408,7 @@ def traced_component_outerplanarity(comp, adj):
     for walks in traced_planar_systems(comp, adj):
         face_sets = [{d[0] for d in walk} for walk in walks]
         for i in range(len(walks)):
-            k = len(_radial_layers(face_sets, [i], comp))
+            k = len(radial_layers(face_sets, [i], comp))
             if best is None or k < best:
                 best = k
     if best is None:
@@ -487,7 +521,7 @@ def test_min_peels_over_faces_matches_radial_layers(k):
         )
         face_sets = [f.vertex_set for f in tri.faces]
         expected = min(
-            len(_radial_layers(face_sets, [i], tri.vertices))
+            len(radial_layers(face_sets, [i], tri.vertices))
             for i in range(len(face_sets))
         )
         assert _min_peels(tri_masks, len(bit)) == expected

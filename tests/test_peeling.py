@@ -19,7 +19,8 @@ from onionpeel import (
 )
 from onionpeel.embedding import _components, _trace
 from onionpeel.oracles import _min_peels, _triangulation_masks
-from test_oracles import enumerate_face_triangulations
+from test_branchdecomp import deep_disks
+from test_oracles import enumerate_face_triangulations, radial_layers
 
 
 def remove_vertices(emb, remove):
@@ -199,11 +200,34 @@ def test_min_peels_over_faces_matches_rebuilt_embeddings():
         assert _min_peels(tri_masks, gadget.vertex_count) == by_removal
 
 
-def test_radial_peel_reports_unreachable_vertices():
-    from onionpeel.peeling import _radial_layers
+def reference_radial_peels(emb):
+    """The face-set route: each walk's vertex set, searched from the outer walks."""
+    return radial_layers([f.vertex_set for f in emb.faces], emb._outer_ids, emb.vertices)
 
+
+def test_walk_map_peels_match_the_face_set_route_and_removal(corpus):
+    parts = [gen_nested_triangles(3), gen_wheel(5), gen_path(4), gen_cycle(3)]
+    disconnected = [
+        ("side-by-side", side_by_side(*parts)),
+        ("isolated", Embedding({4: [], 9: []}, [])),
+        ("k4+isolated", Embedding({**gen_wheel(3).rotations_dict(), 10: [], 11: []},
+                                  gen_wheel(3).outer_darts)),
+    ]
+    for label, emb in [*corpus, *deep_disks(), *disconnected]:
+        layers = onion_peels(emb).layers
+        assert layers == reference_radial_peels(emb) == removal_peels(emb), label
+
+
+def test_radial_peel_reports_unreachable_vertices():
+    # a walk map that sends every dart to the outer walk strands the inner peels
+    emb = gen_nested_triangles(3)
+    inner = sorted(set(emb.vertices) - emb.outer_vertices)
+    emb._walk_of_dart = dict.fromkeys(emb._walk_of_dart, emb._outer_ids[0])
+    with pytest.raises(errors.InvariantViolation) as exc:
+        onion_peels(emb)
+    assert str(exc.value) == f"radial search never reached vertices {inner[:5]}"
     with pytest.raises(errors.InvariantViolation):
-        _radial_layers([{0, 1, 2}, {3, 4, 5}], [0], [0, 1, 2, 3, 4, 5])
+        radial_layers([{0, 1, 2}, {3, 4, 5}], [0], [0, 1, 2, 3, 4, 5])
 
 
 def test_peels_partition_vertices(corpus):
