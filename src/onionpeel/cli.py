@@ -156,20 +156,18 @@ def _forest_report(emb: Embedding, args) -> dict:
 
 
 def _bd_report(emb: Embedding, args) -> dict:
+    """The stored tree by node position; its tuples serialise as JSON arrays."""
     cert = decompose_pipeline(emb)
     bd = cert.tree
-    nodes = []
-    for n in bd.nodes:
-        rec: dict = {"id": n.id, "kind": n.kind}
-        if n.face is not None:
-            rec["face"] = n.face
-        if n.edge is not None:
-            rec["edge"] = list(n.edge)
-        nodes.append(rec)
+    first_arc = len(bd.faces)
+    first_leaf = first_arc + len(bd.arc_edges)
+    nodes = [{"id": i, "kind": "face", "face": f} for i, f in enumerate(bd.faces)]
+    nodes += ({"id": a, "kind": "arc", "edge": e} for a, e in enumerate(bd.arc_edges, first_arc))
+    nodes += ({"id": leaf, "kind": "edge", "edge": e} for leaf, e in enumerate(bd.edges, first_leaf))
     return {
         "nodes": nodes,
-        "arcs": [list(a) for a in bd.arcs],
-        "assignment": {f"{u}-{v}": leaf for (u, v), leaf in sorted(bd.assignment.items())},
+        "arcs": bd.arcs,
+        "assignment": {f"{u}-{v}": leaf for leaf, (u, v) in enumerate(bd.edges, first_leaf)},
         "width": bd.width,
         "bounds": {"2h": cert.width_bound, "tw": cert.tw_bound},
     }

@@ -23,6 +23,7 @@ from onionpeel import (
 from onionpeel import checkers
 from onionpeel.checkers import preorder
 from onionpeel.cli import cli_main
+from onionpeel.oracles import MAX_BW_EDGES
 
 
 def run_cli(argv, stdin_text=""):
@@ -147,6 +148,12 @@ def test_oracle_budget_flags():
         ["oracle", "bw", "--budget-edges", "10"], stdin_text=format_epg(gen_cycle(10))
     )
     assert code == 0 and json.loads(out)["branchwidth"] == 2
+    # a raised budget still stops at the table ceiling, with a named error
+    code, out, err = run_cli(
+        ["oracle", "bw", "--budget-edges", "1000"], stdin_text=format_epg(gen_path(60))
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: BudgetExceeded: 59 edges exceeds the table ceiling {MAX_BW_EDGES}\n"
 
 
 def test_theorem1_k3_needs_slow_flag():

@@ -147,6 +147,107 @@ def test_branchwidth_budget():
     assert brute_branchwidth(gen_cycle(10), OracleBudget(max_edges=10)) == 2
 
 
+def ref_branchwidth(edges):
+    """Reference: every unrooted binary tree with one leaf per edge.
+
+    Leaves are inserted one at a time on every arc of the tree so far,
+    abandoning a partial tree once its width reaches the best complete one.
+    """
+    edges = oracles._edge_list(edges)
+    n = len(edges)
+    if n <= 1:
+        return 0
+    inc = {}
+    for i, (u, v) in enumerate(edges):
+        inc[u] = inc.get(u, 0) | 1 << i
+        inc[v] = inc.get(v, 0) | 1 << i
+    incs = list(inc.values())
+    if n == 2:
+        return sum(1 for m in incs if m == 3)
+
+    # nodes: leaves 0..n-1 (leaf i holds edge i), internal nodes n..2n-3
+    adj = {0: {n}, 1: {n}, 2: {n}, n: {0, 1, 2}}
+    best = n + 1
+
+    def width(placed):
+        parent = {n: n}
+        order = [n]
+        for x in order:
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    order.append(y)
+        mask = {x: (1 << x if x < n else 0) for x in order}
+        for x in reversed(order[1:]):
+            mask[parent[x]] |= mask[x]
+        return max(
+            sum(1 for m in incs if m & placed & mask[x] and m & placed & ~mask[x])
+            for x in order[1:]
+        )
+
+    def insert(leaf, placed, fresh):
+        nonlocal best
+        if leaf == n:
+            best = min(best, width(placed))
+            return
+        for a, b in [(a, b) for a in adj for b in adj[a] if a < b]:
+            adj[a].remove(b)
+            adj[b].remove(a)
+            adj[fresh] = {a, b, leaf}
+            adj[a].add(fresh)
+            adj[b].add(fresh)
+            adj[leaf] = {fresh}
+            if width(placed | 1 << leaf) < best:
+                insert(leaf + 1, placed | 1 << leaf, fresh + 1)
+            del adj[fresh], adj[leaf]
+            adj[a].remove(fresh)
+            adj[b].remove(fresh)
+            adj[a].add(b)
+            adj[b].add(a)
+
+    insert(3, 0b111, n + 1)
+    return best
+
+
+def random_edge_lists(count, seed):
+    """Seeded edge lists of 0-9 edges on labels 0-7.
+
+    Labels are drawn from a range of 2-8, so some draws leave labels
+    unused, split into several components, or hold one or two edges.
+    """
+    rng = random.Random(seed)
+    lists = []
+    for _ in range(count):
+        pairs = list(itertools.combinations(range(rng.randint(2, 8)), 2))
+        lists.append(rng.sample(pairs, rng.randint(0, min(len(pairs), 9))))
+    return lists
+
+
+def test_branchwidth_matches_tree_enumeration_on_random_edge_lists():
+    kinds = {"<=1 edge": 0, "2 edges": 0, "disconnected": 0, "unused label": 0}
+    for i, edges in enumerate(random_edge_lists(600, seed=5)):
+        assert brute_branchwidth(edges) == ref_branchwidth(edges), (i, edges)
+        used = {v for e in edges for v in e}
+        kinds["<=1 edge"] += len(edges) <= 1
+        kinds["2 edges"] += len(edges) == 2
+        kinds["disconnected"] += len(set(_components(_adjacency(edges)).values())) > 1
+        kinds["unused label"] += bool(used) and len(used) <= max(used)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_branchwidth_matches_tree_enumeration_on_corpus(corpus):
+    small = [(label, emb) for label, emb in corpus if emb.edge_count <= 9]
+    assert len(small) >= 15
+    for label, emb in small:
+        assert brute_branchwidth(emb) == ref_branchwidth(emb), label
+
+
+def test_branchwidth_table_ceiling():
+    ceiling = oracles.MAX_BW_EDGES
+    with pytest.raises(errors.BudgetExceeded, match=f"ceiling {ceiling}"):
+        brute_branchwidth(gen_path(ceiling + 2), OracleBudget(max_edges=10**6))
+
+
 def test_outerplanarity_examples():
     assert brute_outerplanarity(gen_cycle(4)) == 1
     assert brute_outerplanarity(gen_wheel(3)) == 2
