@@ -134,8 +134,7 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     must be at most 2(h+1).  All are bug certificates.  The tree keeps
     the compact form; its sorted ``arcs`` and its ``assignment`` are
     built only when read.  On an 8x14 k-ring disk and on relabelled
-    nested triangles 36 deep this takes 0.98-1.03 ms, where also sorting
-    every arc and mapping every leaf took 1.17-1.25 ms (fastest of 400
+    nested triangles 36 deep this takes 0.98-1.03 ms (fastest of 400
     calls, shared 2-core VM).
     """
     if not is_triangulated_disk(disk):

@@ -104,6 +104,8 @@ def _cmd_gen(args) -> int:
         raise BadParameter(f"family {args.family!r} requires a parameter")
     if args.parameter is not None and args.parameter < 1:
         raise BadParameter(f"parameter must be >= 1, got {args.parameter}")
+    if args.family == "k4_minus_edge" and args.parameter is not None:
+        raise BadParameter("family 'k4_minus_edge' takes no parameter")
     emb = _FAMILIES[args.family](args)
     _emit_text(format_epg(emb), args.out)
     if args.dot:

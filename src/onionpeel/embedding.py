@@ -610,8 +610,6 @@ class _FaceBuilder:
                     del c[x]
                 else:
                     c[x] -= k
-            if len(darts) > 3:
-                self._counts[f] = part
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
 

@@ -4,13 +4,15 @@ The disk pipeline only ever adds edges, in five stages: saturate inner
 faces (so the spanning forest exists before any outer-face edits), bridge
 components across the outer region, split repeated outer-walk vertices,
 split repeated inner-walk vertices, then ear-cut inner faces down to
-triangles.  Every stage links corners of one mutable face builder, and
-the three corner-cutting stages share one loop; the result is validated
-once.  No stage removes a vertex from the outer face, so the outer
-vertex set is preserved and the peel count cannot grow.  The apex step
-then fans one outer vertex with exactly two outer neighbors across the
-outer region, closing the disk into a triangulation at the cost of at most
-one extra peel.
+triangles.  The bridges join each component at its smallest outer vertex,
+in that vertex's order, to the component holding the smallest one.
+Every stage links corners of one mutable face builder, and the three
+corner-cutting stages share one loop; the result is validated once.  No
+stage removes a vertex from the outer face, so the outer vertex set is
+preserved and the peel count cannot grow.  The apex step then fans one
+outer vertex with exactly two outer neighbors across the outer region,
+closing the disk into a triangulation at the cost of at most one extra
+peel.
 """
 
 from __future__ import annotations
@@ -37,35 +39,35 @@ class DiskConversionTrace:
     added_edges: tuple[tuple[int, int, str], ...]
 
 
-def _connect(b: _FaceBuilder, emb: Embedding) -> list[Edge]:
-    """Bridge emb's components across the outer region, smallest outer ids first.
+def _connect(b: _FaceBuilder) -> list[Edge]:
+    """Bridge b's components across the outer region, smallest starts first.
 
-    The component holding the smallest outer vertex absorbs the others in
-    the order of their smallest outer vertices; each edge joins those two
-    vertices at their first corners on their outer walks.  The components
-    and their outer walk ids are emb's own: b may hold edges added inside
-    faces since it was copied from emb, which join no two components and
-    touch no outer walk.  The hub's walk id follows each join.
+    A component starts at the origin of its outer walk's minimal dart, or
+    at itself if isolated.  The smallest start is the hub, which absorbs
+    the others in start order; each edge links the corners before the two
+    walks' minimal darts.  So each component is joined at its smallest
+    outer vertex:
+
+    - ``_trace`` visits darts in sorted order, so a walk starts at its
+      minimal dart, whose origin is the smallest vertex on the walk;
+    - an embedding has one outer walk per edged component, none nested,
+      and saturation adds edges only inside inner faces, so each outer
+      walk here is still the input's;
+    - after each join the hub is still the smallest origin on the merged
+      walk, whose id the join returns.
     """
-    first: dict[int, int] = {}
-    for v in sorted(emb.outer_vertices):
-        first.setdefault(emb._comp_of[v], v)
-    walk_of = {emb._comp_of[emb._walks[i][0][0]]: i for i in emb._outer_ids}
-    (hub, i), *rest = ((v, walk_of.get(c)) for c, v in first.items())
+    (hub, i), *rest = sorted(
+        [(b.first(i)[0], i) for i in b.outer]
+        + [(v, None) for v, n in b.nbr.items() if n is None]
+    )
     for v, j in rest:
         (i,) = b.link(_outer_corner(b, hub, i), _outer_corner(b, v, j))
     return [(hub, v) for v, _ in rest]
 
 
 def _outer_corner(b: _FaceBuilder, x: int, i: int | None) -> Dart:
-    """The corner of x's first occurrence on its outer walk i (None: isolated)."""
-    if i is None:
-        return (None, x)
-    d = b.first(i)
-    corner = b.pred(d)
-    while d[0] != x:
-        corner, d = d, b.nxt[d]
-    return corner
+    """The corner before walk i's minimal dart, whose origin is x (None: x isolated)."""
+    return (None, x) if i is None else b.pred(b.first(i))
 
 
 def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Edge]:
@@ -145,10 +147,9 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
     """Add edges until the embedding is a triangulated disk.
 
     All stages link corners of one builder, and the result is validated
-    once; an input that needs no edge is returned as it is, and a
-    triangulated disk skips the builder.  The outer vertex set of the
-    output equals the input's and the peel count never increases; both
-    are enforced here as bug certificates.
+    once; a triangulated disk is returned as it is, unbuilt.  The outer
+    vertex set of the output equals the input's and the peel count never
+    increases; both are enforced here as bug certificates.
     A planar embedding cannot carry two crossing exterior chords, so an
     ear always exists while an inner face is long.
     """
@@ -161,11 +162,10 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
         b = _FaceBuilder(emb)
         sat = _saturate(b, emb)
         added += [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
-        added += [(u, v, "connect") for u, v in _connect(b, emb)]
+        added += [(u, v, "connect") for u, v in _connect(b)]
         for stage, *cut in _CUTS:
             added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
-        if added:
-            current = b.embedding()
+        current = b.embedding()
 
     if not is_triangulated_disk(current):
         raise InvariantViolation("disk pipeline did not produce a disk")

@@ -65,6 +65,40 @@ def test_gen_requires_parameter():
     assert code == 1 and "BadParameter" in err
     code, out, _ = run_cli(["gen", "k4_minus_edge"])
     assert code == 0 and out.startswith("epg 1")
+    code, out, err = run_cli(["gen", "k4_minus_edge", "5"])
+    assert code == 1 and out == ""
+    assert err == "error: BadParameter: family 'k4_minus_edge' takes no parameter\n"
+
+
+def test_named_errors_on_rare_paths(tmp_path):
+    epg_path, artifact = tmp_path / "g.epg", tmp_path / "a.json"
+    epg_path.write_text(format_epg(gen_cycle(4)))
+    bd = json.loads(run_cli(["bd", "--in", str(epg_path)])[1])
+    node = bd["nodes"][0]
+    missing = tmp_path / "missing.epg"
+    verify = ["verify", "--in", str(epg_path), "--json", str(artifact)]
+    for argv, stdin, data, line in [
+        (["verify", "--in", str(epg_path)], "", None,
+         "BadParameter: verify requires --json ARTIFACT"),
+        (["peel", "--in", str(missing)], "", None,
+         f"[Errno 2] No such file or directory: '{missing}'"),
+        (["peel", "--in", str(tmp_path)], "", None,
+         f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (verify, "", {**bd, "nodes": []}, "FormatError: bd artifact: malformed 'nodes'"),
+        (verify, "", {**bd, "nodes": [*bd["nodes"], node]},
+         "FormatError: bd artifact: repeated node id"),
+        (verify, "", {**bd, "arcs": [*bd["arcs"], [node["id"], 10**6]]},
+         "FormatError: bd artifact: arc or leaf names an unknown node"),
+        (verify, "", {"k": 1}, "FormatError: unrecognized artifact type"),
+        (["peel"], "epg 1\nv 0:\nouter 0 1 2\n", None,
+         "FormatError: line 3: malformed outer line"),
+        (["gen", "wheel", "2"], "", None, "BadParameter: need n >= 3, got 2"),
+        (["oracle", "theorem1", "0"], "", None, "BadParameter: need k >= 1, got 0"),
+    ]:
+        if data is not None:
+            artifact.write_text(json.dumps(data))
+        code, out, err = run_cli(argv, stdin_text=stdin)
+        assert (code, out, err) == (1, "", f"error: {line}\n"), argv
 
 
 def test_peel_json():

@@ -371,7 +371,7 @@ def test_handed_successor_map_builds_the_reference_after_every_stage(corpus):
         if emb.vertex_count < 3:
             continue
         b = _FaceBuilder(emb)
-        stages = [lambda: _saturate(b, emb), lambda: _connect(b, emb)]
+        stages = [lambda: _saturate(b, emb), lambda: _connect(b)]
         stages += [lambda cut=cut: _cut_corners(b, *cut) for _, *cut in _CUTS]
         for i, stage in enumerate(stages):
             stage()

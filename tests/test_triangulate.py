@@ -27,6 +27,7 @@ from onionpeel import (
 from onionpeel import triangulate
 from onionpeel.embedding import _FaceBuilder, _successors
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from test_branchdecomp import relabel
 from test_oracles import successor_walk
 from test_peeling import delete_nonbridge_edges, side_by_side
 
@@ -48,7 +49,7 @@ def stage_alone(emb, stage):
     """Run one conversion stage by itself; return its result and edges."""
     b = _FaceBuilder(emb)
     if stage == "connect":
-        edges = _connect(b, emb)
+        edges = _connect(b)
     else:
         edges = _cut_corners(b, *next(cut for name, *cut in _CUTS if name == stage))
     return b.embedding(), edges
@@ -502,8 +503,7 @@ def differential_inputs(corpus):
         base = gen_random_kouter(k, w, rng.randint(1, 10**6))
         count = rng.randint(1, base.edge_count // 2)
         yield f"deleted{trial}", delete_nonbridge_edges(base, count, rng)
-    parts = [gen_nested_triangles(3), gen_wheel(5), gen_path(4),
-             gen_random_kouter(2, 4, 7), gen_cycle(3)]
+    parts = side_parts()
     for i, a in enumerate(parts):
         for j, b in enumerate(parts):
             yield f"side{i}_{j}", side_by_side(a, b)
@@ -513,6 +513,37 @@ def differential_inputs(corpus):
     yield "isolated_first", Embedding({
         0: [], **{v + 4: [w + 4 for w in ns] for v, ns in tri.items()}}, [(4, 5)])
     yield "three_isolated", Embedding({0: [], 1: [], 2: []}, [])
+    yield from interleaved_inputs()
+
+
+def side_parts():
+    return [gen_nested_triangles(3), gen_wheel(5), gen_path(4),
+            gen_random_kouter(2, 4, 7), gen_cycle(3)]
+
+
+def interleaved_inputs():
+    """Seeded relabellings of multi-component inputs.
+
+    ``side_by_side`` gives each component a contiguous id block, so the
+    components' order by smallest id is their block order; relabelled,
+    their ids interleave, and the smallest vertex is sometimes isolated.
+    """
+    dot = Embedding({0: []}, [])
+    mix = side_by_side(dot, gen_cycle(3), dot, gen_path(4), dot, gen_wheel(4),
+                       gen_cycle(3), dot)
+    rng = random.Random(24)
+    for name, emb in (("side_all", side_by_side(*side_parts())), ("mix", mix)):
+        for trial in range(8):
+            yield f"interleaved_{name}{trial}", relabel(emb, rng)
+
+
+def test_interleaved_inputs_reorder_components():
+    smallest_isolated = set()
+    for label, emb in interleaved_inputs():
+        spans = sorted((min(c), max(c)) for c in emb.components)
+        assert any(hi > lo for (_, hi), (lo, _) in zip(spans, spans[1:])), label
+        smallest_isolated.add(emb.degree(0) == 0)
+    assert smallest_isolated == {False, True}
 
 
 def test_conversion_matches_per_edge_rebuild(corpus):
@@ -606,7 +637,7 @@ def test_joins_keep_materialised_counts():
         b = _FaceBuilder(emb)
         for i in b.size:
             b.counts(i)
-        _connect(b, emb)
+        _connect(b)
         assert check_builder(b) == len(b.size)
 
 
