@@ -31,20 +31,21 @@ dictionary operations per dart.  Plain rotations are type-checked (an id
 must be an int, or have ``__index__`` and not be a bool) and give the map;
 ``parse_epg`` hands int tuples, which skip the type check, and the face
 builder hands over its map with the rotations read off it, which two
-C-level passes prove to be that map.  The trace makes one membership
-test, one append and one walk-id store per dart, and doubles as the
-structure check: a map with one entry per dart and none from a vertex to
-itself, and a trace that finds every dart's successor, prove the
-rotations simple and symmetric, so the per-vertex check runs only to
-name the first defect of an input that fails the proof.  The Euler check
+C-level passes prove to be that map.  The trace closes a triangle in
+three lookups and follows any other walk back to its start, one append
+and one walk-id store per dart, and doubles as the structure check: a
+map with one entry per dart and none from a vertex to itself, and a
+trace that finds every dart's successor, prove the rotations simple and
+symmetric, so the per-vertex check runs only to name the first defect
+of an input that fails the proof.  The Euler check
 compares totals, counting per component only to name a failure.  The
 embedding keeps the rotations as given, the walks as dart tuples with
 the outer walks' ids, and its successor and dart -> walk maps, which a
 ``_FaceBuilder`` copies rather than recomputes; the canonical rotations
 (``rotation``, ``rotations_dict``, ``==``, ``hash``) and the ``faces``
 records are built on first use.  On a triangulated 8x14 k-ring disk
-(112 vertices, 209 walks), construction takes about 0.40 ms and
-``parse_epg`` about 0.56 ms (fastest of 300 calls, shared 2-core Linux
+(112 vertices, 209 walks), construction takes about 0.35 ms and
+``parse_epg`` about 0.51 ms (fastest of 300 calls, shared 2-core Linux
 VM).
 """
 
@@ -335,7 +336,13 @@ def _trace(rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart] | None = 
 
     Walks follow one successor map, ``_successors(rot)`` unless given.
     Darts are visited in sorted order, so each walk starts at its minimal
-    dart and walks are numbered by it.
+    dart and walks are numbered by it.  A dart d whose successors s and t
+    close back to it is a triangle, stored from three lookups; any other
+    walk, a 2-dart one included (its t is d), is followed until it comes
+    back to d.  That stop is sound because the map is one-to-one: each
+    vertex's rotation names each neighbour once, so every walk returns to
+    its start or reaches a dart with no successor, which raises
+    ``KeyError``.  :func:`_checked_trace` tests the count of keys first.
     """
     if succ is None:
         succ = _successors(rot)
@@ -347,11 +354,18 @@ def _trace(rot: Mapping[int, Sequence[int]], succ: Mapping[Dart, Dart] | None = 
             if d in walk_of:
                 continue
             i = len(walks)
-            walk = []
-            while d not in walk_of:
-                walk.append(d)
-                walk_of[d] = i
-                d = succ[d]
+            s = succ[d]
+            t = succ[s]
+            if succ[t] == d:
+                walk_of[d] = walk_of[s] = walk_of[t] = i
+                walks.append((d, s, t))
+                continue
+            walk = [d, s]
+            walk_of[d] = walk_of[s] = i
+            while t != d:
+                walk.append(t)
+                walk_of[t] = i
+                t = succ[t]
             walks.append(tuple(walk))
     return walks, walk_of
 
@@ -567,33 +581,35 @@ class _FaceBuilder:
         O(shorter part) and a dart changes id O(log n) times.  Corners of
         two walks, or of an isolated vertex, join into one walk, outer if
         either was (an isolated vertex lies in the outer region); see
-        :meth:`_join`.
+        :meth:`_join`.  Each new dart is one tuple, shared by the maps,
+        lists and heaps that hold it, and the lockstep walk stops on it.
         """
-        (t_u, u), (t_v, v) = corner_u, corner_v
+        u, v = corner_u[1], corner_v[1]
+        uv, vu = (u, v), (v, u)
         nxt, prv, wid = self.nxt, self._prv, self.wid
         w, w_v = wid.get(corner_u), wid.get(corner_v)
-        for t, x, y in ((t_u, u, v), (t_v, v, u)):
-            if t is None:
-                self.nbr[x] = y
-                nxt[(y, x)] = (x, y)
+        for corner, out, back in ((corner_u, uv, vu), (corner_v, vu, uv)):
+            if corner[0] is None:
+                self.nbr[corner[1]] = out[1]
+                nxt[back] = out
                 if prv is not None:
-                    prv[(x, y)] = (y, x)
+                    prv[out] = back
             else:
-                s = nxt[(t, x)]
-                nxt[(y, x)], nxt[(t, x)] = s, (x, y)
+                s = nxt[corner]
+                nxt[back], nxt[corner] = s, out
                 if prv is not None:
-                    prv[s], prv[(x, y)] = (y, x), (t, x)
+                    prv[s], prv[out] = back, corner
         if w is None or w != w_v:
-            return (self._join(u, v, w, w_v),)
+            return (self._join(uv, vu, w, w_v),)
         f = next(self._fresh)
-        side_u, side_v = [(u, v)], [(v, u)]
-        p, q = nxt[(u, v)], nxt[(v, u)]
-        while p != (u, v) and q != (v, u):
+        side_u, side_v = [uv], [vu]
+        p, q = nxt[uv], nxt[vu]
+        while p is not uv and q is not vu:
             side_u.append(p)
             side_v.append(q)
             p, q = nxt[p], nxt[q]
-        first_short = p == (u, v)
-        darts, long = (side_u, (v, u)) if first_short else (side_v, (u, v))
+        first_short = p is uv
+        darts, long = (side_u, vu) if first_short else (side_v, uv)
         outer = first_short and w in self.outer
         if outer:
             self.outer.remove(w)
@@ -613,8 +629,9 @@ class _FaceBuilder:
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
 
-    def _join(self, u: int, v: int, w_u: int | None, w_v: int | None) -> int:
-        """Join the walks w_u and w_v (None: an isolated vertex) across (u, v).
+    def _join(self, uv: Dart, vu: Dart, w_u: int | None, w_v: int | None) -> int:
+        """Join the walks w_u and w_v (None: an isolated vertex) across the
+        new darts uv = (u, v) and vu = (v, u).
 
         The longer walk keeps its id.  The shorter side's darts and the
         two new ones take that id, join its heap and add to its counts, so
@@ -623,15 +640,15 @@ class _FaceBuilder:
         """
         if w_u is None and w_v is None:
             f = next(self._fresh)
-            self._relabel([(u, v), (v, u)], f, True)
+            self._relabel([uv, vu], f, True)
             return f
         if w_u is None or (w_v is not None and self.size[w_v] > self.size[w_u]):
-            keep, drop, start, stop = w_v, w_u, (v, u), (u, v)
+            keep, drop, start, stop = w_v, w_u, vu, uv
         else:
-            keep, drop, start, stop = w_u, w_v, (u, v), (v, u)
+            keep, drop, start, stop = w_u, w_v, uv, vu
         darts = [start]
         d = self.nxt[start]
-        while d != stop:
+        while d is not stop:
             darts.append(d)
             d = self.nxt[d]
         darts.append(stop)

@@ -107,7 +107,8 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
         for j in b.link(corner, d):
             if wanted(b, j):
                 heapq.heappush(heap, (b.first(j), j))
-        resume[(b.wid[(a, c)], start)] = (a, c)
+        ac = (a, c)
+        resume[(b.wid[ac], start)] = ac
         added.append((min(a, c), max(a, c)))
     return added
 

@@ -1,6 +1,7 @@
 import heapq
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -514,6 +515,9 @@ def differential_inputs(corpus):
         0: [], **{v + 4: [w + 4 for w in ns] for v, ns in tri.items()}}, [(4, 5)])
     yield "three_isolated", Embedding({0: [], 1: [], 2: []}, [])
     yield from interleaved_inputs()
+    # single edges: the only inputs here whose walks have two darts
+    yield "edge_isolated", Embedding({0: [1], 1: [0], 2: []}, [(0, 1)])
+    yield "two_edges", side_by_side(gen_path(2), gen_path(2))
 
 
 def side_parts():
@@ -600,6 +604,15 @@ def check_builder(b):
     return len(b._counts)
 
 
+def held_copies(b, dart):
+    """The distinct tuple objects equal to ``dart`` in the builder's successor
+    map (keys and values), its inverse, its walk ids and its heaps."""
+    held = [b.nxt, b.nxt.values(), b.wid, *b._heaps.values()]
+    if b._prv is not None:
+        held += [b._prv, b._prv.values()]
+    return {id(d) for d in chain.from_iterable(held) if d == dart}
+
+
 def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
     link = _FaceBuilder.link
     splits, counted = [], []
@@ -609,6 +622,8 @@ def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
         # an isolated vertex (no walk) lies in the outer region
         outer = [b.wid.get(c) in b.outer | {None} for c in (corner_u, corner_v)]
         ids = link(b, corner_u, corner_v)
+        u, v = corner_u[1], corner_v[1]
+        assert len(held_copies(b, (u, v))) == len(held_copies(b, (v, u))) == 1
         if len(ids) == 2:
             assert [i in b.outer for i in ids] == [outer[0], False]
             moved = sum(b.wid[d] != i for d, i in before.items())
