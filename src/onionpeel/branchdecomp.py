@@ -133,9 +133,10 @@ def build_branch_tree(disk: Embedding, forest: RootedForest) -> BranchDecomposit
     per vertex after one O(V) preorder of the forest); then the width
     must be at most 2(h+1).  All are bug certificates.  The tree keeps
     the compact form; its sorted ``arcs`` and its ``assignment`` are
-    built only when read.  On an 8x14 k-ring disk and on relabelled
-    nested triangles 36 deep this takes 0.98-1.03 ms (fastest of 400
-    calls, shared 2-core VM).
+    built only when read.  With the disk's sorted edge list given, the
+    build costs O(V + E * (width + h)), h the forest height: one pass over
+    the edges, one preorder of the forest, a climb of at most h parents
+    per arc node to key its separator, and the cut pass.
     """
     if not is_triangulated_disk(disk):
         raise NotADisk("branch tree requires a triangulated disk")

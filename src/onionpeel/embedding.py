@@ -43,10 +43,9 @@ embedding keeps the rotations as given, the walks as dart tuples with
 the outer walks' ids, and its successor and dart -> walk maps, which a
 ``_FaceBuilder`` copies rather than recomputes; the canonical rotations
 (``rotation``, ``rotations_dict``, ``==``, ``hash``) and the ``faces``
-records are built on first use.  On a triangulated 8x14 k-ring disk
-(112 vertices, 209 walks), construction takes about 0.35 ms and
-``parse_epg`` about 0.51 ms (fastest of 300 calls, shared 2-core Linux
-VM).
+records are built on first use.  Construction costs O(V + E)
+dictionary operations plus the trace's sorts of the vertex ids and of
+each rotation, O(V log V + E log D) in all for largest degree D.
 """
 
 from __future__ import annotations
@@ -491,10 +490,9 @@ def is_triangulated_disk(emb: Embedding) -> bool:
 
 
 def is_triangulation(emb: Embedding) -> bool:
-    """Every face (outer included) a triangle; at least 3 vertices."""
-    if emb.vertex_count < 3 or not emb.is_connected:
-        return False
-    return all(len(w) == 3 for w in emb._walks)
+    """Every face (outer included) a triangle; at least 3 vertices: a
+    triangulated disk whose outer walk, its only one, has 3 darts."""
+    return is_triangulated_disk(emb) and len(emb._walks[emb._outer_ids[0]]) == 3
 
 
 # -- Edge insertion (used by peeling, triangulation and the oracles) ----------
@@ -514,8 +512,8 @@ class _FaceBuilder:
     of ``nxt`` from the first :meth:`pred` on, each dart's walk id
     ``wid``, each walk's length ``size``, and ``outer``, the ids of the
     outer walks; no walk is stored as a dart sequence.  A walk's minimal
-    dart comes from a lazy-deletion min-heap, and its vertex-occurrence
-    counts are computed on first request and then kept up to date.
+    dart comes from its lazy-deletion min-heap and its vertex-occurrence
+    counts from a map, each built on first request and then kept up to date.
 
     A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
     the walk leaves x on ``(x, s)`` with s the successor of t in the
@@ -529,16 +527,14 @@ class _FaceBuilder:
         self.size = dict(enumerate(map(len, emb._walks)))
         self.outer = set(emb._outer_ids)
         self._walks = emb._walks
-        self._heaps: dict[int, list[Dart]] = {}  # none yet: an input face
+        self._heaps: dict[int, list[Dart]] = {}  # built on first use
         self._counts: dict[int, dict[int, int]] = {}
         self._prv: dict[Dart, Dart] | None = None  # none until a pred
         self._fresh = count(len(self.size))
 
     def first(self, i: int) -> Dart:
-        """The minimal dart of walk i."""
-        heap = self._heaps.get(i)
-        if heap is None:
-            return self._walks[i][0]
+        """The minimal dart of walk i, from its heap."""
+        heap = self._heap(i)
         while self.wid[heap[0]] != i:
             heapq.heappop(heap)
         return heap[0]
@@ -578,11 +574,11 @@ class _FaceBuilder:
         after v's corner through u's, and (v, u) followed by the rest; the
         first part keeps the walk's outer mark.  The parts are walked in
         lockstep and only the shorter gets a fresh id, so a split costs
-        O(shorter part) and a dart changes id O(log n) times.  Corners of
-        two walks, or of an isolated vertex, join into one walk, outer if
-        either was (an isolated vertex lies in the outer region); see
-        :meth:`_join`.  Each new dart is one tuple, shared by the maps,
-        lists and heaps that hold it, and the lockstep walk stops on it.
+        O(shorter part) and a dart changes id O(log n) times.  Joins happen
+        only across the outer region: corners of two outer walks, or of an
+        isolated vertex, join into one outer walk (:meth:`_join`).  Each
+        new dart is one tuple, shared by the maps, lists and heaps that
+        hold it, and the lockstep walk stops on it.
         """
         u, v = corner_u[1], corner_v[1]
         uv, vu = (u, v), (v, u)
@@ -636,7 +632,9 @@ class _FaceBuilder:
         The longer walk keeps its id.  The shorter side's darts and the
         two new ones take that id, join its heap and add to its counts, so
         a join costs O(shorter side) and a dart changes id O(log n) times.
-        Two isolated vertices make a fresh 2-dart walk.
+        Two isolated vertices make a fresh 2-dart walk.  Joins happen only
+        across the outer region, each walk outer or None, so the kept walk
+        is marked outer already.
         """
         if w_u is None and w_v is None:
             f = next(self._fresh)
@@ -652,8 +650,6 @@ class _FaceBuilder:
             darts.append(d)
             d = self.nxt[d]
         darts.append(stop)
-        if drop is None or drop in self.outer:
-            self.outer.add(keep)
         self.outer.discard(drop)
         self.size[keep] += self.size.pop(drop, 0) + 2
         self._heaps.pop(drop, None)

@@ -85,9 +85,8 @@ def brute_branchwidth(graph, budget: OracleBudget | None = None) -> int:
     edges both in S and outside it, and for two or more edges at least the
     better of its splits, each split counted once by the part holding S's
     lowest edge.  The answer is ``top`` of the full set, whose mid is
-    empty.  Its cost is O(3^E), set by the edge count alone: 8 edges take
-    0.42-0.45 ms, 12 edges 0.03 s and 16 edges 2.5 s (fastest of 20 calls,
-    shared 2-core VM).  Its table holds 2^E entries, so above
+    empty.  Its cost is O(3^E) time, set by the edge count alone, and
+    O(2^E) space: its table holds 2^E entries, so above
     :data:`MAX_BW_EDGES` edges it refuses even a raised budget.  Graphs
     with at most one edge have branchwidth 0 by convention (no arc
     separates anything).

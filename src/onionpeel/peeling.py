@@ -170,7 +170,7 @@ def build_rooted_forest(emb: Embedding) -> RootedForest:
 
 
 def validate_forest(emb: Embedding, forest: RootedForest) -> None:
-    """Check outer-rootedness, spanning, depth coherence, acyclicity.
+    """Check spanning, no extra vertex, outer roots, depth coherence, acyclicity.
 
     Depth coherence (every parent one level up) already rules out parent
     cycles, so the root paths are checked in one pass in depth order:
@@ -181,10 +181,13 @@ def validate_forest(emb: Embedding, forest: RootedForest) -> None:
     """
     verts = set(emb.vertices)
     covered = set(forest.depth)
-    if covered != verts:
+    if not verts <= covered:
         raise UnreachableVertex(
             f"forest does not span: missing {sorted(verts - covered)[:5]}"
         )
+    if covered != verts:  # named in depth-map order: no sort, so any key type
+        extra = [v for v in forest.depth if v not in verts][:5]
+        raise InvariantViolation(f"forest covers vertices outside the embedding: {extra}")
     outer = emb.outer_vertices
     for r in forest.roots:
         if r not in outer:

@@ -195,12 +195,10 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     walk = disk._walks[disk._outer_ids[0]]
     cycle = tuple(map(_origin, walk))
     outer_set = frozenset(cycle)
-    candidates = sorted(
-        v for v in cycle if len(outer_set.intersection(disk._rotations[v])) == 2
-    )
-    if not candidates:
+    rot = disk._rotations
+    r = min((v for v in cycle if len(outer_set.intersection(rot[v])) == 2), default=None)
+    if r is None:
         raise InvariantViolation("no outer vertex with two outer neighbors")
-    r = candidates[0]
 
     added = list(disk_trace.added_edges)
     if len(cycle) == 3:

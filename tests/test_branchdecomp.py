@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from functools import cached_property
@@ -662,6 +663,28 @@ def test_pipeline_certifies_the_forest_lemma(monkeypatch):
     for command in ("bd", "pipeline"):
         code, _, err = run_cli([command], stdin_text=format_epg(emb))
         assert code == 1 and "BoundViolated: forest height" in err
+
+
+def test_pipeline_certifies_the_width_bound(monkeypatch):
+    emb = gen_nested_triangles(4)  # k = 4
+    build = branchdecomp.build_branch_tree
+    monkeypatch.setattr(
+        branchdecomp, "build_branch_tree",
+        lambda disk, forest: dataclasses.replace(build(disk, forest), width=9),
+    )
+    with pytest.raises(errors.BoundViolated) as exc:
+        decompose_pipeline(emb)
+    assert type(exc.value) is errors.BoundViolated
+    assert str(exc.value) == "width 9 exceeds 2k = 8"
+
+
+def test_pipeline_certifies_the_treewidth_bound(monkeypatch):
+    emb = gen_nested_triangles(4)  # k = 4
+    monkeypatch.setattr(branchdecomp, "treewidth_bound", lambda bw: 12)
+    with pytest.raises(errors.BoundViolated) as exc:
+        decompose_pipeline(emb)
+    assert type(exc.value) is errors.BoundViolated
+    assert str(exc.value) == "treewidth bound 12 exceeds 3k-1 = 11"
 
 
 def test_certify_rejects_a_vertex_off_a_leaf_edge(monkeypatch):

@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,8 @@ from onionpeel import (
     to_triangulated_disk,
 )
 from onionpeel import embedding
-from onionpeel.embedding import _FaceBuilder, _trace
-from test_peeling import remove_vertices
+from onionpeel.embedding import _components, _FaceBuilder, _trace
+from test_peeling import remove_vertices, side_by_side
 from test_triangulate import differential_inputs
 
 TRIANGLE = {0: [1, 2], 1: [2, 0], 2: [0, 1]}
@@ -234,6 +238,83 @@ def test_disk_and_triangulation_predicates():
     c5 = gen_cycle(5)
     assert not is_triangulated_disk(c5) and not is_triangulation(c5)
     assert not is_triangulated_disk(gen_path(4))
+
+
+def ref_is_triangulation(emb):
+    """At least 3 vertices, connected, and every walk of 3 darts."""
+    return (
+        emb.vertex_count >= 3
+        and len(emb.components) == 1
+        and all(len(f) == 3 for f in emb.faces)
+    )
+
+
+def random_planar_embeddings(count, seed):
+    """Seeded embeddings from random rotation systems on 1-7 vertices.
+
+    Each draw takes a random simple graph, a random cyclic order at every
+    vertex and a random outer dart per edged component; a draw that is
+    not a sphere embedding fails the constructor's Euler check and is
+    drawn again.  Some draws are disconnected, edgeless or trees.
+    """
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 7)
+        pairs = list(itertools.combinations(range(n), 2))
+        rot = {v: [] for v in range(n)}
+        for u, v in rng.sample(pairs, rng.randint(0, min(len(pairs), 15))):
+            rot[u].append(v)
+            rot[v].append(u)
+        for ns in rot.values():
+            rng.shuffle(ns)
+        comps = {}
+        for v, c in _components(rot).items():
+            comps.setdefault(c, []).append(v)
+        outer = [(v, rot[v][0]) for v in (rng.choice(vs) for vs in comps.values()) if rot[v]]
+        try:
+            found.append(Embedding(rot, outer))
+        except errors.EulerViolation:
+            continue
+    return found
+
+
+def reanchored(emb, rng):
+    """``emb`` with the outer face moved to a random walk, if connected."""
+    if len(emb.components) != 1 or not emb.edge_count:
+        return emb
+    return Embedding(emb.rotations_dict(), [rng.choice(emb.faces).darts[0]])
+
+
+def test_is_triangulation_is_the_old_walk_scan(corpus):
+    rng = random.Random(26)
+    inputs = [emb for _, emb in differential_inputs(corpus)]
+    inputs += random_planar_embeddings(300, seed=26)
+    inputs += [to_full_triangulation(emb)[0] for _, emb in corpus[::4]]
+    inputs += [to_triangulated_disk(emb)[0] for _, emb in corpus[::4]]
+    inputs += [reanchored(emb, rng) for emb in inputs[-60:]]
+    inputs += [
+        Embedding({}, []),
+        Embedding({0: []}, []),
+        Embedding({0: [1], 1: [0]}, [(0, 1)]),
+        Embedding({0: [], 1: [], 2: []}, []),
+        side_by_side(gen_wheel(3), gen_wheel(3)),
+    ]
+    kinds = Counter()
+    for emb in inputs:
+        want = ref_is_triangulation(emb)
+        assert is_triangulation(emb) == want, repr(emb)
+        disk = is_triangulated_disk(emb)
+        kinds["triangulation" if want else "long-outer disk" if disk else "other"] += 1
+        kinds["under 3 vertices"] += emb.vertex_count < 3
+        kinds["disconnected"] += len(emb.components) > 1
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_embedding_repr_counts_vertices_edges_and_walks():
+    assert repr(gen_wheel(3)) == "Embedding(4 vertices, 6 edges, 4 face walks)"
+    assert repr(gen_path(3)) == "Embedding(3 vertices, 2 edges, 1 face walks)"
+    assert repr(Embedding({}, [])) == "Embedding(0 vertices, 0 edges, 0 face walks)"
 
 
 def test_euler_and_walk_sum_invariants(corpus):

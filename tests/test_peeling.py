@@ -5,6 +5,7 @@ import pytest
 from onionpeel import (
     Embedding,
     RootedForest,
+    build_branch_tree,
     build_rooted_forest,
     errors,
     gen_counterexample,
@@ -382,6 +383,32 @@ def test_nonspanning_forest_rejected():
         validate_forest(k4, bogus)
 
 
+def test_forest_with_extra_vertices_names_them():
+    emb = gen_nested_triangles(2)
+    forest = build_rooted_forest(emb)
+    for extra, named in (
+        ({99: 0}, "[99]"),
+        ({"a": 0}, "['a']"),
+        ({"a": 0, 99: 0, 7.5: 0, -3: 1, (1, 2): 0, 1000: 2}, "['a', 99, 7.5, -3, (1, 2)]"),
+    ):
+        bad = RootedForest(
+            parent=forest.parent, depth={**forest.depth, **extra}, roots=forest.roots | {99}
+        )
+        for check in (validate_forest, build_branch_tree):
+            with pytest.raises(errors.InvariantViolation) as exc:
+                check(emb, bad)
+            assert str(exc.value) == f"forest covers vertices outside the embedding: {named}"
+        assert validation_outcome(ref_validate_forest, emb, bad) == (
+            errors.InvariantViolation, str(exc.value)
+        )
+    # a vertex missing still takes precedence, with today's text
+    short = dict(forest.depth)
+    del short[0]
+    bad = RootedForest(parent=forest.parent, depth={**short, 99: 0}, roots=forest.roots)
+    with pytest.raises(errors.UnreachableVertex, match=r"^forest does not span: missing \[0\]$"):
+        validate_forest(emb, bad)
+
+
 def test_forest_roots_are_all_outer_vertices(corpus):
     for label, emb in corpus:
         forest = build_rooted_forest(saturate_inward_neighbors(emb))
@@ -400,9 +427,14 @@ def ref_validate_forest(emb, forest):
     """The root-path-climbing check: every vertex walks its whole root path."""
     verts = set(emb.vertices)
     covered = set(forest.depth)
-    if covered != verts:
+    if not verts <= covered:
         raise errors.UnreachableVertex(
             f"forest does not span: missing {sorted(verts - covered)[:5]}"
+        )
+    extra = [v for v in forest.depth if v not in verts]
+    if extra:
+        raise errors.InvariantViolation(
+            f"forest covers vertices outside the embedding: {extra[:5]}"
         )
     outer = emb.outer_vertices
     for r in forest.roots:
@@ -439,7 +471,7 @@ def subtree(forest, v):
 def mutate_forest(emb, forest, rng, kind):
     """A copy of ``forest`` with one defect of the given kind."""
     parent, depth, roots = dict(forest.parent), dict(forest.depth), set(forest.roots)
-    if not parent and kind not in ("rootless", "outer-child"):
+    if not parent and kind not in ("rootless", "outer-child", "extra"):
         return None
     v = rng.choice(sorted(parent or depth))
     if kind == "inner-root":  # a parented vertex cut loose and made a root
@@ -455,6 +487,10 @@ def mutate_forest(emb, forest, rng, kind):
         depth[v] += rng.choice((-1, 1))
     elif kind == "unspanned":
         del depth[v]
+    elif kind == "extra":  # a root that is not a vertex of the embedding
+        x = max(depth) + 1 + rng.randrange(3)
+        depth[x] = 0
+        roots.add(x)
     elif kind == "non-edge":  # a parent one level up but not adjacent
         level = [w for w in depth if depth[w] == depth[v] - 1 and not emb.has_edge(v, w)]
         if not level:
@@ -483,7 +519,7 @@ def validation_outcome(check, emb, forest):
 def test_validate_forest_matches_the_root_path_route(corpus):
     rng = random.Random(5)
     kinds = ("inner-root", "rootless", "orphan", "both", "depth",
-             "unspanned", "non-edge", "outer-child")
+             "unspanned", "non-edge", "outer-child", "extra")
     instances = [emb for _, emb in corpus if emb.vertex_count <= 40]
     instances += [gen_nested_triangles(12), gen_random_kouter(5, 7, 2)]
     seen = {}

@@ -27,7 +27,7 @@ from onionpeel import (
 )
 from onionpeel import triangulate
 from onionpeel.embedding import _FaceBuilder, _successors
-from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from onionpeel.triangulate import _CUTS, DiskConversionTrace, _connect, _cut_corners
 from test_branchdecomp import relabel
 from test_oracles import successor_walk
 from test_peeling import delete_nonbridge_edges, side_by_side
@@ -306,6 +306,61 @@ def test_disk_conversion_skips_the_builder_for_a_disk(monkeypatch):
     monkeypatch.setattr(triangulate, "_FaceBuilder", refuse)
     out, trace = to_triangulated_disk(emb)
     assert out is emb and trace.added_edges == ()
+
+
+def builder_returning(monkeypatch, wrong=None, fan=None):
+    """Make the conversion's face builders hand back ``wrong`` (if given)
+    as their embedding, and fan with ``fan`` (if given)."""
+
+    class Faulty(_FaceBuilder):
+        def embedding(self, outer_darts=None):
+            return wrong if wrong is not None else super().embedding(outer_darts)
+
+    if fan is not None:
+        Faulty.fan = fan
+    monkeypatch.setattr(triangulate, "_FaceBuilder", Faulty)
+
+
+# (wrong disk for a 5-cycle's conversion, the certificate's text)
+DISK_FAULTS = (
+    (gen_cycle(5), "disk pipeline did not produce a disk"),  # no edge added
+    (gen_wheel(4), "disk pipeline changed the outer vertex set"),  # rim 0..3
+    (gen_wheel(5), "disk pipeline raised the peel count 1 -> 2"),  # same rim, a hub
+)
+
+
+@pytest.mark.parametrize("convert", [to_triangulated_disk, to_full_triangulation])
+@pytest.mark.parametrize("wrong, text", DISK_FAULTS)
+def test_disk_certificates_fire(convert, wrong, text, monkeypatch):
+    builder_returning(monkeypatch, wrong)
+    with pytest.raises(errors.InvariantViolation) as exc:
+        convert(gen_cycle(5))
+    assert type(exc.value) is errors.InvariantViolation and str(exc.value) == text
+
+
+def star_as_disk(monkeypatch):
+    star = Embedding({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}, [(0, 1)])  # K1,3
+    monkeypatch.setattr(
+        triangulate, "to_triangulated_disk", lambda emb: (star, DiskConversionTrace(()))
+    )
+
+
+# (fault, the certificate's text); a disk input skips the disk builder
+APEX_FAULTS = (
+    (star_as_disk, "no outer vertex with two outer neighbors"),
+    (lambda m: builder_returning(m, fan=lambda self, walk, pos: []),
+     "apex step did not produce a triangulation"),
+    (lambda m: builder_returning(m, gen_nested_triangles(3)),
+     "apex step raised the peel count 1 -> 3"),
+)
+
+
+@pytest.mark.parametrize("fault, text", APEX_FAULTS)
+def test_apex_certificates_fire(fault, text, monkeypatch):
+    fault(monkeypatch)
+    with pytest.raises(errors.InvariantViolation) as exc:
+        to_full_triangulation(gen_k4_minus_edge())  # a disk with k = 1
+    assert type(exc.value) is errors.InvariantViolation and str(exc.value) == text
 
 
 def many_components(kind, n):
