@@ -512,8 +512,8 @@ class _FaceBuilder:
     of ``nxt`` from the first :meth:`pred` on, each dart's walk id
     ``wid``, each walk's length ``size``, and ``outer``, the ids of the
     outer walks; no walk is stored as a dart sequence.  A walk's minimal
-    dart comes from its lazy-deletion min-heap and its vertex-occurrence
-    counts from a map, each built on first request and then kept up to date.
+    dart comes from its lazy-deletion min-heap, built on first request and
+    then kept up to date.
 
     A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
     the walk leaves x on ``(x, s)`` with s the successor of t in the
@@ -528,7 +528,6 @@ class _FaceBuilder:
         self.outer = set(emb._outer_ids)
         self._walks = emb._walks
         self._heaps: dict[int, list[Dart]] = {}  # built on first use
-        self._counts: dict[int, dict[int, int]] = {}
         self._prv: dict[Dart, Dart] | None = None  # none until a pred
         self._fresh = count(len(self.size))
 
@@ -553,17 +552,6 @@ class _FaceBuilder:
         if self._prv is None:
             self._prv = {s: d for d, s in self.nxt.items()}
         return self._prv[d]
-
-    def counts(self, i: int) -> dict[int, int]:
-        """Vertex -> occurrences on walk i."""
-        c = self._counts.get(i)
-        if c is None:
-            c = self._counts[i] = _origin_counts(self.darts(self.first(i)))
-        return c
-
-    def is_simple(self, i: int) -> bool:
-        """True when no vertex repeats on walk i."""
-        return self.size[i] == 3 or len(self.counts(i)) == self.size[i]
 
     def link(self, corner_u: Dart, corner_v: Dart) -> tuple[int, ...]:
         """Add the edge (u, v) between two corners; return the new walk ids.
@@ -612,16 +600,6 @@ class _FaceBuilder:
         wid[long] = w
         self.size[w] += 2 - len(darts)
         heapq.heappush(self._heap(w), long)
-        c = self._counts.get(w)
-        if c is not None:
-            part = _origin_counts(darts)
-            c[u] += 1
-            c[v] += 1
-            for x, k in part.items():
-                if c[x] == k:
-                    del c[x]
-                else:
-                    c[x] -= k
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
 
@@ -630,8 +608,8 @@ class _FaceBuilder:
         new darts uv = (u, v) and vu = (v, u).
 
         The longer walk keeps its id.  The shorter side's darts and the
-        two new ones take that id, join its heap and add to its counts, so
-        a join costs O(shorter side) and a dart changes id O(log n) times.
+        two new ones take that id and join its heap, so a join costs
+        O(shorter side) and a dart changes id O(log n) times.
         Two isolated vertices make a fresh 2-dart walk.  Joins happen only
         across the outer region, each walk outer or None, so the kept walk
         is marked outer already.
@@ -653,15 +631,10 @@ class _FaceBuilder:
         self.outer.discard(drop)
         self.size[keep] += self.size.pop(drop, 0) + 2
         self._heaps.pop(drop, None)
-        self._counts.pop(drop, None)
         self.wid.update(dict.fromkeys(darts, keep))
         heap = self._heap(keep)
         for d in darts:
             heapq.heappush(heap, d)
-        c = self._counts.get(keep)
-        if c is not None:
-            for x, _ in darts:
-                c[x] = c.get(x, 0) + 1
         return keep
 
     def _heap(self, i: int) -> list[Dart]:
@@ -709,11 +682,3 @@ class _FaceBuilder:
         if outer_darts is None:
             outer_darts = [self.first(i) for i in self.outer]
         return Embedding(self.rotations(), outer_darts)
-
-
-def _origin_counts(darts: Iterable[Dart]) -> dict[int, int]:
-    """Vertex -> how many of ``darts`` leave it."""
-    c: dict[int, int] = {}
-    for x, _ in darts:
-        c[x] = c.get(x, 0) + 1
-    return c

@@ -57,11 +57,18 @@ class RootedForest:
         return max(self.depth.values(), default=0)
 
     def root_path(self, v: int) -> list[int]:
-        """Vertices from v up to (and including) its root."""
+        """Vertices from v up to (and including) its root.
+
+        A path longer than the parent map can hold has met a cycle, which
+        raises :class:`InvariantViolation` naming v.
+        """
         path = [v]
-        while v in self.parent:
-            v = self.parent[v]
-            path.append(v)
+        while path[-1] in self.parent:
+            if len(path) > len(self.parent):
+                raise InvariantViolation(
+                    f"no root above vertex {v!r}: the parent map has a cycle"
+                )
+            path.append(self.parent[path[-1]])
         return path
 
     def edges(self) -> frozenset[tuple[int, int]]:

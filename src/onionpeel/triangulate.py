@@ -18,6 +18,7 @@ peel.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .embedding import (
@@ -70,15 +71,23 @@ def _outer_corner(b: _FaceBuilder, x: int, i: int | None) -> Dart:
     return (None, x) if i is None else b.pred(b.first(i))
 
 
-def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Edge]:
+def _cut_corners(b: _FaceBuilder, outer: bool, repeated_only: bool, stuck) -> list[Edge]:
     """Cut corners off wanted faces until no face is wanted.
 
-    Takes the wanted walk with the smallest minimal dart (``wanted(b,
-    walk id)``) and the first position j from that dart whose flankers,
-    a at j-1 and c at j+1, are distinct and not adjacent, and whose vertex
-    repeats on the walk if ``repeated_only``.  The chord (a, c) cuts the
-    corner at j off into a triangle; the rest keeps the walk's outer mark.
-    A wanted walk without such a position raises ``stuck(b, walk id)``.
+    A walk is wanted when it lies on the ``outer`` side, has at least 4
+    darts and, if ``repeated_only``, repeats a vertex.  Takes the wanted
+    walk with the smallest minimal dart and the first position j from that
+    dart whose flankers, a at j-1 and c at j+1, are distinct and not
+    adjacent, and whose vertex v repeats on the walk if ``repeated_only``.
+    The chord (a, c) cuts the corner at j off into a triangle, which is
+    never wanted; the rest, the walk of (a, c), keeps the walk's outer
+    mark and is the one walk tested again.  A wanted walk without such a
+    position raises ``stuck(b, walk id)``.
+
+    The vertex counts are this loop's own.  A walk is counted once, the
+    first time it is tested.  The rest reads ``... (t, a), (a, c), (c, x)
+    ...`` where the walk read ``(t, a), (a, v), (v, c), (c, x)``, so its
+    counts are the walk's with one fewer v, moved to the rest's id.
 
     The scan resumes instead of restarting.  Eligibility only decays
     (adjacency grows, counts fall) and a cut changes only the corners at
@@ -87,37 +96,53 @@ def _cut_corners(b: _FaceBuilder, wanted, repeated_only: bool, stuck) -> list[Ed
     its minimal dart has changed, which sends the scan back to the new
     minimal dart.
     """
-    heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
+    counts: dict[int, Counter[int]] = {}  # wanted walk id -> vertex -> occurrences
+
+    def wanted(i: int, occ: Counter[int] | None = None) -> bool:
+        if (i in b.outer) != outer or b.size[i] < 4:
+            return False
+        if repeated_only:
+            if occ is None:
+                occ = Counter(map(_origin, b.darts(b.first(i))))
+            if len(occ) == b.size[i]:
+                return False
+            counts[i] = occ
+        return True
+
+    heap = [(b.first(i), i) for i in b.size if wanted(i)]
     heapq.heapify(heap)
     resume: dict[tuple[int, Dart], Dart] = {}  # (walk id, run start) -> dart
     added: list[Edge] = []
     while heap:
         start, i = heapq.heappop(heap)
         d = resume.pop((i, start), start)
-        counts = b.counts(i) if repeated_only else None
+        occ = counts.pop(i, None)
         before = b.pred(d)
         corner = b.pred(before)
         for _ in range(b.size[i]):
             (v, c), a = d, before[0]
-            if a != c and (a, c) not in b.nxt and (not repeated_only or counts[v] > 1):
+            if a != c and (a, c) not in b.nxt and (not repeated_only or occ[v] > 1):
                 break
             corner, before, d = before, d, b.nxt[d]
         else:
             raise stuck(b, i)
-        for j in b.link(corner, d):
-            if wanted(b, j):
-                heapq.heappush(heap, (b.first(j), j))
+        b.link(corner, d)
         ac = (a, c)
-        resume[(b.wid[ac], start)] = ac
+        rest = b.wid[ac]
+        if repeated_only:
+            occ[v] -= 1
+        if wanted(rest, occ):
+            heapq.heappush(heap, (b.first(rest), rest))
+        resume[(rest, start)] = ac
         added.append((min(a, c), max(a, c)))
     return added
 
 
-# (stage, wanted face, repeated_only, error) of the corner-cutting stages
+# (stage, outer side, repeated_only, error) of the corner-cutting stages
 _CUTS = (
     (
         "outer-cut",
-        lambda b, i: i in b.outer and not b.is_simple(i),
+        True,
         True,
         lambda b, i: RepairStuck(
             "every occurrence of every repeated outer vertex has adjacent flankers"
@@ -125,7 +150,7 @@ _CUTS = (
     ),
     (
         "inner-cut",
-        lambda b, i: i not in b.outer and not b.is_simple(i),
+        False,
         True,
         lambda b, i: RepairStuck(
             "every occurrence of every repeated inner-face vertex has "
@@ -134,7 +159,7 @@ _CUTS = (
     ),
     (
         "ear",
-        lambda b, i: i not in b.outer and b.size[i] >= 4,
+        False,
         False,
         lambda b, i: InvariantViolation(
             "no ear available on inner face "

@@ -530,6 +530,42 @@ def test_tree_cotree_second_route(small_corpus):
         verify_tree_cotree(disk, forest)
 
 
+def test_certify_rejects_an_edge_with_no_inner_side(monkeypatch):
+    # a path taken for a disk: its edges have the outer face on both sides
+    path = gen_path(3)
+    monkeypatch.setattr(branchdecomp, "is_triangulated_disk", lambda emb: True)
+    with pytest.raises(errors.OnionPeelError) as exc:
+        build_branch_tree(path, build_rooted_forest(path))
+    assert (type(exc.value), str(exc.value)) == (
+        errors.InvariantViolation, "edge (0, 1) has no inner side"
+    )
+
+
+def test_tree_cotree_certificates_fire(monkeypatch):
+    disk, forest = disk_and_forest(gen_nested_triangles(3))
+    v = next(iter(forest.parent))
+    short = dataclasses.replace(
+        forest, parent={w: p for w, p in forest.parent.items() if w != v}
+    )
+    with pytest.raises(errors.OnionPeelError) as exc:
+        verify_tree_cotree(disk, short)
+    assert (type(exc.value), str(exc.value)) == (
+        errors.InvariantViolation, "forest + outer cycle minus one is not spanning"
+    )
+    build = branchdecomp.build_branch_tree
+
+    def rotated(disk, forest):
+        bd = build(disk, forest)
+        return dataclasses.replace(bd, ends=bd.ends[1:] + bd.ends[:1])
+
+    monkeypatch.setattr(branchdecomp, "build_branch_tree", rotated)
+    with pytest.raises(errors.OnionPeelError) as exc:
+        verify_tree_cotree(disk, forest)
+    assert (type(exc.value), str(exc.value)) == (
+        errors.InvariantViolation, "co-tree arcs differ from the branch tree's arc nodes"
+    )
+
+
 def test_width_pass_certifies_the_tree():
     # the tree defects that the compact form can hold: too few arc nodes,
     # and the right count with a face cut off

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -30,3 +31,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), {})
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # the CLI block's commands, in order, in an empty directory: a command
+    # that reads a file no earlier one writes fails here
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```", (ROOT / "README.md").read_text(),
+                      re.DOTALL | re.MULTILINE).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f'onionpeel() {{ {shlex.quote(sys.executable)} -m onionpeel "$@"; }}\n{block}'
+    done = subprocess.run(
+        ["bash", "-o", "pipefail", "-e", "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -409,6 +409,17 @@ def test_forest_with_extra_vertices_names_them():
         validate_forest(emb, bad)
 
 
+def test_root_path_stops_on_a_cyclic_parent_map():
+    for parent, v in (({1: 2, 2: 1}, 1), ({1: 1}, 1), ({0: 1, 1: 2, 2: 3, 3: 1}, 0)):
+        forest = RootedForest(parent=parent, depth=dict.fromkeys(parent, 1), roots=frozenset())
+        with pytest.raises(errors.InvariantViolation) as exc:
+            forest.root_path(v)
+        assert str(exc.value) == f"no root above vertex {v}: the parent map has a cycle"
+    # the longest path a parent map allows still ends at its root
+    chain = RootedForest(parent={0: 1, 1: 2, 2: 3}, depth={}, roots=frozenset({3}))
+    assert chain.root_path(0) == [0, 1, 2, 3] and chain.root_path(3) == [3]
+
+
 def test_forest_roots_are_all_outer_vertices(corpus):
     for label, emb in corpus:
         forest = build_rooted_forest(saturate_inward_neighbors(emb))

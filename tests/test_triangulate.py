@@ -627,10 +627,7 @@ def assert_same_embedding(got, ref, label=None):
 
 
 def check_builder(b):
-    """Each walk id traces exactly one face of the rebuilt embedding.
-
-    Returns how many walks hold materialised vertex counts.
-    """
+    """Each walk id traces exactly one face of the rebuilt embedding."""
     darts_of = {}
     for d, i in b.wid.items():
         darts_of.setdefault(i, []).append(d)
@@ -653,10 +650,7 @@ def check_builder(b):
         assert sorted(walk) == sorted(darts) == sorted(face.darts)
         assert b.size[i] == len(face)
         assert b.first(i) == face.darts[0]
-        if i in b._counts:
-            assert b._counts[i] == Counter(face.vertices)
         assert (i in b.outer) == face.is_outer
-    return len(b._counts)
 
 
 def held_copies(b, dart):
@@ -670,7 +664,7 @@ def held_copies(b, dart):
 
 def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
     link = _FaceBuilder.link
-    splits, counted = [], []
+    splits = []
 
     def checked(b, corner_u, corner_v):
         before = dict(b.wid)
@@ -686,7 +680,7 @@ def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
             splits.append(moved)
         else:
             assert (ids[0] in b.outer) == any(outer)
-        counted.append(check_builder(b))
+        check_builder(b)
         return ids
 
     monkeypatch.setattr(_FaceBuilder, "link", checked)
@@ -699,16 +693,7 @@ def test_face_builder_invariants_after_every_link(corpus, monkeypatch):
     for label, emb in inputs:
         check_builder(_FaceBuilder(emb))
         to_full_triangulation(emb)
-    assert len(splits) > 1000 and sum(counted) > 1000
-
-
-def test_joins_keep_materialised_counts():
-    for emb in (two_triangles(), many_components("isolated", 3), many_components("triangles", 4)):
-        b = _FaceBuilder(emb)
-        for i in b.size:
-            b.counts(i)
-        _connect(b)
-        assert check_builder(b) == len(b.size)
+    assert len(splits) > 1000
 
 
 @pytest.mark.parametrize("family, n", [(gen_path, 2000), (gen_cycle, 4000)])
@@ -736,15 +721,22 @@ def test_long_face_pipeline():
 # -- corner cutting: the resumable scan against the rescanning loop -----------
 
 
-def ref_cut_corners(b, wanted, repeated_only, stuck):
+def ref_cut_corners(b, outer, repeated_only, stuck):
     """Reference: the corner-cutting loop that rescans every popped walk
-    from its minimal dart, quadratic when walks repeat vertices."""
+    from its minimal dart and counts its vertices afresh, quadratic when
+    walks repeat vertices."""
+
+    def wanted(b, i):
+        if (i in b.outer) != outer or b.size[i] < 4:
+            return False
+        return not repeated_only or len({x for x, _ in b.darts(b.first(i))}) < b.size[i]
+
     heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
     heapq.heapify(heap)
     added = []
     while heap:
         d, i = heapq.heappop(heap)
-        counts = b.counts(i) if repeated_only else None
+        counts = Counter(x for x, _ in b.darts(d)) if repeated_only else None
         before = b.pred(d)
         corner = b.pred(before)
         for _ in range(b.size[i]):
@@ -819,6 +811,31 @@ def test_cut_corners_matches_rescanning_reference(monkeypatch):
         assert (tri, trace) == to_full_triangulation(emb), label
         cuts += sum(s.endswith("cut") or s == "ear" for _, _, s in trace.added_edges)
     assert cuts > 3000
+
+
+class EveryEdge(dict):
+    """A successor map that claims every edge, so no flankers are non-adjacent."""
+
+    def __contains__(self, key):
+        return True
+
+
+@pytest.mark.parametrize("stage, emb, error, text", [
+    ("outer-cut", gen_path(5), errors.RepairStuck,
+     "every occurrence of every repeated outer vertex has adjacent flankers"),
+    ("inner-cut",
+     Embedding({0: [1, 3], 1: [2, 0], 2: [3, 4, 1], 3: [0, 2], 4: [2]}, [(0, 1)]),
+     errors.RepairStuck,
+     "every occurrence of every repeated inner-face vertex has adjacent flankers"),
+    ("ear", gen_cycle(5), errors.InvariantViolation,
+     "no ear available on inner face (0, 4, 3, 2, 1)"),
+], ids=["outer-cut", "inner-cut", "ear"])
+def test_each_cut_stage_raises_its_stuck_error(stage, emb, error, text):
+    b = _FaceBuilder(emb)
+    b.nxt = EveryEdge(b.nxt)
+    with pytest.raises(errors.OnionPeelError) as info:
+        _cut_corners(b, *next(cut for name, *cut in _CUTS if name == stage))
+    assert (type(info.value), str(info.value)) == (error, text)
 
 
 class CountingDict(dict):
