@@ -23,7 +23,7 @@ value, which is immutable, so caches never go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .embedding import Edge, Embedding, _FaceBuilder, _origin
 from .errors import InvariantViolation, UnreachableVertex
@@ -91,10 +91,15 @@ def onion_peels(emb: Embedding) -> PeelDecomposition:
     certificate.
     """
     memo = emb._memo.get("peels")
-    if memo is not None:
-        return memo
+    if memo is None:
+        memo = emb._memo["peels"] = _radial_peels(emb, emb._outer_ids)
+    return memo
+
+
+def _radial_peels(emb: Embedding, start: Iterable[int]) -> PeelDecomposition:
+    """The radial BFS layers of ``emb`` from the walk ids ``start`` and the isolated vertices."""
     rot, walk_of, walks = emb._rotations, emb._walk_of_dart, emb._walks
-    reached = set(emb._outer_ids)
+    reached = set(start)
     layer = {v for v, ns in rot.items() if not ns}
     layer.update(d[0] for i in reached for d in walks[i])
     placed: set[int] = set()
@@ -108,8 +113,7 @@ def onion_peels(emb: Embedding) -> PeelDecomposition:
     if len(placed) != len(rot):
         missing = sorted(rot.keys() - placed)
         raise InvariantViolation(f"radial search never reached vertices {missing[:5]}")
-    result = emb._memo["peels"] = PeelDecomposition(layers=tuple(layers))
-    return result
+    return PeelDecomposition(layers=tuple(layers))
 
 
 def saturate_inward_neighbors(emb: Embedding) -> Embedding:

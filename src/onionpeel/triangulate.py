@@ -12,7 +12,8 @@ stage removes a vertex from the outer face, so the outer vertex set is
 preserved and the peel count cannot grow.  The apex step then fans one
 outer vertex with exactly two outer neighbors across the outer region,
 closing the disk into a triangulation at the cost of at most one extra
-peel.
+peel.  It links corners of the same builder, so a full triangulation is
+one builder with one validated build.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .embedding import (
     is_triangulation,
 )
 from .errors import InvariantViolation, RepairStuck, TooSmall
-from .peeling import _saturate, onion_peels
+from .peeling import _radial_peels, _saturate, onion_peels
 
 @dataclass(frozen=True)
 class DiskConversionTrace:
@@ -169,6 +170,23 @@ _CUTS = (
 )
 
 
+def _disk_stages(emb: Embedding) -> tuple[_FaceBuilder | None, list[tuple[int, int, str]]]:
+    """Run the five disk stages on one builder; return it (None when emb is
+    already a triangulated disk, to which no stage adds an edge) and the
+    added edges with their stages.  Below 3 vertices it raises TooSmall."""
+    if emb.vertex_count < 3:
+        raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
+    if is_triangulated_disk(emb):
+        return None, []
+    b = _FaceBuilder(emb)
+    sat = _saturate(b, emb)
+    added = [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
+    added += [(u, v, "connect") for u, v in _connect(b)]
+    for stage, *cut in _CUTS:
+        added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
+    return b, added
+
+
 def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace]:
     """Add edges until the embedding is a triangulated disk.
 
@@ -179,34 +197,34 @@ def to_triangulated_disk(emb: Embedding) -> tuple[Embedding, DiskConversionTrace
     A planar embedding cannot carry two crossing exterior chords, so an
     ear always exists while an inner face is long.
     """
-    if emb.vertex_count < 3:
-        raise TooSmall(f"need at least 3 vertices, got {emb.vertex_count}")
+    b, added = _disk_stages(emb)
     k_in = onion_peels(emb).k
-    added: list[tuple[int, int, str]] = []
-    current = emb
-    if not is_triangulated_disk(emb):  # no stage adds an edge to a disk
-        b = _FaceBuilder(emb)
-        sat = _saturate(b, emb)
-        added += [(u, v, "saturate") for u, v in sorted((min(e), max(e)) for e in sat)]
-        added += [(u, v, "connect") for u, v in _connect(b)]
-        for stage, *cut in _CUTS:
-            added += [(u, v, stage) for u, v in _cut_corners(b, *cut)]
-        current = b.embedding()
-
+    current = emb if b is None else b.embedding()
     if not is_triangulated_disk(current):
         raise InvariantViolation("disk pipeline did not produce a disk")
     if current.outer_vertices != emb.outer_vertices:
         raise InvariantViolation("disk pipeline changed the outer vertex set")
-    if onion_peels(current).k > k_in:
-        raise InvariantViolation(
-            f"disk pipeline raised the peel count {k_in} -> "
-            f"{onion_peels(current).k}"
-        )
+    k = onion_peels(current).k
+    if k > k_in:
+        raise InvariantViolation(f"disk pipeline raised the peel count {k_in} -> {k}")
     return current, DiskConversionTrace(added_edges=tuple(added))
 
 
+def _apex(b: _FaceBuilder, cycle: tuple[int, ...]) -> int | None:
+    """The smallest vertex of ``cycle`` with exactly two neighbours on it,
+    each rotation read round its vertex through ``b.nxt``; None if none."""
+    on_cycle = frozenset(cycle)
+    for v in sorted(cycle):
+        ns = [b.nbr[v]]
+        while (w := b.nxt[ns[-1], v][1]) != ns[0]:
+            ns.append(w)
+        if len(on_cycle.intersection(ns)) == 2:
+            return v
+
+
 def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrace]:
-    """Triangulate fully: disk conversion plus the outer apex fan.
+    """Triangulate fully: disk conversion plus the outer apex fan, on one
+    builder with one validated build.
 
     The apex r is the smallest outer-cycle vertex with exactly two
     neighbors on the outer cycle (one exists: the outer cycle plus its
@@ -214,30 +232,38 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     vertex).  r is fanned to every non-adjacent outer vertex across the
     outer region; the final outer face is the fan triangle at r's
     cyclic-successor neighbor.  Peel count grows by at most one.
+
+    The fan runs on the disk stages' builder (a disk input gets one, a
+    triangulation is returned unbuilt), so the disk is never built: its
+    certificates read the builder before the fan, and its peels are the
+    output's from the fan triangles, which hold its outer walk.
     """
+    if is_triangulation(emb):
+        return emb, DiskConversionTrace(added_edges=())
+    b, added = _disk_stages(emb)
     k_in = onion_peels(emb).k
-    disk, disk_trace = to_triangulated_disk(emb)
-    walk = disk._walks[disk._outer_ids[0]]
+    b = b or _FaceBuilder(emb)
+    walk = b.darts(b.first(*b.outer)) if len(b.outer) == 1 else []
     cycle = tuple(map(_origin, walk))
-    outer_set = frozenset(cycle)
-    rot = disk._rotations
-    r = min((v for v in cycle if len(outer_set.intersection(rot[v])) == 2), default=None)
+    if (
+        len(cycle) < 3 or len(set(cycle)) < len(cycle) or None in b.nbr.values()
+        or sum(n != 3 for n in b.size.values()) != (len(cycle) != 3)
+    ):
+        raise InvariantViolation("disk pipeline did not produce a disk")
+    if frozenset(cycle) != emb.outer_vertices:
+        raise InvariantViolation("disk pipeline changed the outer vertex set")
+    r = _apex(b, cycle)
     if r is None:
         raise InvariantViolation("no outer vertex with two outer neighbors")
-
-    added = list(disk_trace.added_edges)
-    if len(cycle) == 3:
-        result = disk
-    else:
-        pos_r = cycle.index(r)
-        b = _FaceBuilder(disk)
-        added += [(min(r, v), max(r, v), "apex") for v in b.fan(walk, pos_r)]
-        result = b.embedding([walk[(pos_r + 1) % len(cycle)]])
-
+    pos_r = cycle.index(r)
+    added += [(min(r, v), max(r, v), "apex") for v in b.fan(walk, pos_r)]
+    result = b.embedding([walk[(pos_r + 1) % len(cycle)]])
+    k_disk = _radial_peels(result, {result._walk_of_dart[d] for d in walk}).k
+    if k_disk > k_in:
+        raise InvariantViolation(f"disk pipeline raised the peel count {k_in} -> {k_disk}")
     if not is_triangulation(result):
         raise InvariantViolation("apex step did not produce a triangulation")
-    if onion_peels(result).k > k_in + 1:
-        raise InvariantViolation(
-            f"apex step raised the peel count {k_in} -> {onion_peels(result).k}"
-        )
+    k = onion_peels(result).k
+    if k > k_in + 1:
+        raise InvariantViolation(f"apex step raised the peel count {k_in} -> {k}")
     return result, DiskConversionTrace(added_edges=tuple(added))

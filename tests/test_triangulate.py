@@ -25,10 +25,11 @@ from onionpeel import (
     to_triangulated_disk,
     validate_forest,
 )
-from onionpeel import triangulate
+from onionpeel import embedding, triangulate
 from onionpeel.embedding import _FaceBuilder, _successors
-from onionpeel.triangulate import _CUTS, DiskConversionTrace, _connect, _cut_corners
-from test_branchdecomp import relabel
+from onionpeel.peeling import _radial_peels
+from onionpeel.triangulate import _CUTS, _connect, _cut_corners
+from test_branchdecomp import deep_disks, relabel
 from test_oracles import successor_walk
 from test_peeling import delete_nonbridge_edges, side_by_side
 
@@ -263,22 +264,33 @@ def test_stages_only_add_edges(corpus):
 
 
 def test_full_triangulation_validates_once_per_public_call(monkeypatch):
-    builds = []
-    init = Embedding.__init__
+    # one builder, one rotation read-off and one trace per call beyond the
+    # parse, whatever the input size; a disk input gets one builder, for the
+    # fan, and a triangulation none
+    calls = Counter()
 
-    def counting(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
 
-    paths = {n: gen_path(n) for n in (60, 240)}
-    monkeypatch.setattr(Embedding, "__init__", counting)
+    init = _FaceBuilder.__init__
+    inputs = {
+        "path60": gen_path(60), "path240": gen_path(240),
+        "disk": gen_k4_minus_edge(), "tri": gen_nested_triangles(36),
+    }
+    monkeypatch.setattr(_FaceBuilder, "__init__", counted("builders", init))
+    for name in ("_read_rotations", "_checked_trace"):
+        monkeypatch.setattr(embedding, name, counted(name, getattr(embedding, name)))
     counts = {}
-    for n, path in paths.items():
-        builds.clear()
-        _, trace = to_full_triangulation(path)
-        assert len(trace.added_edges) >= n - 2
-        counts[n] = len(builds)
-    assert counts[60] == counts[240] <= 3
+    for label, emb in inputs.items():
+        calls.clear()
+        out, trace = to_full_triangulation(emb)
+        assert is_triangulation(out), label
+        counts[label] = dict(calls)
+    once = {"builders": 1, "_read_rotations": 1, "_checked_trace": 1}
+    assert counts == {"path60": once, "path240": once, "disk": once, "tri": {}}
 
 
 def test_disk_conversion_returns_a_disk_input_unbuilt(monkeypatch):
@@ -332,35 +344,61 @@ DISK_FAULTS = (
 @pytest.mark.parametrize("convert", [to_triangulated_disk, to_full_triangulation])
 @pytest.mark.parametrize("wrong, text", DISK_FAULTS)
 def test_disk_certificates_fire(convert, wrong, text, monkeypatch):
-    builder_returning(monkeypatch, wrong)
+    # the disk stages leave a builder over the wrong disk: the disk path
+    # builds it, the full path checks its state and fans it
+    monkeypatch.setattr(triangulate, "_disk_stages", lambda emb: (_FaceBuilder(wrong), []))
     with pytest.raises(errors.InvariantViolation) as exc:
         convert(gen_cycle(5))
     assert type(exc.value) is errors.InvariantViolation and str(exc.value) == text
 
 
-def star_as_disk(monkeypatch):
-    star = Embedding({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}, [(0, 1)])  # K1,3
-    monkeypatch.setattr(
-        triangulate, "to_triangulated_disk", lambda emb: (star, DiskConversionTrace(()))
-    )
+# a 9-cycle along a Hamiltonian cycle of gen_nested_triangles(3), whose
+# 9 vertices all lie on the faces of the cycle's darts there
+HAMILTON = [0, 1, 2, 3, 5, 6, 7, 8, 4]
+NESTED3_CYCLE = Embedding(
+    {v: [HAMILTON[i - 1], HAMILTON[(i + 1) % 9]] for i, v in enumerate(HAMILTON)}, [(0, 1)]
+)
 
 
-# (fault, the certificate's text); a disk input skips the disk builder
+# (fault, which returns the input, a non-triangulation with k = 1, the
+# certificate's text); setattr and builder_returning return None, and a
+# disk input gets one builder, for the fan
 APEX_FAULTS = (
-    (star_as_disk, "no outer vertex with two outer neighbors"),
-    (lambda m: builder_returning(m, fan=lambda self, walk, pos: []),
+    (lambda m: m.setattr(triangulate, "_apex", lambda b, cycle: None) or gen_k4_minus_edge(),
+     "no outer vertex with two outer neighbors"),
+    (lambda m: builder_returning(m, fan=lambda self, walk, pos: []) or gen_k4_minus_edge(),
      "apex step did not produce a triangulation"),
-    (lambda m: builder_returning(m, gen_nested_triangles(3)),
+    (lambda m: builder_returning(m, gen_nested_triangles(3)) or NESTED3_CYCLE,
      "apex step raised the peel count 1 -> 3"),
 )
 
 
 @pytest.mark.parametrize("fault, text", APEX_FAULTS)
 def test_apex_certificates_fire(fault, text, monkeypatch):
-    fault(monkeypatch)
+    emb = fault(monkeypatch)
+    assert onion_peels(emb).k == 1 and not is_triangulation(emb)
     with pytest.raises(errors.InvariantViolation) as exc:
-        to_full_triangulation(gen_k4_minus_edge())  # a disk with k = 1
+        to_full_triangulation(emb)
     assert type(exc.value) is errors.InvariantViolation and str(exc.value) == text
+
+
+def test_fan_face_peel_equals_the_disk_peel(corpus):
+    # the full path peels its disk as the output from the faces that hold
+    # a dart of the disk's outer walk
+    rng = random.Random(28)
+    inputs = [
+        *differential_inputs(corpus),
+        *deep_disks(),
+        *((f"tree{i}", random_tree(rng.randint(3, 200), i)) for i in range(20)),
+        *((f"kring{i}", sparse_kring(rng.randint(2, 5), rng.randint(4, 15), i))
+          for i in range(20)),
+    ]
+    for label, emb in inputs:
+        disk, _ = to_triangulated_disk(emb)
+        tri, _ = to_full_triangulation(emb)
+        start = {tri._walk_of_dart[d] for d in disk._walks[disk._outer_ids[0]]}
+        assert _radial_peels(tri, start).layers == onion_peels(disk).layers, label
+    assert len(inputs) > 400
 
 
 def many_components(kind, n):
