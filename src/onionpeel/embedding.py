@@ -18,13 +18,16 @@ consistency.
 Embeddings are immutable values; derived data (face walks, components) is
 computed once and cached on the instance.  Every added edge goes through
 one internal primitive, the corner link of a mutable half-edge face
-builder, so a run of insertions validates only once.  A link rewires
-four successors and relabels the shorter of the two walks it splits a
-face into, or joins into one; building an embedding is linear up to
-sorting each rotation.  An embedding of several components is accepted
-only when every component lies in the outer region: one outer dart per edged
-component, all merged into a single outer region.  Isolated vertices
-carry an empty rotation and count as outer.
+builder, so a run of insertions validates only once.  The builder keeps
+each dart's successor and walk id, each walk's length and one of its
+darts, the outer walk ids, one neighbour per vertex and, from its first
+use on, the inverse successor map.  A link rewires four successors and
+relabels the shorter of the two walks it splits a face into, or joins
+into one; building an embedding is linear up to sorting each rotation.
+An embedding of several components is accepted only when every
+component lies in the outer region: one outer dart per edged component,
+all merged into a single outer region.  Isolated vertices carry an empty
+rotation and count as outer.
 
 Construction is one structural pass over a successor map, a few
 dictionary operations per dart.  Plain rotations are type-checked (an id
@@ -50,7 +53,6 @@ each rotation, O(V log V + E log D) in all for largest degree D.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -510,10 +512,10 @@ class _FaceBuilder:
     :meth:`rotations` reads the rotations off it from ``nbr``, one
     neighbour per vertex (None if isolated).  It also holds the inverse
     of ``nxt`` from the first :meth:`pred` on, each dart's walk id
-    ``wid``, each walk's length ``size``, and ``outer``, the ids of the
-    outer walks; no walk is stored as a dart sequence.  A walk's minimal
-    dart comes from its lazy-deletion min-heap, built on first request and
-    then kept up to date.
+    ``wid``, each walk's length ``size``, ``dart``, one dart on each walk,
+    and ``outer``, the ids of the outer walks.  Like the DCEL's face
+    record, a walk is known by one dart, not stored as a dart sequence;
+    an input walk's dart is its minimal one, a later walk's any of its.
 
     A *corner* is named by the dart ``(t, x)`` on which a walk enters x;
     the walk leaves x on ``(x, s)`` with s the successor of t in the
@@ -525,18 +527,10 @@ class _FaceBuilder:
         self.nxt = dict(emb._succ)
         self.wid = dict(emb._walk_of_dart)
         self.size = dict(enumerate(map(len, emb._walks)))
+        self.dart = {i: walk[0] for i, walk in enumerate(emb._walks)}
         self.outer = set(emb._outer_ids)
-        self._walks = emb._walks
-        self._heaps: dict[int, list[Dart]] = {}  # built on first use
         self._prv: dict[Dart, Dart] | None = None  # none until a pred
         self._fresh = count(len(self.size))
-
-    def first(self, i: int) -> Dart:
-        """The minimal dart of walk i, from its heap."""
-        heap = self._heap(i)
-        while self.wid[heap[0]] != i:
-            heapq.heappop(heap)
-        return heap[0]
 
     def darts(self, start: Dart) -> list[Dart]:
         """The walk through ``start``, from it."""
@@ -564,9 +558,10 @@ class _FaceBuilder:
         lockstep and only the shorter gets a fresh id, so a split costs
         O(shorter part) and a dart changes id O(log n) times.  Joins happen
         only across the outer region: corners of two outer walks, or of an
-        isolated vertex, join into one outer walk (:meth:`_join`).  Each
-        new dart is one tuple, shared by the maps, lists and heaps that
-        hold it, and the lockstep walk stops on it.
+        isolated vertex, join into one outer walk (:meth:`_join`).  The
+        kept walk's dart becomes its new dart and the fresh walk's dart
+        its first.  Each new dart is one tuple, shared by the maps and
+        lists that hold it, and the lockstep walk stops on it.
         """
         u, v = corner_u[1], corner_v[1]
         uv, vu = (u, v), (v, u)
@@ -599,7 +594,7 @@ class _FaceBuilder:
             self.outer.remove(w)
         wid[long] = w
         self.size[w] += 2 - len(darts)
-        heapq.heappush(self._heap(w), long)
+        self.dart[w] = long
         self._relabel(darts, f, outer)
         return (f, w) if first_short else (w, f)
 
@@ -607,12 +602,12 @@ class _FaceBuilder:
         """Join the walks w_u and w_v (None: an isolated vertex) across the
         new darts uv = (u, v) and vu = (v, u).
 
-        The longer walk keeps its id.  The shorter side's darts and the
-        two new ones take that id and join its heap, so a join costs
-        O(shorter side) and a dart changes id O(log n) times.
-        Two isolated vertices make a fresh 2-dart walk.  Joins happen only
-        across the outer region, each walk outer or None, so the kept walk
-        is marked outer already.
+        The longer walk keeps its id and its dart, which stays on the
+        merged walk.  The shorter side's darts and the two new ones take
+        that id, so a join costs O(shorter side) and a dart changes id
+        O(log n) times.  Two isolated vertices make a fresh 2-dart walk.
+        Joins happen only across the outer region, each walk outer or
+        None, so the kept walk is marked outer already.
         """
         if w_u is None and w_v is None:
             f = next(self._fresh)
@@ -630,27 +625,15 @@ class _FaceBuilder:
         darts.append(stop)
         self.outer.discard(drop)
         self.size[keep] += self.size.pop(drop, 0) + 2
-        self._heaps.pop(drop, None)
+        self.dart.pop(drop, None)
         self.wid.update(dict.fromkeys(darts, keep))
-        heap = self._heap(keep)
-        for d in darts:
-            heapq.heappush(heap, d)
         return keep
-
-    def _heap(self, i: int) -> list[Dart]:
-        """Walk i's min-heap of darts, made from its input face if it has none."""
-        heap = self._heaps.get(i)
-        if heap is None:
-            heap = self._heaps[i] = list(self._walks[i])
-            heapq.heapify(heap)
-        return heap
 
     def _relabel(self, darts: list[Dart], f: int, outer: bool) -> None:
         """Give the whole walk ``darts`` the fresh id f."""
         self.wid.update(dict.fromkeys(darts, f))
         self.size[f] = len(darts)
-        heapq.heapify(darts)
-        self._heaps[f] = darts
+        self.dart[f] = darts[0]
         if outer:
             self.outer.add(f)
 
@@ -678,7 +661,7 @@ class _FaceBuilder:
 
     def embedding(self, outer_darts: Iterable[Dart] | None = None) -> Embedding:
         """Validate the current state as an embedding, outer at the outer
-        walks' minimal darts unless given.  It keeps ``nxt``: link no more."""
+        walks' darts unless given.  It keeps ``nxt``: link no more."""
         if outer_darts is None:
-            outer_darts = [self.first(i) for i in self.outer]
+            outer_darts = [self.dart[i] for i in self.outer]
         return Embedding(self.rotations(), outer_darts)

@@ -172,7 +172,7 @@ def build_rooted_forest(emb: Embedding) -> RootedForest:
         for v in level:
             parent[v] = candidates[v]
             depth[v] = d
-    missing = set(emb.vertices) - set(depth)
+    missing = emb._rotations.keys() - depth.keys()
     if missing:
         raise UnreachableVertex(
             f"no path to the outer face from: {sorted(missing)[:5]}"
@@ -190,7 +190,7 @@ def validate_forest(emb: Embedding, forest: RootedForest) -> None:
     linear when the depth map lists the levels in order, as
     :func:`build_rooted_forest`'s does.
     """
-    verts = set(emb.vertices)
+    verts = set(emb._rotations)
     covered = set(forest.depth)
     if not verts <= covered:
         raise UnreachableVertex(

@@ -51,25 +51,28 @@ def _connect(b: _FaceBuilder) -> list[Edge]:
     outer vertex:
 
     - ``_trace`` visits darts in sorted order, so a walk starts at its
-      minimal dart, whose origin is the smallest vertex on the walk;
+      minimal dart, whose origin is the smallest vertex on the walk, and
+      the builder's dart of an input walk is that start;
     - an embedding has one outer walk per edged component, none nested,
       and saturation adds edges only inside inner faces, so each outer
       walk here is still the input's;
-    - after each join the hub is still the smallest origin on the merged
-      walk, whose id the join returns.
+    - a join with the component starting at v adds (hub, v) and darts
+      whose origins are at least v, so the hub's minimal dart after it is
+      the smaller of its last one and (hub, v).
     """
-    (hub, i), *rest = sorted(
-        [(b.first(i)[0], i) for i in b.outer]
+    (hub, m), *rest = sorted(
+        [(d[0], d) for d in map(b.dart.__getitem__, b.outer)]
         + [(v, None) for v, n in b.nbr.items() if n is None]
     )
-    for v, j in rest:
-        (i,) = b.link(_outer_corner(b, hub, i), _outer_corner(b, v, j))
+    for v, d in rest:
+        b.link(_outer_corner(b, hub, m), _outer_corner(b, v, d))
+        m = (hub, v) if m is None else min(m, (hub, v))
     return [(hub, v) for v, _ in rest]
 
 
-def _outer_corner(b: _FaceBuilder, x: int, i: int | None) -> Dart:
-    """The corner before walk i's minimal dart, whose origin is x (None: x isolated)."""
-    return (None, x) if i is None else b.pred(b.first(i))
+def _outer_corner(b: _FaceBuilder, x: int, d: Dart | None) -> Dart:
+    """The corner at x before its outer walk's minimal dart d (None: x isolated)."""
+    return (None, x) if d is None else b.pred(d)
 
 
 def _cut_corners(b: _FaceBuilder, outer: bool, repeated_only: bool, stuck) -> list[Edge]:
@@ -83,12 +86,14 @@ def _cut_corners(b: _FaceBuilder, outer: bool, repeated_only: bool, stuck) -> li
     The chord (a, c) cuts the corner at j off into a triangle, which is
     never wanted; the rest, the walk of (a, c), keeps the walk's outer
     mark and is the one walk tested again.  A wanted walk without such a
-    position raises ``stuck(b, walk id)``.
+    position raises ``stuck(b, its minimal dart)``.
 
-    The vertex counts are this loop's own.  A walk is counted once, the
-    first time it is tested.  The rest reads ``... (t, a), (a, c), (c, x)
-    ...`` where the walk read ``(t, a), (a, v), (v, c), (c, x)``, so its
-    counts are the walk's with one fewer v, moved to the rest's id.
+    The minimal darts and vertex counts are this loop's own, from one
+    listing of a walk the first time it is tested.  A wanted rest has at
+    least 4 darts, more than the triangle, so it keeps the walk's id; its
+    min-heap gains (a, c) and pops darts that left it once they surface,
+    and its counts, as it reads ``... (t, a), (a, c), (c, x) ...`` where
+    the walk read ``(t, a), (a, v), (v, c), (c, x)``, lose one v.
 
     The scan resumes instead of restarting.  Eligibility only decays
     (adjacency grows, counts fall) and a cut changes only the corners at
@@ -97,20 +102,30 @@ def _cut_corners(b: _FaceBuilder, outer: bool, repeated_only: bool, stuck) -> li
     its minimal dart has changed, which sends the scan back to the new
     minimal dart.
     """
+    heaps: dict[int, list[Dart]] = {}  # tested walk id -> min-heap of its darts, some stale
     counts: dict[int, Counter[int]] = {}  # wanted walk id -> vertex -> occurrences
 
     def wanted(i: int, occ: Counter[int] | None = None) -> bool:
         if (i in b.outer) != outer or b.size[i] < 4:
             return False
+        if i not in heaps:
+            darts = heaps[i] = b.darts(b.dart[i])
+            if repeated_only:
+                occ = Counter(map(_origin, darts))
+            heapq.heapify(darts)
         if repeated_only:
-            if occ is None:
-                occ = Counter(map(_origin, b.darts(b.first(i))))
             if len(occ) == b.size[i]:
                 return False
             counts[i] = occ
         return True
 
-    heap = [(b.first(i), i) for i in b.size if wanted(i)]
+    def first(i: int) -> Dart:
+        darts = heaps[i]
+        while b.wid[darts[0]] != i:
+            heapq.heappop(darts)
+        return darts[0]
+
+    heap = [(first(i), i) for i in b.size if wanted(i)]
     heapq.heapify(heap)
     resume: dict[tuple[int, Dart], Dart] = {}  # (walk id, run start) -> dart
     added: list[Edge] = []
@@ -126,15 +141,15 @@ def _cut_corners(b: _FaceBuilder, outer: bool, repeated_only: bool, stuck) -> li
                 break
             corner, before, d = before, d, b.nxt[d]
         else:
-            raise stuck(b, i)
+            raise stuck(b, start)
         b.link(corner, d)
         ac = (a, c)
-        rest = b.wid[ac]
         if repeated_only:
             occ[v] -= 1
-        if wanted(rest, occ):
-            heapq.heappush(heap, (b.first(rest), rest))
-        resume[(rest, start)] = ac
+        if wanted(i, occ):
+            heapq.heappush(heaps[i], ac)
+            heapq.heappush(heap, (first(i), i))
+        resume[(i, start)] = ac
         added.append((min(a, c), max(a, c)))
     return added
 
@@ -145,7 +160,7 @@ _CUTS = (
         "outer-cut",
         True,
         True,
-        lambda b, i: RepairStuck(
+        lambda b, d: RepairStuck(
             "every occurrence of every repeated outer vertex has adjacent flankers"
         ),
     ),
@@ -153,7 +168,7 @@ _CUTS = (
         "inner-cut",
         False,
         True,
-        lambda b, i: RepairStuck(
+        lambda b, d: RepairStuck(
             "every occurrence of every repeated inner-face vertex has "
             "adjacent flankers"
         ),
@@ -162,9 +177,8 @@ _CUTS = (
         "ear",
         False,
         False,
-        lambda b, i: InvariantViolation(
-            "no ear available on inner face "
-            f"{tuple(d[0] for d in b.darts(b.first(i)))}"
+        lambda b, d: InvariantViolation(
+            f"no ear available on inner face {tuple(map(_origin, b.darts(d)))}"
         ),
     ),
 )
@@ -243,7 +257,7 @@ def to_full_triangulation(emb: Embedding) -> tuple[Embedding, DiskConversionTrac
     b, added = _disk_stages(emb)
     k_in = onion_peels(emb).k
     b = b or _FaceBuilder(emb)
-    walk = b.darts(b.first(*b.outer)) if len(b.outer) == 1 else []
+    walk = b.darts(b.dart[min(b.outer)]) if len(b.outer) == 1 else []
     cycle = tuple(map(_origin, walk))
     if (
         len(cycle) < 3 or len(set(cycle)) < len(cycle) or None in b.nbr.values()

@@ -354,8 +354,9 @@ def test_conversion_leaves_its_input_unchanged(corpus):
 
 def handed_and_reference(b, outer=None):
     """The builder's own build, which traces ``b.nxt``, and the reference
-    build from plain rotation lists, with the builder's outer darts."""
-    outer = [b.first(i) for i in b.outer] if outer is None else outer
+    build from plain rotation lists, with the builder's outer darts, each
+    outer walk's minimum unless given."""
+    outer = [min(b.darts(b.dart[i])) for i in b.outer] if outer is None else outer
     ref = Embedding({v: list(ns) for v, ns in b.rotations().items()}, outer)
     return b.embedding(outer), ref
 

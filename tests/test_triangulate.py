@@ -27,7 +27,7 @@ from onionpeel import (
 )
 from onionpeel import embedding, triangulate
 from onionpeel.embedding import _FaceBuilder, _successors
-from onionpeel.peeling import _radial_peels
+from onionpeel.peeling import _radial_peels, _saturate
 from onionpeel.triangulate import _CUTS, _connect, _cut_corners
 from test_branchdecomp import deep_disks, relabel
 from test_oracles import successor_walk
@@ -634,13 +634,31 @@ def interleaved_inputs():
             yield f"interleaved_{name}{trial}", relabel(emb, rng)
 
 
-def test_interleaved_inputs_reorder_components():
+def test_interleaved_inputs_reorder_components(corpus, monkeypatch):
     smallest_isolated = set()
     for label, emb in interleaved_inputs():
         spans = sorted((min(c), max(c)) for c in emb.components)
         assert any(hi > lo for (_, hi), (lo, _) in zip(spans, spans[1:])), label
         smallest_isolated.add(emb.degree(0) == 0)
     assert smallest_isolated == {False, True}
+    # both cases of _connect's hub dart: a join's new dart (hub, v) is, or
+    # is not, the minimum over the merged outer walk
+    link, new_minimal = _FaceBuilder.link, set()
+
+    def checked(b, corner_u, corner_v):
+        ids = link(b, corner_u, corner_v)
+        hub_v = (corner_u[1], corner_v[1])
+        new_minimal.add(min(b.darts(hub_v)) == hub_v)
+        return ids
+
+    for _, emb in differential_inputs(corpus):
+        if not emb.is_connected:
+            b = _FaceBuilder(emb)
+            _saturate(b, emb)
+            with monkeypatch.context() as m:
+                m.setattr(_FaceBuilder, "link", checked)
+                _connect(b)
+    assert new_minimal == {False, True}
 
 
 def test_conversion_matches_per_edge_rebuild(corpus):
@@ -669,7 +687,7 @@ def check_builder(b):
     darts_of = {}
     for d, i in b.wid.items():
         darts_of.setdefault(i, []).append(d)
-    assert set(darts_of) == set(b.size)
+    assert set(darts_of) == set(b.size) == set(b.dart)
     rot = b.rotations()
     outer = [darts_of[i][0] for i in b.outer]
     emb = Embedding(dict(rot), outer)  # plain rotations: _coerce and _successors
@@ -687,14 +705,14 @@ def check_builder(b):
         face = emb.faces[emb.face_index_of_dart(darts[0])]
         assert sorted(walk) == sorted(darts) == sorted(face.darts)
         assert b.size[i] == len(face)
-        assert b.first(i) == face.darts[0]
+        assert b.wid[b.dart[i]] == i
         assert (i in b.outer) == face.is_outer
 
 
 def held_copies(b, dart):
     """The distinct tuple objects equal to ``dart`` in the builder's successor
-    map (keys and values), its inverse, its walk ids and its heaps."""
-    held = [b.nxt, b.nxt.values(), b.wid, *b._heaps.values()]
+    map (keys and values), its inverse, its walk ids and its walks' darts."""
+    held = [b.nxt, b.nxt.values(), b.wid, b.dart.values()]
     if b._prv is not None:
         held += [b._prv, b._prv.values()]
     return {id(d) for d in chain.from_iterable(held) if d == dart}
@@ -761,19 +779,23 @@ def test_long_face_pipeline():
 
 def ref_cut_corners(b, outer, repeated_only, stuck):
     """Reference: the corner-cutting loop that rescans every popped walk
-    from its minimal dart and counts its vertices afresh, quadratic when
-    walks repeat vertices."""
+    from its minimal dart, found as the minimum over the walk, and counts
+    its vertices afresh, quadratic when walks repeat vertices."""
 
     def wanted(b, i):
         if (i in b.outer) != outer or b.size[i] < 4:
             return False
-        return not repeated_only or len({x for x, _ in b.darts(b.first(i))}) < b.size[i]
+        return not repeated_only or len({x for x, _ in b.darts(b.dart[i])}) < b.size[i]
 
-    heap = [(b.first(i), i) for i in b.size if wanted(b, i)]
+    def first(i):
+        return min(b.darts(b.dart[i]))
+
+    heap = [(first(i), i) for i in b.size if wanted(b, i)]
     heapq.heapify(heap)
     added = []
     while heap:
-        d, i = heapq.heappop(heap)
+        start, i = heapq.heappop(heap)
+        d = start
         counts = Counter(x for x, _ in b.darts(d)) if repeated_only else None
         before = b.pred(d)
         corner = b.pred(before)
@@ -783,10 +805,10 @@ def ref_cut_corners(b, outer, repeated_only, stuck):
                 break
             corner, before, d = before, d, b.nxt[d]
         else:
-            raise stuck(b, i)
+            raise stuck(b, start)
         for j in b.link(corner, d):
             if wanted(b, j):
-                heapq.heappush(heap, (b.first(j), j))
+                heapq.heappush(heap, (first(j), j))
         added.append((min(a, c), max(a, c)))
     return added
 
